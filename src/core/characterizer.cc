@@ -23,49 +23,18 @@ Characterizer::Characterizer(CharacterizationOptions options)
       size_in_(0.0, options.size_histogram_max, kSizeBins),
       size_out_(0.0, options.size_histogram_max, kSizeBins) {}
 
-void Characterizer::OnPacket(const net::PacketRecord& record) {
-  summary_.OnPacket(record);
-  minute_agg_.OnPacket(record);
-  sessions_.OnPacket(record);
-  if (record.timestamp < options_.vt_window) vt_packets_.Add(record.timestamp, 1.0);
-  size_total_.Add(record.app_bytes);
-  if (record.direction == net::Direction::kClientToServer) {
-    size_in_.Add(record.app_bytes);
-  } else {
-    size_out_.Add(record.app_bytes);
-  }
-}
-
-void Characterizer::OnBatch(std::span<const net::PacketRecord> batch) {
-  GT_PROF_SCOPE("core.characterizer.on_batch");
-  summary_.OnBatch(batch);
-  minute_agg_.OnBatch(batch);
-  sessions_.OnBatch(batch);
-  scratch_times_.clear();
-  for (const net::PacketRecord& record : batch) {
-    if (record.timestamp < options_.vt_window) scratch_times_.push_back(record.timestamp);
-    size_total_.Add(record.app_bytes);
-    if (record.direction == net::Direction::kClientToServer) {
-      size_in_.Add(record.app_bytes);
-    } else {
-      size_out_.Add(record.app_bytes);
-    }
-  }
-  vt_packets_.AddBatch(scratch_times_, 1.0);
-}
-
 void Characterizer::OnColumns(const net::PacketBatch& batch) {
   GT_PROF_SCOPE("core.characterizer.on_columns");
-  summary_.AccumulateColumns(batch);
-  minute_agg_.AccumulateColumns(batch);
-  sessions_.AccumulateColumns(batch);
+  summary_.OnColumns(batch);
+  minute_agg_.OnColumns(batch);
+  sessions_.OnColumns(batch);
   const std::size_t n = batch.count;
   const double* ts = batch.timestamps;
   scratch_times_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     if (ts[i] < options_.vt_window) scratch_times_.push_back(ts[i]);
   }
-  vt_packets_.AddBatch(scratch_times_, 1.0);
+  vt_packets_.AddColumn(scratch_times_, 1.0);
   const std::span<const std::uint16_t> sizes(batch.app_bytes, n);
   const std::span<const std::uint8_t> dirs(batch.directions, n);
   constexpr auto kIn = static_cast<std::uint8_t>(net::Direction::kClientToServer);

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "net/packet.h"
@@ -69,22 +68,16 @@ class Characterizer final : public trace::CaptureSink {
  public:
   explicit Characterizer(CharacterizationOptions options = {});
 
-  void OnPacket(const net::PacketRecord& record) override;
-
-  // Feeds every constituent analysis its batch fast path; produces exactly
-  // the same report as the per-packet path.
-  void OnBatch(std::span<const net::PacketRecord> batch) override;
-
-  // Columnar fast path: each constituent analysis consumes the raw columns
-  // through its AccumulateColumns/AddColumn kernel - no record
-  // materialisation anywhere in the pipeline. Same report, bit-identical.
+  // Each constituent analysis consumes the raw columns through its own
+  // kernel - no record materialisation anywhere in the pipeline. The
+  // constituents are final classes, so these member calls devirtualize.
   void OnColumns(const net::PacketBatch& batch) override;
 
   // Absorbs another (un-finished) characterizer: every accumulator is
   // combined with its exact merge operation, so Merge-then-Finish over N
   // per-shard partials equals one characterizer fed the interleaved stream.
-  // `other` is spent. Shards must namespace their flow identifiers
-  // (trace::ShardNamespaceSink) so sessions never collide. Throws
+  // `other` is spent. Shards must emit disjoint client addresses
+  // (game::GameConfig::client_ip_shift) so sessions never collide. Throws
   // std::invalid_argument if the analysis options differ.
   void Merge(Characterizer&& other);
 
@@ -104,7 +97,7 @@ class Characterizer final : public trace::CaptureSink {
   stats::Histogram size_total_;
   stats::Histogram size_in_;
   stats::Histogram size_out_;
-  std::vector<double> scratch_times_;  // reused per batch by OnBatch
+  std::vector<double> scratch_times_;  // reused per batch by OnColumns
 };
 
 // Reduces finished per-shard reports into one fleet-wide report: summaries,

@@ -118,12 +118,9 @@ ExperimentScale ExperimentScale::FromEnv(double default_duration) {
   return scale;
 }
 
-ServerTraceResult RunServerTrace(const game::GameConfig& config,
-                                 std::span<trace::CaptureSink* const> sinks) {
+ServerTraceResult RunServerTrace(const game::GameConfig& config, trace::CaptureSink& sink) {
   const obs::ObsContext& ctx = obs::Current();
   sim::Simulator simulator;
-  trace::TeeSink tee;
-  for (trace::CaptureSink* sink : sinks) tee.Attach(*sink);
 
   // Give the trace log a sim clock for the duration of the run, so RAII
   // spans (and anything else that asks for "now") read simulator time.
@@ -131,7 +128,7 @@ ServerTraceResult RunServerTrace(const game::GameConfig& config,
     ctx.trace->SetClock([&simulator] { return simulator.Now(); });
   }
 
-  game::CsServer server(simulator, config, tee);
+  game::CsServer server(simulator, config, sink);
   if (ctx.heartbeat) {
     const double interval = ResolveHeartbeatInterval(config.trace_duration);
     if (interval > 0.0) InstallHeartbeat(simulator, server, config.trace_duration, interval);
@@ -161,9 +158,11 @@ ServerTraceResult RunServerTrace(const game::GameConfig& config,
   return result;
 }
 
-ServerTraceResult RunServerTrace(const game::GameConfig& config, trace::CaptureSink& sink) {
-  trace::CaptureSink* sinks[] = {&sink};
-  return RunServerTrace(config, sinks);
+ServerTraceResult RunServerTrace(const game::GameConfig& config,
+                                 std::span<trace::CaptureSink* const> sinks) {
+  trace::TeeSink tee;
+  for (trace::CaptureSink* sink : sinks) tee.Attach(*sink);
+  return RunServerTrace(config, tee);
 }
 
 NatExperimentConfig NatExperimentConfig::Defaults() {

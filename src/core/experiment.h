@@ -34,12 +34,12 @@ struct ServerTraceResult {
 };
 
 // Runs a full CsServer capture of config.trace_duration seconds, streaming
-// every packet into each sink.
+// every packet into `sink`.
+ServerTraceResult RunServerTrace(const game::GameConfig& config, trace::CaptureSink& sink);
+
+// Same, fanning the stream out to each sink in order through a TeeSink.
 ServerTraceResult RunServerTrace(const game::GameConfig& config,
                                  std::span<trace::CaptureSink* const> sinks);
-
-// Convenience overload for a single sink.
-ServerTraceResult RunServerTrace(const game::GameConfig& config, trace::CaptureSink& sink);
 
 // ---------------------------------------------------------------------------
 // The NAT experiment (paper section IV-A, Table IV, Figures 14-15): a busy

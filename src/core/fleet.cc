@@ -22,7 +22,6 @@
 #include "obs/watchdog.h"
 #include "sim/rng.h"
 #include "trace/capture.h"
-#include "trace/fused_chain.h"
 
 #include "core/check.h"
 
@@ -398,6 +397,11 @@ FleetResult RunFleet(const FleetConfig& config) {
     GT_CHECK_LE(server_config.sessions.population, population)
         << "RunFleet: configure_shard grew shard " << server
         << "'s identity pool beyond the template's - the IP namespaces would collide";
+    // Set after configure_shard, so no specialisation can move a shard out
+    // of its namespace: the shift packs this server into the host bits the
+    // identity pool leaves unused, so thousands of shards stay disjoint.
+    server_config.client_ip_shift =
+        game::ShardIpShift(static_cast<std::uint32_t>(server), population);
     r.seed = server_config.seed;
     r.partial.emplace(config.analysis);
     r.trace.emplace(/*pid=*/server, config.trace_max_events);
@@ -418,16 +422,7 @@ FleetResult RunFleet(const FleetConfig& config) {
          .recorder = r.recorder.has_value() ? &*r.recorder : nullptr,
          .shard_id = server,
          .heartbeat = ambient.heartbeat && server == 0});
-    // Fuse the shard chain: the namespace shift is applied to the IP
-    // column once and the characterizer is reached without interior
-    // virtual hops. The shift packs this server into the host bits the
-    // identity pool leaves unused, so thousands of shards stay disjoint.
-    trace::ShardNamespaceSink namespaced(
-        trace::ShardNamespaceSink::ExplicitShift{
-            game::ShardIpShift(static_cast<std::uint32_t>(server), population)},
-        *r.partial);
-    const std::unique_ptr<trace::FusedChain> fused = trace::FuseChain(namespaced);
-    auto run = RunServerTrace(server_config, *fused);
+    auto run = RunServerTrace(server_config, *r.partial);
     r.stats = run.stats;
     r.players = std::move(run.players);
     return r;

@@ -35,7 +35,11 @@ void TrafficModelFitter::DirectionState::Drain() {
   Release(std::numeric_limits<double>::infinity());
 }
 
-void TrafficModelFitter::OnPacket(const net::PacketRecord& record) {
+void TrafficModelFitter::OnColumns(const net::PacketBatch& batch) {
+  for (std::size_t i = 0; i < batch.count; ++i) Observe(batch.RecordAt(i));
+}
+
+void TrafficModelFitter::Observe(const net::PacketRecord& record) {
   if (first_time_ < 0.0) first_time_ = record.timestamp;
   last_time_ = std::max(last_time_, record.timestamp);
   DirectionState& state =

@@ -44,13 +44,15 @@ class TrafficModelFitter final : public trace::CaptureSink {
   // `reorder_horizon` must exceed the worst-case disorder (one tick).
   explicit TrafficModelFitter(double reorder_horizon = 0.25);
 
-  void OnPacket(const net::PacketRecord& record) override;
+  void OnColumns(const net::PacketBatch& batch) override;
 
   // Drains the reorder buffers and fits. Requires at least two packets in
   // each direction. The fitter is spent afterwards.
   [[nodiscard]] TrafficModel Fit();
 
  private:
+  void Observe(const net::PacketRecord& record);
+
   struct DirectionState {
     stats::RunningStats gaps;
     std::priority_queue<double, std::vector<double>, std::greater<>> pending;

@@ -57,9 +57,9 @@ struct ClientProfile {
 // The additive IP shift for server `server_id` of a fleet whose servers
 // each draw from `population` identities. GT_CHECKs that the id fits the
 // namespace (server_id < MaxDisjointServers(population)) and that the
-// population fits the 24-bit host space. Feed the result to
-// trace::ShardNamespaceSink's explicit-shift constructor. Ids <= 245
-// produce exactly the classic per-octet shift (server_id << 24).
+// population fits the 24-bit host space. The result goes in
+// GameConfig::client_ip_shift. Ids <= 245 produce exactly the classic
+// per-octet shift (server_id << 24).
 [[nodiscard]] std::uint32_t ShardIpShift(std::uint32_t server_id, std::size_t population);
 
 // Random ephemeral source port for a new session.

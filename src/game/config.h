@@ -148,6 +148,12 @@ struct GameConfig {
   double server_link_bps = 100e6;  // paces packets within a broadcast burst
   double trace_duration = 626477.0;
   std::uint64_t seed = 42;
+  // Added to the client address of every emitted packet record (game-log
+  // events and endpoint lookups keep the identity address). Gives each
+  // server of a fleet its own client namespace so per-server analyses merge
+  // exactly; RunFleet sets it from ShardIpShift. 0 = the identity pool's
+  // own 10/8 addresses.
+  std::uint32_t client_ip_shift = 0;
 
   SizeConfig sizes;
   ClientMixConfig clients;

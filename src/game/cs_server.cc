@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/check.h"
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
 #include "obs/prof.h"
@@ -176,7 +177,10 @@ void CsServer::OnTick(double t) {
   // and columnar consumers read the arrays the tick built directly.
   batching_ = false;
   if (!tick_batch_.empty()) {
-    sink_->OnColumns(tick_batch_.View());
+    const net::PacketBatch batch = tick_batch_.View();
+    GT_DCHECK(trace::internal::ColumnsPreservePerFlowOrder(batch))
+        << "CsServer: tick batch violates per-flow emission-order contract";
+    sink_->OnColumns(batch);
     tick_batch_.Clear();
   }
   if (obs_.load_ring != nullptr && tick_ring_count_ > 0) {
@@ -339,7 +343,7 @@ void CsServer::Emit(double t, net::Direction direction, net::PacketKind kind,
                     std::uint32_t seq) {
   net::PacketRecord record;
   record.timestamp = t;
-  record.client_ip = ip;
+  record.client_ip = net::Ipv4Address(ip.value() + config_.client_ip_shift);
   record.client_port = port;
   record.app_bytes = bytes;
   record.direction = direction;
@@ -367,7 +371,7 @@ void CsServer::Emit(double t, net::Direction direction, net::PacketKind kind,
   if (batching_) {
     tick_batch_.PushRecord(record);
   } else {
-    sink_->OnPacket(record);
+    sink_->OnColumns(net::PacketRow(record).View());
   }
 }
 

@@ -126,8 +126,8 @@ class CsServer {
   // handed to the sink as a single OnColumns call (see the delivery-tier
   // contract in trace/capture.h): the stream is born columnar, so sinks
   // with columnar kernels never see an AoS record at all. Handshake and
-  // download traffic outside the tick handler stays per-packet. Capacity is
-  // reused across ticks.
+  // download traffic outside the tick handler leaves as one-row batches.
+  // Capacity is reused across ticks.
   net::ColumnarBatch tick_batch_;
   bool batching_ = false;
   // Packets emitted by the current tick, flushed into the load ring as one

@@ -5,23 +5,18 @@
 // (every timestamp, every size), not whole records. Delivering a tick's
 // burst as one contiguous array per field lets the stats kernels run
 // auto-vectorisable loops over dense u16/u8/double data instead of striding
-// through 24-byte records, and lets per-field transforms (the shard IP
-// namespace shift) touch one column instead of copying every record.
+// through 24-byte records.
 //
 // Two types:
 //  * PacketBatch      - a non-owning view: one pointer per column + a count.
-//                       Cheap to copy, cheap to re-point (column substitution
-//                       is how ShardNamespaceSink/FusedChain rewrite IPs
-//                       without copying the other six columns).
+//                       Cheap to copy and to slice.
 //  * ColumnarBatch    - owning storage, reusable across ticks (capacity is
 //                       kept by Clear), built either record-by-record by a
-//                       producer (CsServer::Emit) or in bulk from an AoS
-//                       span (replay readers, the OnBatch->OnColumns shim).
+//                       producer (CsServer::Emit, TraceReader::Drain) or in
+//                       bulk from an AoS span (Replay).
 //
-// Invariant: a PacketBatch describes exactly the same record sequence as
-// the AoS batch it mirrors - RecordAt(i) reconstructs record i bit-for-bit,
-// so columnar and AoS delivery are interchangeable and reports stay
-// bit-identical (the columnar property tests enforce this per sink).
+// Invariant: RecordAt(i) reconstructs record i bit-for-bit, so a
+// record-at-a-time sink sees exactly the records the producer emitted.
 #pragma once
 
 #include <cstdint>
@@ -69,19 +64,11 @@ struct PacketBatch {
     return r;
   }
 
-  // Appends the whole batch to `out` as AoS records (the bridge used by
-  // sinks without a columnar override).
+  // Appends the whole batch to `out` as AoS records. No exact-size reserve:
+  // a sink that appends batch after batch keeps the vector's geometric
+  // growth instead of reallocating on every call.
   void MaterializeInto(std::vector<PacketRecord>& out) const {
-    out.reserve(out.size() + count);
     for (std::size_t i = 0; i < count; ++i) out.push_back(RecordAt(i));
-  }
-
-  // A view of the same batch with the client-IP column replaced (the shard
-  // namespace rewrite: six columns alias, one is swapped).
-  [[nodiscard]] PacketBatch WithClientIps(const std::uint32_t* ips) const noexcept {
-    PacketBatch view = *this;
-    view.client_ips = ips;
-    return view;
   }
 
   // A view over rows [offset, offset + n) of this batch. The caller must
@@ -102,12 +89,44 @@ struct PacketBatch {
   }
 };
 
+// One record laid out as single-element columns: the batch a producer
+// hands over when it emits a lone packet outside any tick.
+struct PacketRow {
+  explicit PacketRow(const PacketRecord& r) noexcept
+      : timestamp(r.timestamp),
+        client_ip(r.client_ip.value()),
+        seq(r.seq),
+        client_port(r.client_port),
+        app_bytes(r.app_bytes),
+        direction(static_cast<std::uint8_t>(r.direction)),
+        kind(static_cast<std::uint8_t>(r.kind)) {}
+
+  // Valid while this row is alive.
+  [[nodiscard]] PacketBatch View() const noexcept {
+    return PacketBatch{.count = 1,
+                       .timestamps = &timestamp,
+                       .client_ips = &client_ip,
+                       .seqs = &seq,
+                       .client_ports = &client_port,
+                       .app_bytes = &app_bytes,
+                       .directions = &direction,
+                       .kinds = &kind};
+  }
+
+  double timestamp;
+  std::uint32_t client_ip;
+  std::uint32_t seq;
+  std::uint16_t client_port;
+  std::uint16_t app_bytes;
+  std::uint8_t direction;
+  std::uint8_t kind;
+};
+
 // Owning columnar storage. The column vectors are capacity buffers sized to
 // the high-water batch; a separate logical `size_` tracks the live prefix.
-// Clear() just resets the size, so the fill/flush cycle a sink repeats every
-// batch (ShardNamespaceSink's interior rewrite, FusedChain's AoS shim)
-// performs zero allocation and zero re-initialisation after warm-up - the
-// transpose is nothing but dense stores.
+// Clear() just resets the size, so the fill/flush cycle a producer or a
+// compacting sink (FilterSink) repeats every batch performs zero allocation
+// and zero re-initialisation after warm-up.
 class ColumnarBatch {
  public:
   void Clear() noexcept { size_ = 0; }
@@ -129,16 +148,10 @@ class ColumnarBatch {
     size_ = i + 1;
   }
 
-  // Bulk AoS -> SoA transpose (replay readers, OnBatch shims). Appends.
-  // One pass, no per-element capacity checks: each record is read once and
-  // fanned out to the seven column streams - this runs once per batch on
-  // the interior-rewrite path, so it must not eat the fusion win.
-  void Append(std::span<const PacketRecord> records) { AppendWithIpShift(records, 0); }
-
-  // Append + the shard namespace rewrite in the same pass: the client-IP
-  // column is written pre-shifted, so an interior rewrite sink transposes
-  // and rewrites for the cost of the transpose alone.
-  void AppendWithIpShift(std::span<const PacketRecord> records, std::uint32_t ip_shift) {
+  // Bulk AoS -> SoA transpose (Replay). Appends. One pass, no per-element
+  // capacity checks: each record is read once and fanned out to the seven
+  // column streams.
+  void Append(std::span<const PacketRecord> records) {
     const std::size_t old = size_;
     const std::size_t n = records.size();
     const PacketRecord* r = records.data();
@@ -152,7 +165,7 @@ class ColumnarBatch {
     std::uint8_t* kinds = kinds_.data() + old;
     for (std::size_t i = 0; i < n; ++i) {
       ts[i] = r[i].timestamp;
-      ips[i] = r[i].client_ip.value() + ip_shift;
+      ips[i] = r[i].client_ip.value();
       seqs[i] = r[i].seq;
       ports[i] = r[i].client_port;
       bytes[i] = r[i].app_bytes;
@@ -178,13 +191,6 @@ class ColumnarBatch {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-
-  // Mutable access to the client-IP column, for in-place per-field
-  // transforms on a freshly built private copy (the shard namespace shift
-  // in ShardNamespaceSink::OnBatch). The other columns stay immutable.
-  [[nodiscard]] std::span<std::uint32_t> mutable_client_ips() noexcept {
-    return std::span<std::uint32_t>(client_ips_.data(), size_);
-  }
 
   [[nodiscard]] PacketBatch View() const noexcept {
     PacketBatch view;

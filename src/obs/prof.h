@@ -1,7 +1,7 @@
 // Hot-path profiling hooks: GT_PROF_SCOPE and friends.
 //
-//   void LoadAggregator::OnBatch(...) {
-//     GT_PROF_SCOPE("trace.load_agg.on_batch");
+//   void LoadAggregator::OnColumns(...) {
+//     GT_PROF_SCOPE("trace.load_agg.on_columns");
 //     ...
 //   }
 //
@@ -15,7 +15,7 @@
 //    GAMETRACE_ENABLE_DCHECKS).
 //  - Compiled in but idle (the default build): one relaxed atomic-bool
 //    load and a predictable branch per scope - budgeted at <2% on the
-//    batched hot path and measured by perf_micro's obs sweep
+//    columnar hot path and measured by perf_micro's obs sweep
 //    (BENCH_hotpath.json, "obs" section).
 //  - Enabled (EnableProfiling(true)): two steady_clock reads plus relaxed
 //    fetch_adds on the site's counters. Sites are process-global and

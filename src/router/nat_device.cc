@@ -27,9 +27,12 @@ NatDevice::NatDevice(sim::Simulator& simulator, const Config& config)
   }
 }
 
-void NatDevice::InjectorSink::OnPacket(const net::PacketRecord& record) {
-  const double at = std::max(device_->simulator_->Now(), record.timestamp);
-  device_->simulator_->At(at, [device = device_, record] { device->OnArrival(record); });
+void NatDevice::InjectorSink::OnColumns(const net::PacketBatch& batch) {
+  for (std::size_t i = 0; i < batch.count; ++i) {
+    const net::PacketRecord record = batch.RecordAt(i);
+    const double at = std::max(device_->simulator_->Now(), record.timestamp);
+    device_->simulator_->At(at, [device = device_, record] { device->OnArrival(record); });
+  }
 }
 
 void NatDevice::Start() {

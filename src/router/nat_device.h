@@ -96,7 +96,7 @@ class NatDevice {
   class InjectorSink final : public trace::CaptureSink {
    public:
     explicit InjectorSink(NatDevice& device) : device_(&device) {}
-    void OnPacket(const net::PacketRecord& record) override;
+    void OnColumns(const net::PacketBatch& batch) override;
 
    private:
     NatDevice* device_;

@@ -23,17 +23,20 @@ void DeviceChain::Start() {
   for (auto& device : devices_) device->Start();
 }
 
-void DeviceChain::InjectorSink::OnPacket(const net::PacketRecord& record) {
+void DeviceChain::InjectorSink::OnColumns(const net::PacketBatch& batch) {
   auto& chain = *chain_;
-  const bool outbound = record.direction == net::Direction::kServerToClient;
-  if (outbound) {
-    ++chain.end_to_end_.sent_out;
-  } else {
-    ++chain.end_to_end_.sent_in;
+  for (std::size_t i = 0; i < batch.count; ++i) {
+    const net::PacketRecord record = batch.RecordAt(i);
+    const bool outbound = record.direction == net::Direction::kServerToClient;
+    if (outbound) {
+      ++chain.end_to_end_.sent_out;
+    } else {
+      ++chain.end_to_end_.sent_in;
+    }
+    NatDevice* edge = outbound ? chain.devices_.front().get() : chain.devices_.back().get();
+    const double at = std::max(chain.simulator_->Now(), record.timestamp);
+    chain.simulator_->At(at, [edge, record] { edge->OnArrival(record); });
   }
-  NatDevice* edge = outbound ? chain.devices_.front().get() : chain.devices_.back().get();
-  const double at = std::max(chain.simulator_->Now(), record.timestamp);
-  chain.simulator_->At(at, [edge, record] { edge->OnArrival(record); });
 }
 
 void DeviceChain::Forward(const net::PacketRecord& record, std::size_t from_hop) {

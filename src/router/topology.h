@@ -69,7 +69,7 @@ class DeviceChain {
   class InjectorSink final : public trace::CaptureSink {
    public:
     explicit InjectorSink(DeviceChain& chain) : chain_(&chain) {}
-    void OnPacket(const net::PacketRecord& record) override;
+    void OnColumns(const net::PacketBatch& batch) override;
 
    private:
     DeviceChain* chain_;

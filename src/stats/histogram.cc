@@ -16,33 +16,6 @@ Histogram::Histogram(double lo, double hi, std::size_t bins)
   GT_CHECK_NE(bins, 0) << "Histogram: need at least one bin";
 }
 
-void Histogram::AddBatch(std::span<const double> xs, std::uint64_t weight) noexcept {
-  const std::size_t n = xs.size();
-  std::size_t i = 0;
-  while (i < n) {
-    const double x = xs[i];
-    std::size_t j = i + 1;
-    if (x < lo_) {
-      while (j < n && xs[j] < lo_) ++j;
-      underflow_ += weight * (j - i);
-    } else if (x >= hi_) {
-      while (j < n && xs[j] >= hi_) ++j;
-      overflow_ += weight * (j - i);
-    } else {
-      auto bin = static_cast<std::size_t>((x - lo_) / width_);
-      bin = std::min(bin, counts_.size() - 1);
-      while (j < n && xs[j] >= lo_ && xs[j] < hi_ &&
-             std::min(static_cast<std::size_t>((xs[j] - lo_) / width_), counts_.size() - 1) ==
-                 bin) {
-        ++j;
-      }
-      counts_[bin] += weight * (j - i);
-    }
-    total_ += weight * (j - i);
-    i = j;
-  }
-}
-
 void Histogram::AddColumn(std::span<const std::uint16_t> xs) noexcept {
   const std::size_t last = counts_.size() - 1;
   std::uint64_t under = 0;

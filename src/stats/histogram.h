@@ -41,11 +41,6 @@ class Histogram {
     counts_[bin] += weight;
   }
 
-  // Batch fast path: one bin lookup and one count update per same-bin run
-  // of consecutive samples. Counts are integers, so the result is identical
-  // to the scalar loop.
-  void AddBatch(std::span<const double> xs, std::uint64_t weight = 1) noexcept;
-
   // Columnar kernels over a dense u16 sample column (packet sizes straight
   // from a net::PacketBatch): no 24-byte record stride, and the range tests
   // run over sequential u16 loads the compiler can unroll. Counts are

@@ -28,13 +28,6 @@ class RunningStats {
     max_ = std::max(max_, x);
   }
 
-  // Batch fast path: sequential Welford in one tight, fully inlined loop -
-  // bit-identical to per-sample Add() by construction (a Chan-style
-  // pairwise combine would not be).
-  void AddBatch(std::span<const double> xs) noexcept {
-    for (const double x : xs) Add(x);
-  }
-
   // Columnar kernels: sequential Welford over a dense u16 sample column
   // (packet sizes straight from a net::PacketBatch), optionally masked by a
   // u8 column (direction). Bit-identical to calling Add on each selected

@@ -13,7 +13,7 @@ TimeSeries::TimeSeries(double start_time, double interval)
   GT_CHECK(interval > 0.0) << "TimeSeries: interval must be positive";
 }
 
-void TimeSeries::AddBatch(std::span<const double> times, double value) {
+void TimeSeries::AddColumn(std::span<const double> times, double value) {
   const std::size_t n = times.size();
   std::size_t i = 0;
   while (i < n) {

@@ -34,16 +34,12 @@ class TimeSeries {
     bins_[i] += value;
   }
 
-  // Batch fast path: adds `value` once per sample with a single bin lookup
-  // and a single accumulation per same-bin run. Exact (bit-identical to the
-  // scalar loop) whenever the accumulated values are integral, which covers
-  // every packet-count and byte-count series in the library.
-  void AddBatch(std::span<const double> times, double value = 1.0);
-
-  // Columnar kernel over a dense timestamp column: identical to AddBatch
-  // (same run aggregation); named for symmetry with the other columnar
-  // kernels so call sites read uniformly.
-  void AddColumn(std::span<const double> times, double value = 1.0) { AddBatch(times, value); }
+  // Columnar kernel over a dense timestamp column: adds `value` once per
+  // sample with a single bin lookup and a single accumulation per same-bin
+  // run. Exact (bit-identical to the per-sample Add loop) whenever the
+  // accumulated values are integral, which covers every packet-count and
+  // byte-count series in the library.
+  void AddColumn(std::span<const double> times, double value = 1.0);
 
   // Masked variant for direction-split series: adds `value` at times[i] only
   // where mask[i] == match, run-aggregated within the selection. mask must

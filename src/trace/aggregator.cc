@@ -15,66 +15,23 @@ LoadAggregator::LoadAggregator(double interval, double start_time,
       bytes_in_(start_time, interval),
       bytes_out_(start_time, interval) {}
 
-void LoadAggregator::OnPacket(const net::PacketRecord& record) {
-  const double wire = static_cast<double>(record.wire_bytes(overhead_));
-  if (record.direction == net::Direction::kClientToServer) {
-    pkts_in_.Add(record.timestamp, 1.0);
-    bytes_in_.Add(record.timestamp, wire);
+void LoadAggregator::AddSample(double t, bool inbound, double wire) {
+  if (inbound) {
+    pkts_in_.Add(t, 1.0);
+    bytes_in_.Add(t, wire);
   } else {
-    pkts_out_.Add(record.timestamp, 1.0);
-    bytes_out_.Add(record.timestamp, wire);
-  }
-}
-
-void LoadAggregator::OnBatch(std::span<const net::PacketRecord> batch) {
-  GT_PROF_SCOPE("trace.load_agg.on_batch");
-  // A tick burst is a long run of same-direction packets whose timestamps
-  // land in the same bin; aggregate each run and pay two series updates per
-  // run instead of two per packet. Bin membership is decided by the same
-  // BinIndex the scalar path uses, and counts/wire bytes are integral, so
-  // the run sums are bit-identical to the per-packet loop.
-  const double start = pkts_in_.start_time();
-  std::size_t i = 0;
-  const std::size_t n = batch.size();
-  while (i < n) {
-    const net::PacketRecord& first = batch[i];
-    if (first.timestamp < start) {  // before-start samples only bump dropped_
-      OnPacket(first);
-      ++i;
-      continue;
-    }
-    const net::Direction dir = first.direction;
-    const std::size_t bin = pkts_in_.BinIndex(first.timestamp);
-    double count = 0.0;
-    double wire = 0.0;
-    do {
-      const net::PacketRecord& r = batch[i];
-      if (r.direction != dir || r.timestamp < start || pkts_in_.BinIndex(r.timestamp) != bin) {
-        break;
-      }
-      count += 1.0;
-      wire += static_cast<double>(r.wire_bytes(overhead_));
-      ++i;
-    } while (i < n);
-    if (dir == net::Direction::kClientToServer) {
-      pkts_in_.AddAtBin(bin, count);
-      bytes_in_.AddAtBin(bin, wire);
-    } else {
-      pkts_out_.AddAtBin(bin, count);
-      bytes_out_.AddAtBin(bin, wire);
-    }
+    pkts_out_.Add(t, 1.0);
+    bytes_out_.Add(t, wire);
   }
 }
 
 void LoadAggregator::OnColumns(const net::PacketBatch& batch) {
   GT_PROF_SCOPE("trace.load_agg.on_columns");
-  AccumulateColumns(batch);
-}
-
-void LoadAggregator::AccumulateColumns(const net::PacketBatch& batch) {
-  // Same run aggregation as OnBatch, but run detection scans the dense
-  // timestamp and direction columns (16 hot bytes per packet instead of a
-  // 24-byte record) and the wire-byte sum reads the u16 size column.
+  // A tick burst is a long run of same-direction packets whose timestamps
+  // land in the same bin; aggregate each run and pay two series updates per
+  // run instead of two per packet. Bin membership is decided by the same
+  // BinIndex a per-packet Add uses, and counts/wire bytes are integral, so
+  // the run sums are bit-identical to the per-packet loop.
   const double start = pkts_in_.start_time();
   const double* ts = batch.timestamps;
   const std::uint8_t* dirs = batch.directions;
@@ -84,7 +41,7 @@ void LoadAggregator::AccumulateColumns(const net::PacketBatch& batch) {
   const std::size_t n = batch.count;
   while (i < n) {
     if (ts[i] < start) {  // before-start samples only bump dropped_
-      OnPacket(batch.RecordAt(i));
+      AddSample(ts[i], dirs[i] == kIn, static_cast<double>(net::WireBytes(sizes[i], overhead_)));
       ++i;
       continue;
     }
@@ -94,7 +51,7 @@ void LoadAggregator::AccumulateColumns(const net::PacketBatch& batch) {
     double wire = static_cast<double>(net::WireBytes(sizes[i], overhead_));
     ++i;
     // Extend the run while direction and bin hold: exactly one BinIndex
-    // division per record (the scalar path pays two Adds, each dividing).
+    // division per record.
     while (i < n && dirs[i] == dir && ts[i] >= start && pkts_in_.BinIndex(ts[i]) == bin) {
       count += 1.0;
       wire += static_cast<double>(net::WireBytes(sizes[i], overhead_));

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "net/packet.h"
 #include "stats/time_series.h"
@@ -18,18 +17,10 @@ class LoadAggregator final : public CaptureSink {
   LoadAggregator(double interval, double start_time = 0.0,
                  std::uint32_t wire_overhead_bytes = net::kWireOverheadBytes);
 
-  void OnPacket(const net::PacketRecord& record) override;
-
-  // One virtual call per tick batch; the per-record binning runs as a
-  // tight inlined loop.
-  void OnBatch(std::span<const net::PacketRecord> batch) override;
-
+  // Run-aggregated binning over the dense timestamp, direction and size
+  // columns: two series updates per same-direction same-bin run instead of
+  // two per packet, bit-identical to per-packet adds (integral sums).
   void OnColumns(const net::PacketBatch& batch) override;
-
-  // Columnar kernel (non-virtual: FusedChain calls it directly): the same
-  // run-aggregated binning as OnBatch, reading the dense timestamp,
-  // direction and size columns instead of striding through records.
-  void AccumulateColumns(const net::PacketBatch& batch);
 
   // Pads all series with zero bins up to `t_end` so trailing idle time is
   // represented (important when computing means over a fixed window).
@@ -57,6 +48,10 @@ class LoadAggregator final : public CaptureSink {
   [[nodiscard]] stats::TimeSeries bandwidth_out_bps() const;
 
  private:
+  // One sample through the scalar TimeSeries::Add path (before-start
+  // samples only bump the series' dropped_before_start counters).
+  void AddSample(double t, bool inbound, double wire);
+
   std::uint32_t overhead_;
   stats::TimeSeries pkts_in_;
   stats::TimeSeries pkts_out_;

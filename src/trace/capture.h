@@ -5,27 +5,30 @@
 // single simulation run can feed any combination of analyses via TeeSink
 // without materialising 500 M records in memory.
 //
-// Delivery tiers, cheapest first:
-//  * OnColumns() - columnar batches (net::PacketBatch): one contiguous
-//    array per field, built once per tick by the producer. Sinks with a
-//    columnar kernel consume raw columns (auto-vectorisable loops, no
-//    24-byte record stride); the default bridges to OnBatch through a
-//    reusable materialisation scratch, so every sink stays correct.
-//  * OnBatch() - a contiguous AoS slice, one virtual call per run.
-//  * OnPacket() - the scalar path, one virtual call per packet.
-// The contract for both batch forms: a batch is a contiguous slice of the
-// stream in emission order (per-flow sequence order preserved) and never
-// spans a server tick. Every tier observes exactly the same record
-// sequence - reports are bit-identical whichever entry point feeds a sink.
+// One delivery tier: OnColumns() receives a columnar batch
+// (net::PacketBatch), one contiguous array per field, built once per tick
+// by the producer (CsServer) or per chunk by a reader (TraceReader::Drain,
+// Replay). Sinks with a columnar kernel run auto-vectorisable loops over
+// the raw columns; record-at-a-time sinks iterate PacketBatch::RecordAt.
+// Every sink's result depends only on the record sequence, never on where
+// it is split into batches - one-row batches, tick batches and 4096-record
+// chunks give bit-identical reports.
+//
+// The batch contract: a batch is a contiguous slice of the stream in
+// emission order (per-flow sequence order preserved) and never spans a
+// server tick. CsServer checks the per-flow order of every tick batch in
+// DCHECK builds. Readers re-chunk a stored stream, and their chunks may
+// span ticks: a stored CsServer stream can regress within a flow across the
+// server's batch boundaries (a connect-accept emitted between ticks carries
+// its reply delay, so it is stamped after the next tick's broadcast to the
+// same client), so reader chunks are not checked.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "core/check.h"
 #include "net/packet.h"
 #include "net/packet_batch.h"
 #include "obs/prof.h"
@@ -42,21 +45,9 @@ namespace internal {
 // Reusable flat scratch (open addressing, epoch-tagged slots) so the probe
 // allocates only up to the high-water batch size per thread: DCHECK builds
 // stay usable at paper-week scale instead of building a fresh unordered_map
-// per batch. Only ever used behind GT_DCHECK.
+// per batch. Only ever used behind GT_DCHECK, by CsServer's tick flush.
 class FlowOrderScratch {
  public:
-  bool CheckBatch(std::span<const net::PacketRecord> batch) {
-    BeginBatch(batch.size());
-    for (const net::PacketRecord& r : batch) {
-      if (!Observe(FlowKeyOf(r.client_ip.value(), r.client_port,
-                             r.direction == net::Direction::kClientToServer),
-                   r.timestamp)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
   bool CheckColumns(const net::PacketBatch& batch) {
     BeginBatch(batch.count);
     for (std::size_t i = 0; i < batch.count; ++i) {
@@ -123,10 +114,6 @@ inline FlowOrderScratch& FlowOrderProbe() {
   return scratch;
 }
 
-inline bool BatchPreservesPerFlowOrder(std::span<const net::PacketRecord> batch) {
-  return FlowOrderProbe().CheckBatch(batch);
-}
-
 inline bool ColumnsPreservePerFlowOrder(const net::PacketBatch& batch) {
   return FlowOrderProbe().CheckColumns(batch);
 }
@@ -136,47 +123,28 @@ inline bool ColumnsPreservePerFlowOrder(const net::PacketBatch& batch) {
 class CaptureSink {
  public:
   virtual ~CaptureSink() = default;
-  virtual void OnPacket(const net::PacketRecord& record) = 0;
 
-  // Receives a contiguous run of records (see the batch contract above).
-  // Overrides must be equivalent to the default per-packet loop.
+  // Receives the next contiguous run of the stream (see the batch contract
+  // above). The only method a sink implements.
+  virtual void OnColumns(const net::PacketBatch& batch) = 0;
+
+  // Record-at-a-time adapters for producers that hold one record (web
+  // traffic, NAT loss callbacks, pcap readers): OnPacket delivers a one-row
+  // view, OnBatch one row per record. No library sink overrides them.
+  virtual void OnPacket(const net::PacketRecord& record) {
+    OnColumns(net::PacketRow(record).View());
+  }
+
   virtual void OnBatch(std::span<const net::PacketRecord> batch) {
-    GT_DCHECK(internal::BatchPreservesPerFlowOrder(batch))
-        << "CaptureSink::OnBatch: batch violates per-flow emission-order contract";
     for (const net::PacketRecord& record : batch) OnPacket(record);
   }
-
-  // Receives the same run as a columnar view. Overrides must be equivalent
-  // to the default bridge, which materialises the records into a reusable
-  // scratch and forwards them down the OnBatch/OnPacket path.
-  virtual void OnColumns(const net::PacketBatch& batch) {
-    GT_DCHECK(internal::ColumnsPreservePerFlowOrder(batch))
-        << "CaptureSink::OnColumns: batch violates per-flow emission-order contract";
-    bridge_scratch_.clear();
-    batch.MaterializeInto(bridge_scratch_);
-    OnBatch(bridge_scratch_);
-  }
-
- private:
-  // Owned by the base so the AoS bridge is allocation-free after warm-up
-  // for every sink that has no columnar kernel of its own.
-  std::vector<net::PacketRecord> bridge_scratch_;
 };
 
-// Forwards every packet to each attached sink, in attachment order.
+// Forwards every batch to each attached sink, in attachment order.
 class TeeSink final : public CaptureSink {
  public:
   // Attached sinks are borrowed; they must outlive the tee.
   void Attach(CaptureSink& sink) { sinks_.push_back(&sink); }
-
-  void OnPacket(const net::PacketRecord& record) override {
-    for (CaptureSink* sink : sinks_) sink->OnPacket(record);
-  }
-
-  void OnBatch(std::span<const net::PacketRecord> batch) override {
-    GT_PROF_SCOPE("trace.tee.on_batch");
-    for (CaptureSink* sink : sinks_) sink->OnBatch(batch);
-  }
 
   void OnColumns(const net::PacketBatch& batch) override {
     GT_PROF_SCOPE("trace.tee.on_columns");
@@ -184,7 +152,6 @@ class TeeSink final : public CaptureSink {
   }
 
   [[nodiscard]] std::size_t sink_count() const noexcept { return sinks_.size(); }
-  [[nodiscard]] const std::vector<CaptureSink*>& sinks() const noexcept { return sinks_; }
 
  private:
   std::vector<CaptureSink*> sinks_;
@@ -193,55 +160,10 @@ class TeeSink final : public CaptureSink {
 // Counts packets and bytes by direction; the cheapest possible sink.
 class CountingSink final : public CaptureSink {
  public:
-  void OnPacket(const net::PacketRecord& record) override {
-    ++packets_;
-    app_bytes_ += record.app_bytes;
-    if (record.direction == net::Direction::kClientToServer) {
-      ++packets_in_;
-    } else {
-      ++packets_out_;
-    }
-  }
-
-  // Two-way unrolled with independent accumulators: the 24-byte record
-  // stride defeats auto-vectorization, and a single accumulator chain
-  // serialises on the add latency. Both sums are integral, so regrouping
-  // them is exact.
-  void OnBatch(std::span<const net::PacketRecord> batch) override {
-    GT_PROF_SCOPE("trace.counting.on_batch");
-    const net::PacketRecord* r = batch.data();
-    const std::size_t n = batch.size();
-    std::uint64_t in0 = 0;
-    std::uint64_t in1 = 0;
-    std::uint64_t bytes0 = 0;
-    std::uint64_t bytes1 = 0;
-    std::size_t k = 0;
-    for (; k + 2 <= n; k += 2) {
-      bytes0 += r[k].app_bytes;
-      in0 += r[k].direction == net::Direction::kClientToServer ? 1 : 0;
-      bytes1 += r[k + 1].app_bytes;
-      in1 += r[k + 1].direction == net::Direction::kClientToServer ? 1 : 0;
-    }
-    for (; k < n; ++k) {
-      bytes0 += r[k].app_bytes;
-      in0 += r[k].direction == net::Direction::kClientToServer ? 1 : 0;
-    }
-    const std::uint64_t in = in0 + in1;
-    packets_ += n;
-    packets_in_ += in;
-    packets_out_ += n - in;
-    app_bytes_ += bytes0 + bytes1;
-  }
-
+  // Dense u16 size and u8 direction columns auto-vectorise; integral sums
+  // regroup exactly.
   void OnColumns(const net::PacketBatch& batch) override {
     GT_PROF_SCOPE("trace.counting.on_columns");
-    AccumulateColumns(batch);
-  }
-
-  // Columnar kernel (non-virtual: FusedChain calls it directly). Dense u16
-  // size and u8 direction columns auto-vectorise; integral sums regroup
-  // exactly.
-  void AccumulateColumns(const net::PacketBatch& batch) noexcept {
     const std::uint16_t* bytes = batch.app_bytes;
     const std::uint8_t* dirs = batch.directions;
     const std::size_t n = batch.count;
@@ -273,13 +195,6 @@ class CountingSink final : public CaptureSink {
 // Stores every record; only for tests and short runs.
 class VectorSink final : public CaptureSink {
  public:
-  void OnPacket(const net::PacketRecord& record) override { records_.push_back(record); }
-
-  void OnBatch(std::span<const net::PacketRecord> batch) override {
-    GT_PROF_SCOPE("trace.vector.on_batch");
-    records_.insert(records_.end(), batch.begin(), batch.end());
-  }
-
   void OnColumns(const net::PacketBatch& batch) override {
     GT_PROF_SCOPE("trace.vector.on_columns");
     batch.MaterializeInto(records_);
@@ -296,88 +211,15 @@ class VectorSink final : public CaptureSink {
   std::vector<net::PacketRecord> records_;
 };
 
-// Rewrites each record's client address into a per-shard namespace before
-// forwarding: identity IPs live in 10/8 (game::IdentityIp), so bumping the
-// top octet by the shard id moves shard k's clients into (10+k)/8. Flows
-// from distinct shards then can never collide in any downstream keyed
-// structure (session tracker, flow tables), which is what makes per-shard
-// analyses exactly mergeable. The shard-id constructor supports up to 245
-// shards (10 + 245 = 255 exhausts the top octet); fleets beyond that pass
-// an ExplicitShift computed by game::ShardIpShift, which packs additional
-// servers into the host bits the identity pool leaves unused (thousands
-// of disjoint namespaces at the default population).
-class ShardNamespaceSink final : public CaptureSink {
- public:
-  static constexpr std::uint32_t kMaxShardId = 245;
-
-  // A pre-computed additive IP shift. The caller vouches for namespace
-  // disjointness (game::ShardIpShift GT_CHECKs it from the population).
-  struct ExplicitShift {
-    std::uint32_t value = 0;
-  };
-
-  ShardNamespaceSink(std::uint32_t shard_id, CaptureSink& downstream)
-      : shift_(shard_id << 24), downstream_(&downstream) {
-    GT_CHECK_LE(shard_id, kMaxShardId)
-        << "ShardNamespaceSink: shard_id exceeds the 245-shard IP namespace";
-  }
-
-  ShardNamespaceSink(ExplicitShift shift, CaptureSink& downstream)
-      : shift_(shift.value), downstream_(&downstream) {}
-
-  void OnPacket(const net::PacketRecord& record) override {
-    net::PacketRecord shifted = record;
-    shifted.client_ip = net::Ipv4Address(record.client_ip.value() + shift_);
-    downstream_->OnPacket(shifted);
-  }
-
-  // An interior rewrite must materialise a private copy of the batch
-  // anyway, so build that copy *columnar*: the namespace shift then touches
-  // one dense 4-byte lane instead of a field inside every 24-byte record,
-  // and the batch continues downstream on the columnar tier where every
-  // library sink has its fastest kernel. Equivalent per the delivery-tier
-  // contract (reports are bit-identical whichever tier feeds a sink).
-  void OnBatch(std::span<const net::PacketRecord> batch) override {
-    GT_PROF_SCOPE("trace.shard_namespace.on_batch");
-    GT_DCHECK(internal::BatchPreservesPerFlowOrder(batch))
-        << "ShardNamespaceSink::OnBatch: batch violates per-flow emission-order contract";
-    column_scratch_.Clear();
-    column_scratch_.AppendWithIpShift(batch, shift_);
-    downstream_->OnColumns(column_scratch_.View());
-  }
-
-  // The columnar payoff: the rewrite touches exactly one column. Copy+shift
-  // the 4-byte IP lane into a reused scratch and re-point the view; the
-  // other six columns are forwarded untouched.
-  void OnColumns(const net::PacketBatch& batch) override {
-    GT_PROF_SCOPE("trace.shard_namespace.on_columns");
-    GT_DCHECK(internal::ColumnsPreservePerFlowOrder(batch))
-        << "ShardNamespaceSink::OnColumns: batch violates per-flow emission-order contract";
-    ip_scratch_.resize(batch.count);
-    const std::uint32_t* src = batch.client_ips;
-    std::uint32_t* dst = ip_scratch_.data();
-    const std::uint32_t shift = shift_;
-    for (std::size_t i = 0; i < batch.count; ++i) dst[i] = src[i] + shift;
-    downstream_->OnColumns(batch.WithClientIps(dst));
-  }
-
-  [[nodiscard]] std::uint32_t shard_shift() const noexcept { return shift_; }
-  [[nodiscard]] CaptureSink& downstream() const noexcept { return *downstream_; }
-
- private:
-  std::uint32_t shift_;
-  CaptureSink* downstream_;
-  net::ColumnarBatch column_scratch_;
-  std::vector<std::uint32_t> ip_scratch_;
-};
-
-// Adapts a callable into a sink.
+// Adapts a per-record callable into a sink.
 class CallbackSink final : public CaptureSink {
  public:
   using Callback = std::function<void(const net::PacketRecord&)>;
   explicit CallbackSink(Callback cb) : cb_(std::move(cb)) {}
 
-  void OnPacket(const net::PacketRecord& record) override { cb_(record); }
+  void OnColumns(const net::PacketBatch& batch) override {
+    for (std::size_t i = 0; i < batch.count; ++i) cb_(batch.RecordAt(i));
+  }
 
  private:
   Callback cb_;
@@ -385,8 +227,7 @@ class CallbackSink final : public CaptureSink {
 
 // Replays a stored record vector into a sink (records must be time-ordered
 // if the sink cares about ordering; all library sinks do). Columnised in
-// bounded chunks and delivered via OnColumns; equivalent to the per-packet
-// loop for every conforming sink.
+// bounded 4096-record chunks.
 void Replay(const std::vector<net::PacketRecord>& records, CaptureSink& sink);
 
 }  // namespace gametrace::trace

@@ -13,35 +13,11 @@ FilterSink::FilterSink(Predicate predicate, CaptureSink& next)
   GT_CHECK(predicate_) << "FilterSink: empty predicate";
 }
 
-void FilterSink::OnPacket(const net::PacketRecord& record) {
-  if (predicate_(record)) {
-    ++passed_;
-    next_->OnPacket(record);
-  } else {
-    ++dropped_;
-  }
-}
-
-void FilterSink::OnBatch(std::span<const net::PacketRecord> batch) {
-  GT_PROF_SCOPE("trace.filter.on_batch");
-  scratch_.clear();
-  for (const net::PacketRecord& record : batch) {
-    if (predicate_(record)) {
-      scratch_.push_back(record);
-    } else {
-      ++dropped_;
-    }
-  }
-  passed_ += scratch_.size();
-  if (!scratch_.empty()) next_->OnBatch(scratch_);
-}
-
 void FilterSink::OnColumns(const net::PacketBatch& batch) {
   GT_PROF_SCOPE("trace.filter.on_columns");
   // The predicate sees full records (it is an arbitrary std::function over
   // PacketRecord), so each candidate is reconstructed from the columns; the
-  // survivors are compacted column-wise and forwarded as columns so the
-  // downstream fast path is preserved.
+  // survivors are compacted column-wise.
   column_scratch_.Clear();
   const std::size_t n = batch.count;
   for (std::size_t i = 0; i < n; ++i) {

@@ -2,8 +2,6 @@
 #pragma once
 
 #include <functional>
-#include <span>
-#include <vector>
 
 #include "net/packet.h"
 #include "trace/capture.h"
@@ -18,14 +16,9 @@ class FilterSink final : public CaptureSink {
   // `next` is borrowed and must outlive the filter.
   FilterSink(Predicate predicate, CaptureSink& next);
 
-  void OnPacket(const net::PacketRecord& record) override;
-
-  // Compacts the passing records into a reused scratch buffer and forwards
-  // them as one batch (order preserved).
-  void OnBatch(std::span<const net::PacketRecord> batch) override;
-
-  // Compacts column-wise into a reused columnar scratch (order preserved),
-  // so the columnar fast path survives the filter.
+  // Compacts the passing rows column-wise into a reused scratch (order
+  // preserved) and forwards them as one batch; an all-dropped batch is not
+  // forwarded.
   void OnColumns(const net::PacketBatch& batch) override;
 
   [[nodiscard]] std::uint64_t passed() const noexcept { return passed_; }
@@ -36,7 +29,6 @@ class FilterSink final : public CaptureSink {
   CaptureSink* next_;
   std::uint64_t passed_ = 0;
   std::uint64_t dropped_ = 0;
-  std::vector<net::PacketRecord> scratch_;
   net::ColumnarBatch column_scratch_;
 };
 

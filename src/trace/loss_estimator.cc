@@ -4,7 +4,11 @@
 
 namespace gametrace::trace {
 
-void SeqGapLossEstimator::OnPacket(const net::PacketRecord& record) {
+void SeqGapLossEstimator::OnColumns(const net::PacketBatch& batch) {
+  for (std::size_t i = 0; i < batch.count; ++i) Observe(batch.RecordAt(i));
+}
+
+void SeqGapLossEstimator::Observe(const net::PacketRecord& record) {
   if (record.seq == 0) {
     ++unsequenced_;  // connectionless control traffic carries no sequence
     return;

@@ -29,7 +29,7 @@ class SeqGapLossEstimator final : public CaptureSink {
     }
   };
 
-  void OnPacket(const net::PacketRecord& record) override;
+  void OnColumns(const net::PacketBatch& batch) override;
 
   // Aggregated estimates (finalised lazily; cheap to call repeatedly).
   [[nodiscard]] DirectionEstimate Estimate(net::Direction direction) const;
@@ -37,6 +37,8 @@ class SeqGapLossEstimator final : public CaptureSink {
   [[nodiscard]] std::uint64_t unsequenced_packets() const noexcept { return unsequenced_; }
 
  private:
+  void Observe(const net::PacketRecord& record);
+
   struct FlowState {
     std::uint32_t min_seq = 0;
     std::uint32_t max_seq = 0;

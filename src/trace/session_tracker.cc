@@ -20,19 +20,11 @@ SessionTracker::SessionTracker(double idle_timeout_seconds) : idle_timeout_(idle
   GT_CHECK(idle_timeout_seconds > 0.0) << "SessionTracker: idle timeout must be positive";
 }
 
-void SessionTracker::OnPacket(const net::PacketRecord& record) { Ingest(record); }
-
-void SessionTracker::OnBatch(std::span<const net::PacketRecord> batch) {
-  GT_PROF_SCOPE("trace.sessions.on_batch");
-  for (const net::PacketRecord& record : batch) Ingest(record);
-}
-
 void SessionTracker::OnColumns(const net::PacketBatch& batch) {
   GT_PROF_SCOPE("trace.sessions.on_columns");
-  AccumulateColumns(batch);
-}
-
-void SessionTracker::AccumulateColumns(const net::PacketBatch& batch) {
+  // Handshake-refusal traffic is not a session: a rejected client exchanged
+  // two packets but never played. Counting those would flood the session
+  // list with zero-length entries.
   constexpr auto kReject = static_cast<std::uint8_t>(net::PacketKind::kConnectReject);
   constexpr auto kIn = static_cast<std::uint8_t>(net::Direction::kClientToServer);
   const std::size_t n = batch.count;
@@ -41,15 +33,6 @@ void SessionTracker::AccumulateColumns(const net::PacketBatch& batch) {
     IngestFields(batch.timestamps[i], batch.client_ips[i], batch.client_ports[i],
                  batch.directions[i] == kIn, batch.app_bytes[i]);
   }
-}
-
-void SessionTracker::Ingest(const net::PacketRecord& record) {
-  // Handshake-refusal traffic is not a session: a rejected client exchanged
-  // two packets but never played. Counting those would flood the session
-  // list with zero-length entries.
-  if (record.kind == net::PacketKind::kConnectReject) return;
-  IngestFields(record.timestamp, record.client_ip.value(), record.client_port,
-               record.direction == net::Direction::kClientToServer, record.app_bytes);
 }
 
 std::size_t SessionTracker::FindSlot(std::uint64_t key, std::size_t& insert_slot) const noexcept {

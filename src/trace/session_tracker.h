@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -42,25 +41,18 @@ class SessionTracker final : public CaptureSink {
  public:
   explicit SessionTracker(double idle_timeout_seconds = 30.0);
 
-  void OnPacket(const net::PacketRecord& record) override;
-
-  // One virtual call per batch; repeated packets from the same endpoint
-  // (the common case inside a tick burst) skip the hash lookup entirely.
-  void OnBatch(std::span<const net::PacketRecord> batch) override;
-
+  // Session tracking is hash-bound per record; the kernel reads only the
+  // five columns it needs, skips rejects via the dense kind column, and
+  // repeated packets from one endpoint (the common case inside a tick
+  // burst) skip the hash lookup entirely.
   void OnColumns(const net::PacketBatch& batch) override;
-
-  // Columnar kernel (non-virtual: FusedChain calls it directly). Session
-  // tracking is hash-bound per record, but the columnar form reads only the
-  // five fields it needs and skips rejects via the dense kind column.
-  void AccumulateColumns(const net::PacketBatch& batch);
 
   // Absorbs another tracker's sessions (closed and still-open). Exact when
   // the two trackers saw disjoint client endpoints - the fleet engine
-  // guarantees this by namespacing each shard's flow identifiers (see
-  // ShardNamespaceSink); an endpoint open on both sides is combined into
-  // one session spanning both. Throws std::invalid_argument if the idle
-  // timeouts differ.
+  // guarantees this by giving each shard its own client IP namespace (see
+  // GameConfig::client_ip_shift); an endpoint open on both sides is
+  // combined into one session spanning both. Throws std::invalid_argument
+  // if the idle timeouts differ.
   void Merge(SessionTracker&& other);
 
   // Closes all still-open sessions as of the last packet seen and returns
@@ -102,7 +94,6 @@ class SessionTracker final : public CaptureSink {
     return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32) & (keys_.size() - 1);
   }
 
-  void Ingest(const net::PacketRecord& record);
   void IngestFields(double t, std::uint32_t ip, std::uint16_t port, bool inbound,
                     std::uint16_t bytes);
   // Finds the live slot for `key`, or kNoSlot. `insert_slot` receives the

@@ -10,108 +10,18 @@ namespace gametrace::trace {
 
 TraceSummary::TraceSummary(std::uint32_t wire_overhead_bytes) : overhead_(wire_overhead_bytes) {}
 
-void TraceSummary::OnPacket(const net::PacketRecord& record) {
-  if (first_time_ < 0.0) first_time_ = record.timestamp;
-  last_time_ = record.timestamp;
-
-  if (record.direction == net::Direction::kClientToServer) {
-    ++packets_in_;
-    app_bytes_in_ += record.app_bytes;
-    size_in_.Add(record.app_bytes);
-  } else {
-    ++packets_out_;
-    app_bytes_out_ += record.app_bytes;
-    size_out_.Add(record.app_bytes);
-  }
-
-  switch (record.kind) {
-    case net::PacketKind::kConnectRequest:
-      ++attempts_;
-      attempting_clients_.insert(record.client_ip.value());
-      break;
-    case net::PacketKind::kConnectAccept:
-      ++established_;
-      establishing_clients_.insert(record.client_ip.value());
-      break;
-    case net::PacketKind::kConnectReject:
-      ++refused_;
-      break;
-    default:
-      break;
-  }
-}
-
-void TraceSummary::OnBatch(std::span<const net::PacketRecord> batch) {
-  GT_PROF_SCOPE("trace.summary.on_batch");
-  if (batch.empty()) return;
-  if (first_time_ < 0.0) first_time_ = batch.front().timestamp;
-  last_time_ = batch.back().timestamp;
-
-  // Three specialised sweeps instead of one heavy loop: each direction pass
-  // keeps only its own Welford recurrence and two counters live (the fused
-  // loop spills), and the handshake pass is a predictable not-taken branch
-  // for game traffic. Per-direction record order - all that the sequential
-  // moments depend on - is preserved, so results stay bit-identical.
-  std::uint64_t pkts_in = 0;
-  std::uint64_t bytes_in = 0;
-  for (const net::PacketRecord& record : batch) {
-    if (record.direction != net::Direction::kClientToServer) continue;
-    ++pkts_in;
-    bytes_in += record.app_bytes;
-    size_in_.Add(record.app_bytes);
-  }
-  std::uint64_t pkts_out = 0;
-  std::uint64_t bytes_out = 0;
-  for (const net::PacketRecord& record : batch) {
-    if (record.direction != net::Direction::kServerToClient) continue;
-    ++pkts_out;
-    bytes_out += record.app_bytes;
-    size_out_.Add(record.app_bytes);
-  }
-  for (const net::PacketRecord& record : batch) {
-    if (record.kind < net::PacketKind::kConnectRequest ||
-        record.kind > net::PacketKind::kConnectReject) {
-      continue;  // game/chat/download traffic: no handshake bookkeeping
-    }
-    switch (record.kind) {
-      case net::PacketKind::kConnectRequest:
-        ++attempts_;
-        attempting_clients_.insert(record.client_ip.value());
-        break;
-      case net::PacketKind::kConnectAccept:
-        ++established_;
-        establishing_clients_.insert(record.client_ip.value());
-        break;
-      default:
-        ++refused_;
-        break;
-    }
-  }
-  packets_in_ += pkts_in;
-  packets_out_ += pkts_out;
-  app_bytes_in_ += bytes_in;
-  app_bytes_out_ += bytes_out;
-}
-
 void TraceSummary::OnColumns(const net::PacketBatch& batch) {
   GT_PROF_SCOPE("trace.summary.on_columns");
-  AccumulateColumns(batch);
-}
-
-void TraceSummary::AccumulateColumns(const net::PacketBatch& batch) {
   const std::size_t n = batch.count;
   if (n == 0) return;
   const double* ts = batch.timestamps;
   if (first_time_ < 0.0) first_time_ = ts[0];
   last_time_ = ts[n - 1];
 
-  // One interleaved pass over the raw u8/u16 columns. Unlike the AoS
-  // OnBatch (where splitting by direction pays for itself by avoiding
-  // 24-byte record strides), the columnar loads are already dense, and
-  // keeping the two directions interleaved lets the out-of-order core
+  // One interleaved pass over the raw u8/u16 columns: the loads are dense,
+  // and keeping the two directions interleaved lets the out-of-order core
   // overlap the two serial Welford division chains - the kernel's actual
-  // latency bound. Record order equals scalar order, so bit-identity is
-  // by construction.
+  // latency bound.
   const std::uint8_t* dirs = batch.directions;
   const std::uint16_t* sizes = batch.app_bytes;
   const std::uint8_t* kinds = batch.kinds;

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <unordered_set>
 
 #include "net/packet.h"
@@ -19,19 +18,10 @@ class TraceSummary final : public CaptureSink {
  public:
   explicit TraceSummary(std::uint32_t wire_overhead_bytes = net::kWireOverheadBytes);
 
-  void OnPacket(const net::PacketRecord& record) override;
-
-  // Accumulates the whole batch with register-resident counters; identical
-  // result to the per-packet path (Welford moments stay sequential).
-  void OnBatch(std::span<const net::PacketRecord> batch) override;
-
-  void OnColumns(const net::PacketBatch& batch) override;
-
-  // Columnar kernel (non-virtual: FusedChain calls it directly): the same
-  // per-direction sweeps as OnBatch over raw u8/u16 columns. Per-direction
+  // One interleaved pass over the raw direction/size/kind columns. Record
   // order - all the sequential Welford moments depend on - is preserved, so
-  // results stay bit-identical.
-  void AccumulateColumns(const net::PacketBatch& batch);
+  // the result is independent of how the stream is split into batches.
+  void OnColumns(const net::PacketBatch& batch) override;
 
   // Combines another summary into this one, as if every packet fed to
   // `other` had been fed to *this. Exact: counters and moments add (Chan

@@ -62,10 +62,12 @@ TraceWriter::TraceWriter(const std::string& path, const net::ServerEndpoint& ser
   out_.write(reinterpret_cast<const char*>(&server.port), sizeof(server.port));
 }
 
-void TraceWriter::OnPacket(const net::PacketRecord& record) {
-  const auto buf = Encode(record);
-  out_.write(reinterpret_cast<const char*>(buf.data()), buf.size());
-  ++packets_;
+void TraceWriter::OnColumns(const net::PacketBatch& batch) {
+  for (std::size_t i = 0; i < batch.count; ++i) {
+    const auto buf = Encode(batch.RecordAt(i));
+    out_.write(reinterpret_cast<const char*>(buf.data()), buf.size());
+  }
+  packets_ += batch.count;
 }
 
 void TraceWriter::Flush() { out_.flush(); }

@@ -37,7 +37,7 @@ class TraceWriter final : public CaptureSink {
  public:
   TraceWriter(const std::string& path, const net::ServerEndpoint& server);
 
-  void OnPacket(const net::PacketRecord& record) override;
+  void OnColumns(const net::PacketBatch& batch) override;
 
   [[nodiscard]] std::uint64_t packets_written() const noexcept { return packets_; }
 

@@ -16,7 +16,8 @@
 #include "stats/linear_regression.h"
 #include "stats/quantile.h"
 #include "stats/time_series.h"
-#include "trace/capture.h"
+#include "game/client.h"
+#include "game/config.h"
 
 namespace gametrace {
 namespace {
@@ -61,16 +62,11 @@ TEST(Contracts, QuantileMergeRequiresSameQuantile) {
   EXPECT_THROW(p50.Merge(p99), ContractViolation);
 }
 
-class NullSink final : public trace::CaptureSink {
- public:
-  void OnPacket(const net::PacketRecord&) override {}
-};
-
-TEST(Contracts, ShardNamespaceSinkRejectsIdBeyondNamespace) {
-  NullSink downstream;
-  EXPECT_NO_THROW(trace::ShardNamespaceSink(trace::ShardNamespaceSink::kMaxShardId, downstream));
-  EXPECT_THROW(trace::ShardNamespaceSink(trace::ShardNamespaceSink::kMaxShardId + 1, downstream),
-               ContractViolation);
+TEST(Contracts, ShardIpShiftRejectsIdBeyondNamespace) {
+  const std::size_t population = game::SessionConfig{}.population;
+  const auto last = static_cast<std::uint32_t>(game::MaxDisjointServers(population) - 1);
+  EXPECT_NO_THROW((void)game::ShardIpShift(last, population));
+  EXPECT_THROW((void)game::ShardIpShift(last + 1, population), ContractViolation);
 }
 
 TEST(Contracts, EventQueueEmptyAccess) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "game/client.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace_log.h"
@@ -183,9 +184,10 @@ TEST(Fleet, MergeReportsEqualsAccumulatorMerge) {
   for (int shard = 0; shard < config.shards; ++shard) {
     game::GameConfig server = config.server;
     server.seed = sim::SubstreamSeed(config.base_seed, static_cast<std::uint64_t>(shard));
+    server.client_ip_shift =
+        game::ShardIpShift(static_cast<std::uint32_t>(shard), server.sessions.population);
     Characterizer characterizer(config.analysis);
-    trace::ShardNamespaceSink ns(static_cast<std::uint32_t>(shard), characterizer);
-    (void)RunServerTrace(server, ns);
+    (void)RunServerTrace(server, characterizer);
     reports.push_back(characterizer.Finish(server.trace_duration));
   }
   auto merged = MergeReports(std::move(reports));

@@ -40,9 +40,11 @@ std::string ReadFile(const std::string& path) {
 class TrippingSink final : public trace::CaptureSink {
  public:
   explicit TrippingSink(double trip_at) : trip_at_(trip_at) {}
-  void OnPacket(const net::PacketRecord& record) override {
-    GT_CHECK(record.timestamp < trip_at_)
-        << "synthetic black-box trip at t=" << record.timestamp;
+  void OnColumns(const net::PacketBatch& batch) override {
+    for (std::size_t i = 0; i < batch.count; ++i) {
+      GT_CHECK(batch.timestamps[i] < trip_at_)
+          << "synthetic black-box trip at t=" << batch.timestamps[i];
+    }
   }
 
  private:

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <ostream>
+
 #include "core/check.h"
 
 namespace gametrace::net {
@@ -28,6 +31,19 @@ struct ParseCase {
   bool ok;
   std::uint32_t value;
 };
+
+// gtest would otherwise print the case as its raw bytes, pointer and padding
+// included, and CTest names each case after that print; this keeps the names
+// the same from one build to the next.
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  *os << '\'' << c.text << "' -> ";
+  if (!c.ok) {
+    *os << "invalid";
+    return;
+  }
+  *os << "0x" << std::hex << std::setw(8) << std::setfill('0') << c.value
+      << std::dec;
+}
 
 class Ipv4ParseTest : public ::testing::TestWithParam<ParseCase> {};
 

@@ -1,6 +1,7 @@
-// AddBatch fast paths must be bit-identical to the scalar Add loop for any
-// input split at any boundaries - the same contract the batched sinks rely
-// on (trace/capture.h). Comparisons are exact (EXPECT_EQ on doubles).
+// Run-aggregating column kernels must be bit-identical to the scalar Add
+// loop for any input split at any boundaries - the batch-split contract the
+// sinks rely on (trace/capture.h). Comparisons are exact (EXPECT_EQ on
+// doubles). Masked and u16 kernels are covered in add_column_test.cc.
 #include <algorithm>
 #include <cstdint>
 #include <span>
@@ -16,7 +17,7 @@
 namespace gametrace::stats {
 namespace {
 
-// Values with long same-bin runs (the tick-burst pattern AddBatch
+// Values with long same-bin runs (the tick-burst pattern AddColumn
 // optimises), plus out-of-range stragglers.
 std::vector<double> RunHeavyValues(std::uint64_t seed, std::size_t n, double lo, double hi) {
   sim::Rng rng(seed);
@@ -57,7 +58,7 @@ TEST(AddBatch, TimeSeriesIdenticalToScalar) {
   TimeSeries scalar(0.0, 60.0), batched(0.0, 60.0);
   for (const double t : times) scalar.Add(t, 2.0);
   SplitRandomly(times, 111, [&](std::span<const double> chunk) {
-    batched.AddBatch(chunk, 2.0);
+    batched.AddColumn(chunk, 2.0);
   });
   EXPECT_EQ(scalar.dropped_before_start(), batched.dropped_before_start());
   ASSERT_EQ(scalar.size(), batched.size());
@@ -67,61 +68,31 @@ TEST(AddBatch, TimeSeriesIdenticalToScalar) {
 TEST(AddBatch, TimeSeriesCountsDropsBeforeStart) {
   TimeSeries ts(100.0, 10.0);
   const std::vector<double> times{50.0, 99.9, 100.0, 105.0, 250.0};
-  ts.AddBatch(times);
+  ts.AddColumn(times);
   EXPECT_EQ(ts.dropped_before_start(), 2u);
   EXPECT_EQ(ts.Sum(), 3.0);
 }
 
-TEST(AddBatch, HistogramIdenticalToScalar) {
-  const auto xs = RunHeavyValues(12, 50000, 0.0, 500.0);
-  Histogram scalar(0.0, 500.0, 500), batched(0.0, 500.0, 500);
-  for (const double x : xs) scalar.Add(x, 3);
-  SplitRandomly(xs, 112, [&](std::span<const double> chunk) {
-    batched.AddBatch(chunk, 3);
-  });
-  ASSERT_EQ(scalar.bin_count(), batched.bin_count());
-  for (std::size_t i = 0; i < scalar.bin_count(); ++i) {
-    ASSERT_EQ(scalar.count(i), batched.count(i)) << "bin " << i;
-  }
-  EXPECT_EQ(scalar.underflow(), batched.underflow());
-  EXPECT_EQ(scalar.overflow(), batched.overflow());
-  EXPECT_EQ(scalar.total(), batched.total());
-}
-
 TEST(AddBatch, HistogramTopEdgeLandsInLastBin) {
-  // x == hi maps into the last bin (scalar Add's clamp); the batch path
-  // must agree.
-  Histogram scalar(0.0, 10.0, 10), batched(0.0, 10.0, 10);
-  const std::vector<double> xs{10.0, 10.0, 9.999, 0.0};
-  for (const double x : xs) scalar.Add(x);
-  batched.AddBatch(xs);
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(scalar.count(i), batched.count(i));
-  EXPECT_EQ(scalar.overflow(), batched.overflow());
-}
-
-TEST(AddBatch, RunningStatsIdenticalToScalar) {
-  // Welford is order-sensitive; the batch path must preserve the exact
-  // sequential recurrence, so moments match bitwise at any split.
-  const auto xs = RunHeavyValues(13, 50000, -100.0, 100.0);
-  RunningStats scalar, batched;
-  for (const double x : xs) scalar.Add(x);
-  SplitRandomly(xs, 113, [&](std::span<const double> chunk) { batched.AddBatch(chunk); });
-  EXPECT_EQ(scalar.count(), batched.count());
-  EXPECT_EQ(scalar.mean(), batched.mean());
-  EXPECT_EQ(scalar.variance(), batched.variance());
-  EXPECT_EQ(scalar.min(), batched.min());
-  EXPECT_EQ(scalar.max(), batched.max());
-  EXPECT_EQ(scalar.sum(), batched.sum());
+  // hi - 1 lands in the last bin and x == hi overflows, in the column kernel
+  // exactly as in scalar Add.
+  Histogram scalar(0.0, 10.0, 10), columnar(0.0, 10.0, 10);
+  const std::vector<std::uint16_t> xs{10, 10, 9, 0};
+  for (const std::uint16_t x : xs) scalar.Add(x);
+  columnar.AddColumn(xs);
+  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(scalar.count(i), columnar.count(i));
+  EXPECT_EQ(scalar.count(9), 1u);
+  EXPECT_EQ(scalar.overflow(), columnar.overflow());
+  EXPECT_EQ(columnar.overflow(), 2u);
 }
 
 TEST(AddBatch, EmptyBatchIsNoOp) {
   TimeSeries ts(0.0, 1.0);
   Histogram h(0.0, 1.0, 4);
   RunningStats rs;
-  const std::span<const double> empty;
-  ts.AddBatch(empty);
-  h.AddBatch(empty);
-  rs.AddBatch(empty);
+  ts.AddColumn(std::span<const double>{});
+  h.AddColumn(std::span<const std::uint16_t>{});
+  rs.AddColumnU16(std::span<const std::uint16_t>{});
   EXPECT_TRUE(ts.empty());
   EXPECT_EQ(h.total(), 0u);
   EXPECT_TRUE(rs.empty());

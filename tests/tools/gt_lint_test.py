@@ -5,9 +5,7 @@ plus the suppression and ratchet-baseline mechanics.
 Each test builds a miniature repo tree in a temp dir and runs the linter
 over it, so the tests prove every rule actually fires - a linter whose
 rules silently stopped matching would pass on the real tree for the
-wrong reason. Rule tests run once per available engine (the lex engine
-is always available; the libclang engine joins in when python3-clang and
-libclang are installed, as in CI).
+wrong reason.
 """
 
 import importlib.util
@@ -25,19 +23,6 @@ sys.modules["gt_lint"] = gt_lint
 _spec.loader.exec_module(gt_lint)
 
 
-def available_engines():
-    engines = ["lex"]
-    try:
-        gt_lint.LibclangEngine(REPO_ROOT)
-        engines.append("libclang")
-    except gt_lint.LibclangUnavailable:
-        pass
-    return engines
-
-
-ENGINES = available_engines()
-
-
 class MiniTree:
     """Builds a throwaway src/ tree and lints it."""
 
@@ -52,12 +37,8 @@ class MiniTree:
             fh.write(text)
         return relpath
 
-    def lint(self, engine_kind, relpath):
-        if engine_kind == "lex":
-            engine = gt_lint.LexEngine(self.root)
-        else:
-            engine = gt_lint.LibclangEngine(self.root)
-        findings = engine.lint_file(relpath)
+    def lint(self, relpath):
+        findings = gt_lint.LexEngine(self.root).lint_file(relpath)
         with open(os.path.join(self.root, relpath), encoding="utf-8") as fh:
             allow = {relpath: gt_lint.collect_suppressions(fh.read())}
         kept, bad = gt_lint.apply_suppressions(findings, allow)
@@ -72,7 +53,7 @@ def rules_of(findings):
 
 
 class RuleTests(unittest.TestCase):
-    """Every rule must fire on a synthetic violation, per engine."""
+    """Every rule must fire on a synthetic violation."""
 
     def setUp(self):
         self.tree = MiniTree()
@@ -80,19 +61,12 @@ class RuleTests(unittest.TestCase):
 
     def check_fires(self, relpath, text, rule, clean_variant=None):
         rel = self.tree.write(relpath, text)
-        for engine in ENGINES:
-            with self.subTest(engine=engine):
-                kept, _ = self.tree.lint(engine, rel)
-                self.assertIn(rule, rules_of(kept),
-                              f"{rule} did not fire under {engine}: {kept}")
+        kept, _ = self.tree.lint(rel)
+        self.assertIn(rule, rules_of(kept), f"{rule} did not fire: {kept}")
         if clean_variant is not None:
-            rel2 = self.tree.write("clean_" + relpath.replace("/", "_"), "")
             rel2 = self.tree.write(relpath, clean_variant)
-            for engine in ENGINES:
-                with self.subTest(engine=engine, variant="clean"):
-                    kept, _ = self.tree.lint(engine, rel2)
-                    self.assertNotIn(rule, rules_of(kept),
-                                     f"{rule} false positive under {engine}: {kept}")
+            kept, _ = self.tree.lint(rel2)
+            self.assertNotIn(rule, rules_of(kept), f"{rule} false positive: {kept}")
 
     def test_nondet_call_fires_in_emit_path(self):
         self.check_fires(
@@ -230,59 +204,75 @@ class RuleTests(unittest.TestCase):
             """,
             "nondet-iteration")
 
-    def test_sink_tier_requires_onbatch_with_oncolumns(self):
+    def test_sink_tier_rejects_record_adapter_overrides(self):
         self.check_fires(
             "src/trace/sinks.h",
             """
             struct PacketRecord {};
             struct PacketBatch {};
-            struct ColumnView {};
             class CaptureSink {
              public:
               virtual ~CaptureSink() = default;
-              virtual void OnPacket(const PacketRecord&) = 0;
-              virtual void OnBatch(const PacketBatch&) {}
-              virtual void OnColumns(const ColumnView&) {}
+              virtual void OnColumns(const PacketBatch&) = 0;
+              virtual void OnPacket(const PacketRecord&) {}
+              virtual void OnBatch(const PacketRecord*) {}
             };
-            class FastSink : public CaptureSink {
+            class ScalarSink : public CaptureSink {
              public:
+              void OnColumns(const PacketBatch&) override {}
               void OnPacket(const PacketRecord&) override {}
-              void OnColumns(const ColumnView&) override {}
             };
             """,
             "sink-tier",
             clean_variant="""
             struct PacketRecord {};
             struct PacketBatch {};
-            struct ColumnView {};
             class CaptureSink {
              public:
               virtual ~CaptureSink() = default;
-              virtual void OnPacket(const PacketRecord&) = 0;
-              virtual void OnBatch(const PacketBatch&) {}
-              virtual void OnColumns(const ColumnView&) {}
+              virtual void OnColumns(const PacketBatch&) = 0;
+              virtual void OnPacket(const PacketRecord&) {}
+              virtual void OnBatch(const PacketRecord*) {}
             };
-            class FastSink : public CaptureSink {
+            class ColumnSink final : public CaptureSink {
              public:
-              void OnPacket(const PacketRecord&) override {}
-              void OnBatch(const PacketBatch&) override {}
-              void OnColumns(const ColumnView&) override {}
+              void OnColumns(const PacketBatch&) override {}
             };
             """)
+
+    def test_sink_tier_rejects_onbatch_override(self):
+        self.check_fires(
+            "src/trace/batch.h",
+            """
+            struct PacketRecord {};
+            struct PacketBatch {};
+            class CaptureSink {
+             public:
+              virtual ~CaptureSink() = default;
+              virtual void OnColumns(const PacketBatch&) = 0;
+              virtual void OnBatch(const PacketRecord*) {}
+            };
+            class BatchSink : public CaptureSink {
+             public:
+              void OnColumns(const PacketBatch&) override {}
+              void OnBatch(const PacketRecord*) override {}
+            };
+            """,
+            "sink-tier")
 
     def test_sink_tier_requires_override_keyword(self):
         self.check_fires(
             "src/trace/hiding.h",
             """
-            struct PacketRecord {};
+            struct PacketBatch {};
             class CaptureSink {
              public:
               virtual ~CaptureSink() = default;
-              virtual void OnPacket(const PacketRecord&) = 0;
+              virtual void OnColumns(const PacketBatch&) = 0;
             };
             class HidingSink : public CaptureSink {
              public:
-              void OnPacket(const PacketRecord&) {}
+              void OnColumns(const PacketBatch&) {}
             };
             """,
             "sink-tier")
@@ -341,10 +331,8 @@ class RuleTests(unittest.TestCase):
             #include <mutex>
             namespace gametrace::core { class Mutex { std::mutex m_; }; }
             """)
-        for engine in ENGINES:
-            with self.subTest(engine=engine):
-                kept, _ = self.tree.lint(engine, rel)
-                self.assertNotIn("raw-mutex", rules_of(kept))
+        kept, _ = self.tree.lint(rel)
+        self.assertNotIn("raw-mutex", rules_of(kept))
 
 
 class SuppressionTests(unittest.TestCase):
@@ -358,7 +346,7 @@ class SuppressionTests(unittest.TestCase):
             "struct C {\n"
             "  std::mutex m_;  // gt-lint: allow(raw-mutex) FFI handoff to a C callback\n"
             "};\n")
-        kept, bad = self.tree.lint("lex", rel)
+        kept, bad = self.tree.lint(rel)
         self.assertEqual(kept, [])
         self.assertEqual(bad, [])
 
@@ -375,7 +363,7 @@ class SuppressionTests(unittest.TestCase):
             "                            seen_.end());\n"
             "  }\n"
             "};\n")
-        kept, bad = self.tree.lint("lex", rel)
+        kept, bad = self.tree.lint(rel)
         self.assertEqual(kept, [])
         self.assertEqual(bad, [])
 
@@ -385,7 +373,7 @@ class SuppressionTests(unittest.TestCase):
             "struct C {\n"
             "  std::mutex m_;  // gt-lint: allow(raw-mutex)\n"
             "};\n")
-        kept, bad = self.tree.lint("lex", rel)
+        kept, bad = self.tree.lint(rel)
         self.assertEqual(kept, [])
         self.assertEqual(len(bad), 1)
         self.assertIn("justification", bad[0].message)
@@ -396,7 +384,7 @@ class SuppressionTests(unittest.TestCase):
             "struct C {\n"
             "  std::mutex m_;  // gt-lint: allow(nondet-call) wrong rule named\n"
             "};\n")
-        kept, _ = self.tree.lint("lex", rel)
+        kept, _ = self.tree.lint(rel)
         self.assertEqual(rules_of(kept), ["raw-mutex"])
 
 
@@ -413,7 +401,7 @@ class BaselineTests(unittest.TestCase):
             "struct C {\n  std::mutex m_;\n};\n")
 
     def run_lint(self, update=False):
-        return gt_lint.run(self.tree.root, "lex", self.baseline, [self.rel],
+        return gt_lint.run(self.tree.root, self.baseline, [self.rel],
                            update_baseline=update, report_path=None)
 
     def test_new_finding_fails_without_baseline(self):
@@ -442,10 +430,9 @@ class RepoTreeTest(unittest.TestCase):
     def test_repo_tree_is_clean(self):
         baseline = os.path.join(REPO_ROOT, "tools", "gt_lint_baseline.txt")
         self.assertEqual(
-            gt_lint.run(REPO_ROOT, "auto", baseline, [], False, None), 0,
+            gt_lint.run(REPO_ROOT, baseline, [], False, None), 0,
             "gt_lint must pass on the committed tree")
 
 
 if __name__ == "__main__":
-    print(f"gt_lint_test: engines under test: {ENGINES}", file=sys.stderr)
     unittest.main()

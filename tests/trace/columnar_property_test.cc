@@ -1,34 +1,37 @@
-// Property tests for the columnar delivery tier (capture.h OnColumns) and
-// the chain-fusion compiler (fused_chain.h): for every sink, a random
-// record stream columnised at random batch boundaries must produce results
-// bit-identical to the scalar per-packet path, and a fused chain must
-// produce results bit-identical to the unfused composition it replaced.
-// Doubles are compared with EXPECT_EQ (exact equality) - the contract is
-// bit-identity, not approximation.
+// Batch-split invariance over the one delivery tier (capture.h OnColumns):
+// a sink's result depends only on the record sequence, never on where it
+// is split into batches. ColumnarProperty delivers a synthetic stream as
+// one-row batches, 50 ms tick batches and 4096-record chunks (Replay);
+// BatchProperty replays CsServer's own stream with the batch boundaries
+// the server emitted against one-row delivery. Doubles are compared with
+// EXPECT_EQ (exact equality) - the contract is bit-identity, not
+// approximation.
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/characterizer.h"
+#include "game/config.h"
+#include "game/cs_server.h"
 #include "net/packet_batch.h"
 #include "sim/rng.h"
+#include "sim/simulator.h"
 #include "trace/aggregator.h"
 #include "trace/capture.h"
 #include "trace/filter.h"
-#include "trace/fused_chain.h"
+#include "trace/loss_estimator.h"
 #include "trace/session_tracker.h"
 #include "trace/summary.h"
 
 namespace gametrace::trace {
 namespace {
 
-// Mirrors the stream generator of batch_property_test.cc: small endpoint
-// pool, mostly game updates with occasional handshakes, near-monotone
-// timestamps with rare idle gaps long enough to trip the session timeout.
+// Small endpoint pool, mostly game updates with occasional handshakes,
+// monotone timestamps with rare idle gaps long enough to trip the session
+// timeout.
 std::vector<net::PacketRecord> RandomStream(std::uint64_t seed, std::size_t n) {
   sim::Rng rng(seed);
   std::vector<net::PacketRecord> out;
@@ -74,29 +77,37 @@ std::vector<net::PacketRecord> RandomStream(std::uint64_t seed, std::size_t n) {
   return out;
 }
 
-// Delivers the stream as columnar batches split at random boundaries
-// (lengths 1-8, with occasional empty batches interleaved).
-void FeedRandomColumns(const std::vector<net::PacketRecord>& records, std::uint64_t seed,
-                       CaptureSink& sink) {
-  sim::Rng rng(seed);
+void FeedRows(const std::vector<net::PacketRecord>& records, CaptureSink& sink) {
+  for (const net::PacketRecord& r : records) sink.OnColumns(net::PacketRow(r).View());
+}
+
+// One batch per 50 ms server tick window, with an empty batch after every
+// 16th tick (producers may legally hand over empty batches).
+void FeedTicks(const std::vector<net::PacketRecord>& records, CaptureSink& sink) {
+  constexpr double kTick = 0.050;
   const std::span<const net::PacketRecord> all(records);
   net::ColumnarBatch columns;
+  std::size_t ticks = 0;
   std::size_t i = 0;
-  while (i < records.size()) {
-    if (rng.NextBelow(16) == 0) {
-      columns.Clear();
-      sink.OnColumns(columns.View());  // empty batch
-    }
-    const std::size_t len = std::min<std::size_t>(1 + rng.NextBelow(8), records.size() - i);
+  while (i < all.size()) {
+    const auto tick = static_cast<std::uint64_t>(all[i].timestamp / kTick);
+    std::size_t j = i + 1;
+    while (j < all.size() && static_cast<std::uint64_t>(all[j].timestamp / kTick) == tick) ++j;
     columns.Clear();
-    columns.Append(all.subspan(i, len));
+    columns.Append(all.subspan(i, j - i));
     sink.OnColumns(columns.View());
-    i += len;
+    if (++ticks % 16 == 0) sink.OnColumns(net::PacketBatch{});
+    i = j;
   }
 }
 
-void FeedScalar(const std::vector<net::PacketRecord>& records, CaptureSink& sink) {
-  for (const net::PacketRecord& r : records) sink.OnPacket(r);
+// The three deliveries every property compares: one-row batches (the
+// reference), tick batches and 4096-record chunks (Replay).
+void FeedThreeWays(const std::vector<net::PacketRecord>& records, CaptureSink& rows,
+                   CaptureSink& ticks, CaptureSink& chunks) {
+  FeedRows(records, rows);
+  FeedTicks(records, ticks);
+  Replay(records, chunks);
 }
 
 void ExpectSeriesIdentical(const stats::TimeSeries& a, const stats::TimeSeries& b) {
@@ -154,6 +165,21 @@ void ExpectSessionsIdentical(const std::vector<Session>& a, const std::vector<Se
   }
 }
 
+void ExpectReportIdentical(const core::CharacterizationReport& a,
+                           const core::CharacterizationReport& b) {
+  ExpectSummaryIdentical(a.summary, b.summary);
+  ExpectSeriesIdentical(a.minute_packets_in, b.minute_packets_in);
+  ExpectSeriesIdentical(a.minute_packets_out, b.minute_packets_out);
+  ExpectSeriesIdentical(a.minute_bytes_in, b.minute_bytes_in);
+  ExpectSeriesIdentical(a.minute_bytes_out, b.minute_bytes_out);
+  ExpectSeriesIdentical(a.vt_base_packets, b.vt_base_packets);
+  ExpectSessionsIdentical(a.sessions, b.sessions);
+  ExpectHistogramIdentical(a.session_bandwidth, b.session_bandwidth);
+  ExpectHistogramIdentical(a.size_total, b.size_total);
+  ExpectHistogramIdentical(a.size_in, b.size_in);
+  ExpectHistogramIdentical(a.size_out, b.size_out);
+}
+
 constexpr std::size_t kStreamLen = 20000;
 
 // ---- SoA round-trip ----------------------------------------------------
@@ -185,233 +211,274 @@ TEST(PacketBatch, PushFromCopiesSingleRows) {
   }
 }
 
-// ---- Per-sink columnar <-> scalar identity ------------------------------
+TEST(PacketBatch, RowViewReconstructsTheRecord) {
+  for (const net::PacketRecord& r : RandomStream(42, 64)) {
+    const net::PacketRow row(r);
+    const net::PacketBatch view = row.View();
+    ASSERT_EQ(view.size(), 1u);
+    EXPECT_EQ(view.RecordAt(0), r);
+  }
+}
+
+// ---- Per-sink batch-split invariance -------------------------------------
 
 TEST(ColumnarProperty, CountingSinkIdentical) {
-  const auto records = RandomStream(41, kStreamLen);
-  CountingSink scalar, columnar;
-  FeedScalar(records, scalar);
-  FeedRandomColumns(records, 141, columnar);
-  EXPECT_EQ(scalar.packets(), columnar.packets());
-  EXPECT_EQ(scalar.packets_in(), columnar.packets_in());
-  EXPECT_EQ(scalar.packets_out(), columnar.packets_out());
-  EXPECT_EQ(scalar.app_bytes(), columnar.app_bytes());
+  CountingSink rows, ticks, chunks;
+  FeedThreeWays(RandomStream(41, kStreamLen), rows, ticks, chunks);
+  for (const CountingSink* batched : {&ticks, &chunks}) {
+    EXPECT_EQ(rows.packets(), batched->packets());
+    EXPECT_EQ(rows.packets_in(), batched->packets_in());
+    EXPECT_EQ(rows.packets_out(), batched->packets_out());
+    EXPECT_EQ(rows.app_bytes(), batched->app_bytes());
+  }
 }
 
 TEST(ColumnarProperty, VectorSinkIdentical) {
   const auto records = RandomStream(42, kStreamLen);
-  VectorSink scalar, columnar;
-  FeedScalar(records, scalar);
-  FeedRandomColumns(records, 142, columnar);
-  EXPECT_EQ(scalar.records(), columnar.records());
+  VectorSink rows, ticks, chunks;
+  FeedThreeWays(records, rows, ticks, chunks);
+  EXPECT_EQ(rows.records(), records);
+  EXPECT_EQ(ticks.records(), records);
+  EXPECT_EQ(chunks.records(), records);
+}
+
+TEST(ColumnarProperty, TeeSinkIdentical) {
+  const auto records = RandomStream(43, kStreamLen);
+  CountingSink counting[3];
+  VectorSink vec[3];
+  TeeSink tee[3];
+  for (int i = 0; i < 3; ++i) {
+    tee[i].Attach(counting[i]);
+    tee[i].Attach(vec[i]);
+  }
+  FeedThreeWays(records, tee[0], tee[1], tee[2]);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(counting[i].packets(), records.size());
+    EXPECT_EQ(counting[i].app_bytes(), counting[0].app_bytes());
+    EXPECT_EQ(vec[i].records(), records);
+  }
 }
 
 TEST(ColumnarProperty, LoadAggregatorIdentical) {
-  const auto records = RandomStream(43, kStreamLen);
-  LoadAggregator scalar(60.0), columnar(60.0);
-  FeedScalar(records, scalar);
-  FeedRandomColumns(records, 143, columnar);
-  ExpectSeriesIdentical(scalar.packets_in(), columnar.packets_in());
-  ExpectSeriesIdentical(scalar.packets_out(), columnar.packets_out());
-  ExpectSeriesIdentical(scalar.wire_bytes_in(), columnar.wire_bytes_in());
-  ExpectSeriesIdentical(scalar.wire_bytes_out(), columnar.wire_bytes_out());
+  // Bins start at t = 1 s so the before-start path is exercised too.
+  LoadAggregator rows(60.0, 1.0), ticks(60.0, 1.0), chunks(60.0, 1.0);
+  FeedThreeWays(RandomStream(45, kStreamLen), rows, ticks, chunks);
+  EXPECT_GT(rows.packets_out().dropped_before_start(), 0u);
+  for (const LoadAggregator* batched : {&ticks, &chunks}) {
+    ExpectSeriesIdentical(rows.packets_in(), batched->packets_in());
+    ExpectSeriesIdentical(rows.packets_out(), batched->packets_out());
+    ExpectSeriesIdentical(rows.wire_bytes_in(), batched->wire_bytes_in());
+    ExpectSeriesIdentical(rows.wire_bytes_out(), batched->wire_bytes_out());
+  }
 }
 
 TEST(ColumnarProperty, TraceSummaryIdentical) {
-  const auto records = RandomStream(44, kStreamLen);
-  TraceSummary scalar, columnar;
-  FeedScalar(records, scalar);
-  FeedRandomColumns(records, 144, columnar);
-  ExpectSummaryIdentical(scalar, columnar);
+  TraceSummary rows, ticks, chunks;
+  FeedThreeWays(RandomStream(46, kStreamLen), rows, ticks, chunks);
+  ExpectSummaryIdentical(rows, ticks);
+  ExpectSummaryIdentical(rows, chunks);
 }
 
 TEST(ColumnarProperty, SessionTrackerIdentical) {
-  const auto records = RandomStream(45, kStreamLen);
-  SessionTracker scalar(30.0), columnar(30.0);
-  FeedScalar(records, scalar);
-  FeedRandomColumns(records, 145, columnar);
-  EXPECT_EQ(scalar.open_sessions(), columnar.open_sessions());
-  EXPECT_EQ(scalar.closed_sessions(), columnar.closed_sessions());
-  EXPECT_EQ(scalar.unique_clients(), columnar.unique_clients());
-  ExpectSessionsIdentical(scalar.Finish(), columnar.Finish());
+  SessionTracker rows(30.0), ticks(30.0), chunks(30.0);
+  FeedThreeWays(RandomStream(47, kStreamLen), rows, ticks, chunks);
+  for (const SessionTracker* batched : {&ticks, &chunks}) {
+    EXPECT_EQ(rows.open_sessions(), batched->open_sessions());
+    EXPECT_EQ(rows.closed_sessions(), batched->closed_sessions());
+    EXPECT_EQ(rows.unique_clients(), batched->unique_clients());
+  }
+  const std::vector<Session> reference = rows.Finish();
+  ExpectSessionsIdentical(reference, ticks.Finish());
+  ExpectSessionsIdentical(reference, chunks.Finish());
 }
 
 TEST(ColumnarProperty, FilterSinkIdentical) {
-  const auto records = RandomStream(46, kStreamLen);
-  VectorSink scalar_out, columnar_out;
-  FilterSink scalar_f(DirectionIs(net::Direction::kClientToServer), scalar_out);
-  FilterSink columnar_f(DirectionIs(net::Direction::kClientToServer), columnar_out);
-  FeedScalar(records, scalar_f);
-  FeedRandomColumns(records, 146, columnar_f);
-  EXPECT_EQ(scalar_f.passed(), columnar_f.passed());
-  EXPECT_EQ(scalar_f.dropped(), columnar_f.dropped());
-  EXPECT_EQ(scalar_out.records(), columnar_out.records());
+  VectorSink out[3];
+  FilterSink rows(DirectionIs(net::Direction::kClientToServer), out[0]);
+  FilterSink ticks(DirectionIs(net::Direction::kClientToServer), out[1]);
+  FilterSink chunks(DirectionIs(net::Direction::kClientToServer), out[2]);
+  FeedThreeWays(RandomStream(48, kStreamLen), rows, ticks, chunks);
+  for (const FilterSink* batched : {&ticks, &chunks}) {
+    EXPECT_EQ(rows.passed(), batched->passed());
+    EXPECT_EQ(rows.dropped(), batched->dropped());
+  }
+  EXPECT_EQ(out[0].records(), out[1].records());
+  EXPECT_EQ(out[0].records(), out[2].records());
 }
 
-TEST(ColumnarProperty, ShardNamespaceThroughTeeIdentical) {
-  const auto records = RandomStream(47, kStreamLen);
-  VectorSink scalar_out, columnar_out;
-  CountingSink scalar_count, columnar_count;
-  TeeSink scalar_tee, columnar_tee;
-  scalar_tee.Attach(scalar_out);
-  scalar_tee.Attach(scalar_count);
-  columnar_tee.Attach(columnar_out);
-  columnar_tee.Attach(columnar_count);
-  ShardNamespaceSink scalar_ns(7, scalar_tee);
-  ShardNamespaceSink columnar_ns(7, columnar_tee);
-  FeedScalar(records, scalar_ns);
-  FeedRandomColumns(records, 147, columnar_ns);
-  EXPECT_EQ(scalar_out.records(), columnar_out.records());
-  EXPECT_EQ(scalar_count.packets(), columnar_count.packets());
-  ASSERT_FALSE(columnar_out.records().empty());
-  EXPECT_EQ(columnar_out.records()[0].client_ip.value() >> 24, 17u);
+// Sinks that consume one record at a time iterate PacketBatch::RecordAt:
+// batching must not change what they see.
+TEST(ColumnarProperty, RecordAtATimeSinksIdentical) {
+  const auto records = RandomStream(49, kStreamLen);
+  std::vector<net::PacketRecord> seen[3];
+  CallbackSink rows([&](const net::PacketRecord& r) { seen[0].push_back(r); });
+  CallbackSink ticks([&](const net::PacketRecord& r) { seen[1].push_back(r); });
+  CallbackSink chunks([&](const net::PacketRecord& r) { seen[2].push_back(r); });
+  FeedThreeWays(records, rows, ticks, chunks);
+  for (const auto& s : seen) EXPECT_EQ(s, records);
+
+  SeqGapLossEstimator est[3];
+  FeedThreeWays(records, est[0], est[1], est[2]);
+  for (int i = 1; i < 3; ++i) {
+    for (const auto d : {net::Direction::kClientToServer, net::Direction::kServerToClient}) {
+      EXPECT_EQ(est[0].Estimate(d).received, est[i].Estimate(d).received);
+      EXPECT_EQ(est[0].Estimate(d).expected, est[i].Estimate(d).expected);
+      EXPECT_EQ(est[0].Estimate(d).flows, est[i].Estimate(d).flows);
+    }
+    EXPECT_EQ(est[0].unsequenced_packets(), est[i].unsequenced_packets());
+  }
 }
 
 TEST(ColumnarProperty, CharacterizerReportIdentical) {
-  const auto records = RandomStream(48, kStreamLen);
+  const auto records = RandomStream(51, kStreamLen);
   core::CharacterizationOptions options;
   options.vt_window = 600.0;
-  core::Characterizer scalar(options), columnar(options);
-  FeedScalar(records, scalar);
-  FeedRandomColumns(records, 148, columnar);
-  auto ra = scalar.Finish(records.back().timestamp);
-  auto rb = columnar.Finish(records.back().timestamp);
-  ExpectSummaryIdentical(ra.summary, rb.summary);
-  ExpectSeriesIdentical(ra.minute_packets_in, rb.minute_packets_in);
-  ExpectSeriesIdentical(ra.minute_packets_out, rb.minute_packets_out);
-  ExpectSeriesIdentical(ra.minute_bytes_in, rb.minute_bytes_in);
-  ExpectSeriesIdentical(ra.minute_bytes_out, rb.minute_bytes_out);
-  ExpectSeriesIdentical(ra.vt_base_packets, rb.vt_base_packets);
-  ExpectSessionsIdentical(ra.sessions, rb.sessions);
-  ExpectHistogramIdentical(ra.session_bandwidth, rb.session_bandwidth);
-  ExpectHistogramIdentical(ra.size_total, rb.size_total);
-  ExpectHistogramIdentical(ra.size_in, rb.size_in);
-  ExpectHistogramIdentical(ra.size_out, rb.size_out);
+  core::Characterizer rows(options), ticks(options), chunks(options);
+  FeedThreeWays(records, rows, ticks, chunks);
+  const double end = records.back().timestamp;
+  const core::CharacterizationReport reference = rows.Finish(end);
+  ExpectReportIdentical(reference, ticks.Finish(end));
+  ExpectReportIdentical(reference, chunks.Finish(end));
 }
 
-// A sink with no columnar kernel of its own must be served correctly by the
-// base-class bridge (materialise -> OnBatch -> OnPacket).
-TEST(ColumnarProperty, DefaultBridgeSinkIdentical) {
-  class PacketOnlySink final : public CaptureSink {
-   public:
-    void OnPacket(const net::PacketRecord& record) override {
-      sum_bytes += record.app_bytes;
-      sum_seq += record.seq;
-      ++count;
-    }
-    std::uint64_t sum_bytes = 0;
-    std::uint64_t sum_seq = 0;
-    std::uint64_t count = 0;
-  };
-  const auto records = RandomStream(49, kStreamLen);
-  PacketOnlySink scalar, columnar;
-  FeedScalar(records, scalar);
-  FeedRandomColumns(records, 149, columnar);
-  EXPECT_EQ(scalar.count, columnar.count);
-  EXPECT_EQ(scalar.sum_bytes, columnar.sum_bytes);
-  EXPECT_EQ(scalar.sum_seq, columnar.sum_seq);
-}
+// ---- The server's own stream -------------------------------------------
+//
+// The same property on CsServer's traffic, replayed with the exact batch
+// boundaries the server emitted: tick batches whose timestamps are globally
+// out of order (client sends are pre-dated within the tick window), and
+// one-row batches for the handshakes and downloads between ticks. Each
+// sink fed those batches must match the same sink fed one-row batches.
 
-// ---- Chain fusion -------------------------------------------------------
-
-struct Chain {
-  TraceSummary summary;
-  LoadAggregator agg{60.0};
-  SessionTracker sessions{30.0};
-  CountingSink counting;
-  VectorSink vec;  // generic terminal: exercises the virtual fallback
-  TeeSink tee;
-  std::unique_ptr<ShardNamespaceSink> ns;
-
-  explicit Chain(std::uint32_t shard) {
-    tee.Attach(summary);
-    tee.Attach(agg);
-    tee.Attach(sessions);
-    tee.Attach(counting);
-    tee.Attach(vec);
-    ns = std::make_unique<ShardNamespaceSink>(shard, tee);
-  }
+struct LiveCapture {
+  std::vector<net::PacketRecord> records;
+  std::vector<std::size_t> batch_sizes;
 };
 
-TEST(FusedChain, ReportsIdenticalToUnfusedChain) {
-  const auto records = RandomStream(50, kStreamLen);
-  Chain unfused(5), fused_sinks(5);
-  const std::unique_ptr<FusedChain> fused = FuseChain(*fused_sinks.ns);
-  ASSERT_NE(fused, nullptr);
-  FeedRandomColumns(records, 150, *unfused.ns);
-  FeedRandomColumns(records, 150, *fused);
-  ExpectSummaryIdentical(unfused.summary, fused_sinks.summary);
-  ExpectSeriesIdentical(unfused.agg.packets_in(), fused_sinks.agg.packets_in());
-  ExpectSeriesIdentical(unfused.agg.wire_bytes_out(), fused_sinks.agg.wire_bytes_out());
-  ExpectSessionsIdentical(unfused.sessions.Finish(), fused_sinks.sessions.Finish());
-  EXPECT_EQ(unfused.counting.packets(), fused_sinks.counting.packets());
-  EXPECT_EQ(unfused.counting.app_bytes(), fused_sinks.counting.app_bytes());
-  EXPECT_EQ(unfused.vec.records(), fused_sinks.vec.records());
-  // The namespace shift reached every terminal exactly once: 10 -> 15.
-  ASSERT_FALSE(fused_sinks.vec.records().empty());
-  EXPECT_EQ(fused_sinks.vec.records()[0].client_ip.value() >> 24, 15u);
-}
-
-TEST(FusedChain, ScalarAndBatchTiersMatchColumns) {
-  const auto records = RandomStream(51, kStreamLen);
-  Chain a(3), b(3), c(3);
-  const std::unique_ptr<FusedChain> fa = FuseChain(*a.ns);
-  const std::unique_ptr<FusedChain> fb = FuseChain(*b.ns);
-  const std::unique_ptr<FusedChain> fc = FuseChain(*c.ns);
-  FeedScalar(records, *fa);
-  for (std::size_t i = 0; i < records.size(); i += 512) {
-    const std::size_t len = std::min<std::size_t>(512, records.size() - i);
-    fb->OnBatch(std::span<const net::PacketRecord>(records).subspan(i, len));
+class BatchRecorder final : public CaptureSink {
+ public:
+  explicit BatchRecorder(LiveCapture& out) : out_(&out) {}
+  void OnColumns(const net::PacketBatch& batch) override {
+    batch.MaterializeInto(out_->records);
+    out_->batch_sizes.push_back(batch.count);
   }
-  FeedRandomColumns(records, 151, *fc);
-  ExpectSummaryIdentical(a.summary, c.summary);
-  ExpectSummaryIdentical(b.summary, c.summary);
-  EXPECT_EQ(a.vec.records(), c.vec.records());
-  EXPECT_EQ(b.vec.records(), c.vec.records());
-  ExpectSessionsIdentical(a.sessions.Finish(), c.sessions.Finish());
+
+ private:
+  LiveCapture* out_;
+};
+
+const LiveCapture& SharedLiveCapture() {
+  static const LiveCapture capture = [] {
+    LiveCapture c;
+    BatchRecorder recorder(c);
+    sim::Simulator simulator;
+    game::CsServer server(simulator, game::GameConfig::ScaledDefaults(300.0), recorder);
+    server.Run();
+    return c;
+  }();
+  return capture;
 }
 
-TEST(FusedChain, FlattensNestedNamespacesAndTees) {
-  CountingSink counting;
-  TraceSummary summary;
-  TeeSink inner_tee;
-  inner_tee.Attach(counting);
-  inner_tee.Attach(summary);
-  ShardNamespaceSink inner_ns(2, inner_tee);
-  VectorSink vec;
-  TeeSink outer_tee;
-  outer_tee.Attach(inner_ns);
-  outer_tee.Attach(vec);
-  ShardNamespaceSink outer_ns(1, outer_tee);
-
-  const std::unique_ptr<FusedChain> fused = FuseChain(outer_ns);
-  ASSERT_NE(fused, nullptr);
-  const auto& terminals = fused->terminals();
-  ASSERT_EQ(terminals.size(), 3u);
-  // DFS order: inner tee's terminals first (shift 1+2 octets), then vec
-  // (shift 1 octet).
-  EXPECT_EQ(terminals[0].kind, FusedChain::TerminalKind::kCounting);
-  EXPECT_EQ(terminals[0].ip_shift, 3u << 24);
-  EXPECT_EQ(terminals[1].kind, FusedChain::TerminalKind::kSummary);
-  EXPECT_EQ(terminals[1].ip_shift, 3u << 24);
-  EXPECT_EQ(terminals[2].kind, FusedChain::TerminalKind::kGeneric);
-  EXPECT_EQ(terminals[2].ip_shift, 1u << 24);
-
-  // And the delivered IPs reflect the per-terminal accumulated shifts.
-  const auto records = RandomStream(52, 64);
+void FeedLiveBatches(CaptureSink& sink) {
+  const LiveCapture& c = SharedLiveCapture();
+  const std::span<const net::PacketRecord> all(c.records);
   net::ColumnarBatch columns;
-  columns.Append(records);
-  fused->OnColumns(columns.View());
-  ASSERT_FALSE(vec.records().empty());
-  EXPECT_EQ(vec.records()[0].client_ip.value() >> 24, 11u);
-  EXPECT_EQ(summary.total_packets(), records.size());
+  std::size_t at = 0;
+  for (const std::size_t n : c.batch_sizes) {
+    columns.Clear();
+    columns.Append(all.subspan(at, n));
+    sink.OnColumns(columns.View());
+    at += n;
+  }
 }
 
-TEST(FusedChain, BareTerminalIsNotFused) {
-  CountingSink counting;
-  EXPECT_EQ(FuseChain(counting), nullptr);
-  TraceSummary summary;
-  EXPECT_EQ(FuseChain(summary), nullptr);
+// Feeds `live` the server's batches and `rows` the same stream row by row.
+void FeedLiveAndRows(CaptureSink& live, CaptureSink& rows) {
+  FeedLiveBatches(live);
+  FeedRows(SharedLiveCapture().records, rows);
+}
+
+TEST(BatchProperty, CountingSinkIdentical) {
+  CountingSink live, rows;
+  FeedLiveAndRows(live, rows);
+  EXPECT_EQ(live.packets(), SharedLiveCapture().records.size());
+  EXPECT_EQ(live.packets_in(), rows.packets_in());
+  EXPECT_EQ(live.packets_out(), rows.packets_out());
+  EXPECT_EQ(live.app_bytes(), rows.app_bytes());
+}
+
+TEST(BatchProperty, VectorSinkIdentical) {
+  VectorSink live, rows;
+  FeedLiveAndRows(live, rows);
+  EXPECT_EQ(live.records(), SharedLiveCapture().records);
+  EXPECT_EQ(rows.records(), SharedLiveCapture().records);
+}
+
+TEST(BatchProperty, LoadAggregatorIdentical) {
+  // 10 ms bins: tick batches span several bins, and their pre-dated
+  // client sends break same-bin runs mid-batch.
+  LoadAggregator live(0.010), rows(0.010);
+  FeedLiveAndRows(live, rows);
+  ExpectSeriesIdentical(live.packets_in(), rows.packets_in());
+  ExpectSeriesIdentical(live.packets_out(), rows.packets_out());
+  ExpectSeriesIdentical(live.wire_bytes_in(), rows.wire_bytes_in());
+  ExpectSeriesIdentical(live.wire_bytes_out(), rows.wire_bytes_out());
+}
+
+TEST(BatchProperty, TraceSummaryIdentical) {
+  TraceSummary live, rows;
+  FeedLiveAndRows(live, rows);
+  EXPECT_GT(live.attempted_connections(), 0u);
+  ExpectSummaryIdentical(live, rows);
+}
+
+TEST(BatchProperty, SessionTrackerIdentical) {
+  SessionTracker live(5.0), rows(5.0);
+  FeedLiveAndRows(live, rows);
+  EXPECT_EQ(live.unique_clients(), rows.unique_clients());
+  ExpectSessionsIdentical(live.Finish(), rows.Finish());
+}
+
+TEST(BatchProperty, FilterSinkIdentical) {
+  VectorSink live_out, rows_out;
+  FilterSink live(KindIs(net::PacketKind::kGameUpdate), live_out);
+  FilterSink rows(KindIs(net::PacketKind::kGameUpdate), rows_out);
+  FeedLiveAndRows(live, rows);
+  EXPECT_GT(live.dropped(), 0u);
+  EXPECT_EQ(live.passed(), rows.passed());
+  EXPECT_EQ(live.dropped(), rows.dropped());
+  EXPECT_EQ(live_out.records(), rows_out.records());
+}
+
+TEST(BatchProperty, CharacterizerReportIdentical) {
+  // Non-default geometry: 10 s load bins, a 120 s variance-time window
+  // and a short idle timeout that closes sessions mid-stream.
+  core::CharacterizationOptions options;
+  options.minute_interval = 10.0;
+  options.vt_window = 120.0;
+  options.session_idle_timeout = 5.0;
+  core::Characterizer live(options), rows(options);
+  FeedLiveAndRows(live, rows);
+  ExpectReportIdentical(live.Finish(300.0), rows.Finish(300.0));
+}
+
+// End to end: a characterizer fed live per-tick batches by the server must
+// produce the same report as one fed the captured stream record by record.
+TEST(BatchProperty, LiveServerBatchesMatchScalarReplay) {
+  game::GameConfig cfg = game::GameConfig::ScaledDefaults(600.0);
+  sim::Simulator simulator;
+  core::CharacterizationOptions options;
+  options.vt_window = 600.0;
+  core::Characterizer live(options);
+  VectorSink capture;
+  TeeSink tee;
+  tee.Attach(capture);
+  tee.Attach(live);
+  game::CsServer server(simulator, cfg, tee);
+  server.Run();
+
+  core::Characterizer replayed(options);
+  FeedRows(capture.records(), replayed);
+  ExpectReportIdentical(live.Finish(cfg.trace_duration), replayed.Finish(cfg.trace_duration));
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
 // Merge correctness for the trace-layer sinks: a merged accumulator must
 // equal one accumulator fed the union of the shards' packet streams, and
-// ShardNamespaceSink must keep shard flows disjoint.
+// the per-server client IP shift must keep shard flows disjoint.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <utility>
 #include <vector>
 
+#include "game/client.h"
+#include "game/config.h"
+#include "game/cs_server.h"
 #include "sim/rng.h"
+#include "sim/simulator.h"
 #include "trace/aggregator.h"
 #include "trace/capture.h"
 #include "trace/session_tracker.h"
@@ -187,58 +191,80 @@ TEST(SessionTrackerMerge, RejectsTimeoutMismatch) {
   EXPECT_THROW(a.Merge(std::move(b)), gametrace::ContractViolation);
 }
 
-TEST(ShardNamespaceSink, RewritesClientAddressPerShard) {
-  VectorSink captured;
-  ShardNamespaceSink shard3(3, captured);
-  shard3.OnPacket(MakeRecord(1.0, net::Direction::kClientToServer, 40,
-                             net::PacketKind::kGameUpdate, 0x0A001234, 4242));
-  ASSERT_EQ(captured.records().size(), 1u);
-  const auto& r = captured.records()[0];
-  EXPECT_EQ(r.client_ip.value(), 0x0D001234u);  // 10.x -> 13.x for shard 3
-  EXPECT_EQ(r.client_port, 4242);
-  EXPECT_EQ(r.app_bytes, 40);
-  EXPECT_DOUBLE_EQ(r.timestamp, 1.0);
+// ---- Shard IP namespaces (GameConfig::client_ip_shift) --------------------
 
-  VectorSink base;
-  ShardNamespaceSink shard0(0, base);
-  shard0.OnPacket(MakeRecord(1.0, net::Direction::kClientToServer, 40,
-                             net::PacketKind::kGameUpdate, 0x0A001234));
-  EXPECT_EQ(base.records()[0].client_ip.value(), 0x0A001234u);  // shard 0 untouched
+// Runs a calibrated server with the given client shift and captures every
+// emitted record; `listener` (may be null) observes the game log.
+std::vector<net::PacketRecord> CaptureServer(std::uint32_t shift,
+                                             game::ServerEventListener* listener = nullptr) {
+  game::GameConfig config = game::GameConfig::ScaledDefaults(30.0);
+  config.client_ip_shift = shift;
+  sim::Simulator simulator;
+  VectorSink capture;
+  game::CsServer server(simulator, config, capture);
+  if (listener != nullptr) server.AddListener(*listener);
+  server.Run();
+  return capture.TakeRecords();
 }
 
-TEST(ShardNamespaceSink, ExplicitShiftAppliesArbitraryPackedOffsets) {
-  // The fleet's packed namespace hands the sink a precomputed shift: top
-  // octet plus a sub-namespace offset in the host bits the identity pool
-  // leaves unused (game::ShardIpShift). The sink just adds it.
-  VectorSink captured;
-  ShardNamespaceSink packed(ShardNamespaceSink::ExplicitShift{(3u << 24) | 7u}, captured);
-  packed.OnPacket(MakeRecord(1.0, net::Direction::kClientToServer, 40,
-                             net::PacketKind::kGameUpdate, 0x0A001200, 4242));
-  ASSERT_EQ(captured.records().size(), 1u);
-  EXPECT_EQ(captured.records()[0].client_ip.value(), 0x0D001207u);
-  EXPECT_EQ(packed.shard_shift(), (3u << 24) | 7u);
-
-  // An explicit shift equal to the classic per-octet one behaves exactly
-  // like the shard-id constructor.
-  VectorSink classic;
-  ShardNamespaceSink by_id(3, classic);
-  EXPECT_EQ(by_id.shard_shift(), 3u << 24);
+// Every emitted record equals the unshifted run's record plus the shift on
+// the client address, and nothing else.
+void ExpectShiftedBy(const std::vector<net::PacketRecord>& base,
+                     const std::vector<net::PacketRecord>& shifted, std::uint32_t shift) {
+  ASSERT_FALSE(base.empty());
+  ASSERT_EQ(base.size(), shifted.size());
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    net::PacketRecord expected = base[i];
+    expected.client_ip = net::Ipv4Address(base[i].client_ip.value() + shift);
+    ASSERT_EQ(shifted[i], expected) << "record " << i;
+  }
 }
 
-TEST(ShardNamespaceSink, DistinctShardsNeverCollide) {
+TEST(ShardIpShift, RewritesClientAddressOfEveryRecord) {
+  const auto base = CaptureServer(0);
+  for (const auto& r : base) ASSERT_EQ(r.client_ip.value() >> 24, 10u);
+  ExpectShiftedBy(base, CaptureServer(3u << 24), 3u << 24);  // 10.x -> 13.x
+}
+
+TEST(ShardIpShift, PackedShiftAddsHostBitOffsets) {
+  // Past 245 servers the shift also carries a sub-namespace offset in the
+  // host bits the identity pool leaves unused; the server just adds it.
+  const std::size_t population = game::SessionConfig{}.population;
+  EXPECT_EQ(game::ShardIpShift(3, population), 3u << 24);
+  const std::uint32_t packed = game::ShardIpShift(246 + 3, population);
+  EXPECT_EQ(packed, (3u << 24) | 1u);
+  ExpectShiftedBy(CaptureServer(0), CaptureServer(packed), packed);
+}
+
+TEST(ShardIpShift, GameLogKeepsIdentityAddresses) {
+  struct ConnectLog : game::ServerEventListener {
+    void OnConnect(double /*t*/, const game::ActiveClient& client) override {
+      ips.push_back(client.ip.value());
+    }
+    std::vector<std::uint32_t> ips;
+  };
+  ConnectLog log;
+  (void)CaptureServer(3u << 24, &log);
+  ASSERT_FALSE(log.ips.empty());
+  for (const std::uint32_t ip : log.ips) EXPECT_EQ(ip >> 24, 10u);
+}
+
+TEST(ShardIpShift, DistinctShardsNeverCollide) {
   // Identical per-shard streams stay disjoint after namespacing, so a merged
-  // tracker sees shards * clients sessions.
+  // tracker sees every shard's sessions side by side.
+  const std::size_t population = game::SessionConfig{}.population;
+  SessionTracker single(30.0);
+  Replay(CaptureServer(0), single);
+  const std::size_t per_shard = single.Finish().size();
+  ASSERT_GT(per_shard, 0u);
+
   SessionTracker merged(30.0);
   for (std::uint32_t shard = 0; shard < 4; ++shard) {
     SessionTracker tracker(30.0);
-    ShardNamespaceSink ns(shard, tracker);
-    for (int i = 0; i < 6; ++i) {
-      ns.OnPacket(MakeRecord(i * 1.0, net::Direction::kClientToServer, 40,
-                             net::PacketKind::kGameUpdate, 0x0A000001 + (i % 2)));
-    }
+    Replay(CaptureServer(game::ShardIpShift(shard, population)), tracker);
     merged.Merge(std::move(tracker));
   }
-  EXPECT_EQ(merged.Finish().size(), 8u);
+  EXPECT_EQ(merged.Finish().size(), 4 * per_shard);
 }
 
 }  // namespace

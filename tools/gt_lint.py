@@ -15,14 +15,12 @@ determinism and locking contracts stay compile-time artifacts:
                     so it must never reach a fold or serialization order.
                     Order-independent folds (commutative integer sums)
                     carry a `gt-lint: allow(...)` justification comment.
-  sink-tier         CaptureSink subclasses keep the three delivery tiers
-                    coherent: a sink overriding OnColumns must override
-                    OnBatch too (otherwise AoS producers silently fall to
-                    the per-packet loop while columnar producers take the
-                    kernel - the tiers must stay equivalent AND comparable
-                    in cost), and every tier method must be spelled
-                    `override`/`final` so hiding never masquerades as
-                    overriding.
+  sink-tier         CaptureSink subclasses under src/ implement the one
+                    delivery tier, OnColumns, and nothing else: OnPacket
+                    and OnBatch are base-class adapters over it, so an
+                    override would fork the stream a sink sees by entry
+                    point. OnColumns must be spelled `override`/`final`
+                    so hiding never masquerades as overriding.
   raw-contract      GT_CHECK/GT_DCHECK instead of raw assert(), and no
                     bare `throw` of foreign types in src/ - only the
                     environmental error types (net::PcapError,
@@ -36,12 +34,8 @@ determinism and locking contracts stay compile-time artifacts:
                     Analysis, so a raw std::mutex rots the annotation
                     layer.
 
-Engines: with python3-clang + libclang installed, files are analyzed on
-the real Clang AST (`--engine libclang`); otherwise a built-in lexer
-engine (`--engine lex`) implements the same rules on comment/string-
-stripped source. `--engine auto` (default) prefers libclang and falls
-back per-file on parse failure, so the tool runs everywhere, including
-containers with no LLVM at all.
+The rules run on comment/string-stripped source (a built-in lexer), so
+the tool needs nothing beyond Python and runs everywhere.
 
 Findings diff against a committed baseline (tools/gt_lint_baseline.txt):
 new findings fail, and entries that no longer fire also fail until the
@@ -92,8 +86,6 @@ NONDET_TYPES = {"random_device", "system_clock", "high_resolution_clock"}
 
 UNORDERED_RE = re.compile(r"std\s*::\s*unordered_(?:map|set|multimap|multiset)\b")
 
-SINK_TIER_METHODS = ("OnPacket", "OnBatch", "OnColumns")
-
 # Exception types src/ code may throw (environmental errors + the contract
 # machinery itself). Compared against the last :: component.
 THROW_ALLOWLIST = {"PcapError", "TraceError", "ContractViolation"}
@@ -132,7 +124,7 @@ class Finding:
 
 
 # ---------------------------------------------------------------------------
-# Source preparation shared by both engines
+# Source preparation
 # ---------------------------------------------------------------------------
 
 def strip_comments_and_strings(text: str) -> str:
@@ -246,7 +238,7 @@ def apply_suppressions(
 
 
 # ---------------------------------------------------------------------------
-# Lex engine: function mapping + rule scans over stripped source
+# Function mapping + rule scans over stripped source
 # ---------------------------------------------------------------------------
 
 KEYWORDS_NOT_FUNCTIONS = {
@@ -374,8 +366,6 @@ def normalize_anchor(line: str) -> str:
 
 class LexEngine:
     """Rule implementation over comment/string-stripped source text."""
-
-    name = "lex"
 
     def __init__(self, root: str):
         self.root = root
@@ -546,25 +536,20 @@ class LexEngine:
                         stop = ch_i
                         break
                 decls[dm.group(1)] = (body_start + dm.start(), body[close:stop])
-            if not decls:
-                continue
             for name, (at, quals) in decls.items():
-                if "override" not in quals and "final" not in quals:
+                if name != "OnColumns":
                     findings.append(Finding(
                         "sink-tier", relpath, line_of(clean, at),
-                        f"{cls}::{name} re-declares a CaptureSink delivery tier "
-                        "without `override` - hiding would silently fork the "
-                        "tier contract",
+                        f"{cls}::{name} overrides a record-at-a-time adapter - "
+                        "sinks implement only OnColumns (iterate "
+                        "PacketBatch::RecordAt for per-record logic)",
                         normalize_anchor(line_text(raw, at))))
-            if "OnColumns" in decls and "OnBatch" not in decls:
-                at = decls["OnColumns"][0]
-                findings.append(Finding(
-                    "sink-tier", relpath, line_of(clean, at),
-                    f"{cls} overrides OnColumns but not OnBatch - AoS batches "
-                    "would fall to the per-packet loop while columnar batches "
-                    "take the kernel; implement OnBatch (or route it through "
-                    "the columnar path) to keep the three tiers coherent",
-                    normalize_anchor(line_text(raw, at))))
+                elif "override" not in quals and "final" not in quals:
+                    findings.append(Finding(
+                        "sink-tier", relpath, line_of(clean, at),
+                        f"{cls}::OnColumns re-declares the CaptureSink delivery "
+                        "tier without `override` - hiding would silently fork it",
+                        normalize_anchor(line_text(raw, at))))
         return findings
 
     def _rule_raw_contract(self, relpath, raw, clean) -> list[Finding]:
@@ -613,204 +598,6 @@ class LexEngine:
 
 
 # ---------------------------------------------------------------------------
-# libclang engine
-# ---------------------------------------------------------------------------
-
-class LibclangUnavailable(Exception):
-    pass
-
-
-class LibclangEngine:
-    """Same rules, evaluated on the Clang AST via python clang.cindex."""
-
-    name = "libclang"
-
-    def __init__(self, root: str):
-        self.root = root
-        try:
-            from clang import cindex  # noqa: PLC0415
-        except ImportError as exc:
-            raise LibclangUnavailable(f"python clang bindings not importable: {exc}")
-        self.cindex = cindex
-        try:
-            self.index = cindex.Index.create()
-        except Exception as exc:  # library not found / version mismatch
-            raise LibclangUnavailable(f"libclang not loadable: {exc}")
-        self._lex = LexEngine(root)
-
-    def lint_file(self, relpath: str) -> list[Finding]:
-        try:
-            return self._lint_ast(relpath)
-        except Exception as exc:
-            print(f"note: libclang failed on {relpath} ({exc}); lex fallback",
-                  file=sys.stderr)
-            return self._lex.lint_file(relpath)
-
-    # -- AST walk ---------------------------------------------------------
-
-    def _parse(self, relpath: str):
-        cindex = self.cindex
-        full = os.path.join(self.root, relpath)
-        args = ["-x", "c++", "-std=c++20", f"-I{os.path.join(self.root, 'src')}",
-                "-Wno-everything"]
-        tu = self.index.parse(
-            full, args=args,
-            options=cindex.TranslationUnit.PARSE_DETAILED_PROCESSING_RECORD)
-        return tu
-
-    def _in_file(self, cursor, relpath: str) -> bool:
-        loc = cursor.location
-        if loc.file is None:
-            return False
-        return os.path.abspath(loc.file.name) == os.path.abspath(
-            os.path.join(self.root, relpath))
-
-    def _finding(self, rule, relpath, cursor, message) -> Finding:
-        loc = cursor.location
-        try:
-            with open(os.path.join(self.root, relpath), encoding="utf-8",
-                      errors="replace") as fh:
-                lines = fh.read().splitlines()
-            anchor = normalize_anchor(lines[loc.line - 1]) if loc.line <= len(lines) else ""
-        except OSError:
-            anchor = ""
-        return Finding(rule, relpath, loc.line, message, anchor)
-
-    def _lint_ast(self, relpath: str) -> list[Finding]:
-        ck = self.cindex.CursorKind
-        tu = self._parse(relpath)
-        fatal = [d for d in tu.diagnostics if d.severity >= 4]
-        if fatal:
-            raise RuntimeError(f"fatal parse diagnostics: {fatal[0].spelling}")
-
-        findings: list[Finding] = []
-        in_det_dir = any(
-            relpath.startswith(d + "/") or os.path.dirname(relpath) == d
-            for d in DETERMINISM_DIRS)
-
-        raw = open(os.path.join(self.root, relpath), encoding="utf-8",
-                   errors="replace").read()
-        clean = strip_comments_and_strings(raw)
-
-        def walk(cursor, emit_fn=None):
-            for child in cursor.get_children():
-                child_emit = emit_fn
-                if child.kind in (ck.CXX_METHOD, ck.FUNCTION_DECL, ck.CONSTRUCTOR,
-                                  ck.DESTRUCTOR, ck.FUNCTION_TEMPLATE):
-                    child_emit = child.spelling if (
-                        child.is_definition() and EMIT_FUNC_RE.match(child.spelling or "")
-                    ) else None
-                if self._in_file(child, relpath):
-                    self._visit(child, child_emit, relpath, in_det_dir, findings)
-                walk(child, child_emit)
-
-        walk(tu.cursor)
-
-        # Macro-level rules the AST hides (assert expands away) and the
-        # token-level mutex rule run on the lexer's representation - the
-        # semantics are textual anyway.
-        findings += self._lex._rule_raw_contract(relpath, raw, clean)
-        findings += self._lex._rule_raw_mutex(relpath, raw, clean)
-        findings += self._sink_tier(tu, relpath)
-        return findings
-
-    def _visit(self, cursor, emit_fn, relpath, in_det_dir, findings):
-        ck = self.cindex.CursorKind
-        if not in_det_dir or emit_fn is None:
-            return
-        if cursor.kind == ck.CALL_EXPR:
-            callee = cursor.spelling or ""
-            if callee in NONDET_CALLS:
-                ref = cursor.referenced
-                is_member = ref is not None and ref.kind == ck.CXX_METHOD
-                if not is_member:
-                    findings.append(self._finding(
-                        "nondet-call", relpath, cursor,
-                        f"nondeterminism source `{callee}()` inside report/merge/"
-                        f"emit path `{emit_fn}` - outputs must be a pure function "
-                        "of (config, seed); use sim::Rng streams"))
-        if cursor.kind in (ck.TYPE_REF, ck.DECL_REF_EXPR):
-            last = (cursor.spelling or "").split("::")[-1]
-            if last in NONDET_TYPES:
-                findings.append(self._finding(
-                    "nondet-call", relpath, cursor,
-                    f"nondeterministic type/clock `{last}` inside report/merge/"
-                    f"emit path `{emit_fn}`"))
-        if cursor.kind == ck.CXX_FOR_RANGE_STMT:
-            children = list(cursor.get_children())
-            if children:
-                range_expr = children[-2] if len(children) >= 2 else children[0]
-                t = range_expr.type.get_canonical().spelling if range_expr.type else ""
-                if "unordered_" in t:
-                    findings.append(self._finding(
-                        "nondet-iteration", relpath, cursor,
-                        f"range-for over `{t}` in `{emit_fn}` - hash order is "
-                        "not deterministic; iterate a sorted view or justify "
-                        "order-independence with a gt-lint allow"))
-        if cursor.kind == ck.CALL_EXPR and cursor.spelling in (
-                "begin", "end", "cbegin", "cend"):
-            base = next(iter(cursor.get_children()), None)
-            base_t = ""
-            if base is not None:
-                for sub in base.walk_preorder():
-                    if sub.type and "unordered_" in sub.type.get_canonical().spelling:
-                        base_t = sub.type.get_canonical().spelling
-                        break
-            if base_t:
-                findings.append(self._finding(
-                    "nondet-iteration", relpath, cursor,
-                    f"begin()/end() on `{base_t}` in `{emit_fn}` - hash-order "
-                    "iteration in an emit/merge path"))
-
-    def _sink_tier(self, tu, relpath) -> list[Finding]:
-        ck = self.cindex.CursorKind
-        findings: list[Finding] = []
-
-        def derives_capture_sink(cursor) -> bool:
-            for base in cursor.get_children():
-                if base.kind != ck.CXX_BASE_SPECIFIER:
-                    continue
-                if "CaptureSink" in base.type.spelling:
-                    return True
-                ref = base.referenced
-                if ref is not None and ref.kind in (ck.CLASS_DECL, ck.STRUCT_DECL):
-                    if derives_capture_sink(ref):
-                        return True
-            return False
-
-        def scan(cursor):
-            for child in cursor.get_children():
-                if child.kind in (ck.CLASS_DECL, ck.STRUCT_DECL) and \
-                        child.is_definition() and self._in_file(child, relpath) and \
-                        child.spelling != "CaptureSink" and derives_capture_sink(child):
-                    decls = {}
-                    for method in child.get_children():
-                        if method.kind == ck.CXX_METHOD and \
-                                method.spelling in SINK_TIER_METHODS:
-                            tokens = {t.spelling for t in method.get_tokens()}
-                            decls[method.spelling] = (method, tokens)
-                    for name, (method, tokens) in decls.items():
-                        if "override" not in tokens and "final" not in tokens:
-                            findings.append(self._finding(
-                                "sink-tier", relpath, method,
-                                f"{child.spelling}::{name} re-declares a "
-                                "CaptureSink delivery tier without `override` - "
-                                "hiding would silently fork the tier contract"))
-                    if "OnColumns" in decls and "OnBatch" not in decls:
-                        findings.append(self._finding(
-                            "sink-tier", relpath, decls["OnColumns"][0],
-                            f"{child.spelling} overrides OnColumns but not "
-                            "OnBatch - AoS batches would fall to the per-packet "
-                            "loop while columnar batches take the kernel; "
-                            "implement OnBatch (or route it through the columnar "
-                            "path) to keep the three tiers coherent"))
-                scan(child)
-
-        scan(tu.cursor)
-        return findings
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -850,21 +637,9 @@ def write_baseline(path: str, findings: list[Finding]) -> None:
             fh.write(f"{f.baseline_key()}  # {f.path}:{f.line}\n")
 
 
-def make_engine(kind: str, root: str):
-    if kind == "lex":
-        return LexEngine(root)
-    if kind == "libclang":
-        return LibclangEngine(root)  # raises LibclangUnavailable
-    try:
-        return LibclangEngine(root)
-    except LibclangUnavailable as exc:
-        print(f"note: {exc}; using built-in lex engine", file=sys.stderr)
-        return LexEngine(root)
-
-
-def run(root: str, engine_kind: str, baseline_path: str, paths: list[str],
+def run(root: str, baseline_path: str, paths: list[str],
         update_baseline: bool, report_path: str | None) -> int:
-    engine = make_engine(engine_kind, root)
+    engine = LexEngine(root)
     files = paths or discover_files(root)
 
     findings: list[Finding] = []
@@ -900,7 +675,7 @@ def run(root: str, engine_kind: str, baseline_path: str, paths: list[str],
             new_findings.append(f)
 
     lines: list[str] = []
-    lines.append(f"gt_lint ({engine.name} engine): {len(files)} file(s), "
+    lines.append(f"gt_lint: {len(files)} file(s), "
                  f"{len(findings)} finding(s), "
                  f"{len(findings) - len(new_findings)} baselined, "
                  f"{len(new_findings)} new")
@@ -936,8 +711,6 @@ def main(argv: list[str]) -> int:
         help="repository root (default: parent of tools/)")
     parser.add_argument("--baseline", default=None,
                         help="baseline file (default: tools/gt_lint_baseline.txt)")
-    parser.add_argument("--engine", choices=("auto", "libclang", "lex"),
-                        default="auto")
     parser.add_argument("--report", default=None,
                         help="also write the report to this file")
     parser.add_argument("--update-baseline", action="store_true",
@@ -947,13 +720,8 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     baseline = args.baseline or os.path.join(args.root, "tools", "gt_lint_baseline.txt")
-    try:
-        return run(args.root, args.engine, baseline,
-                   [p.replace(os.sep, "/") for p in args.paths],
-                   args.update_baseline, args.report)
-    except LibclangUnavailable as exc:
-        print(f"error: --engine libclang requested but {exc}", file=sys.stderr)
-        return 2
+    return run(args.root, baseline, [p.replace(os.sep, "/") for p in args.paths],
+               args.update_baseline, args.report)
 
 
 if __name__ == "__main__":
