@@ -189,7 +189,7 @@ int Fleet(const std::vector<std::string>& args, obs::ExportSession& session) {
   core::FleetConfig config = core::FleetConfig::Scaled(shards, seconds);
   if (args.size() > 2) config.threads = std::stoi(args[2]);
   if (args.size() > 3) config.base_seed = std::stoull(args[3]);
-  config.schedule.trace = true;
+  config.sched_trace = true;
   const core::FleetResult result = core::RunFleet(config);
   session.RecordScheduler(result.scheduler_metrics, result.sched_report, result.sched_trace);
 
@@ -204,7 +204,7 @@ int Fleet(const std::vector<std::string>& args, obs::ExportSession& session) {
   for (const obs::SchedReport::Worker& w : report.per_worker) {
     std::cout << "  worker " << w.worker << ": busy "
               << core::FormatDouble(w.busy_ratio * 100.0, 1) << "%  units " << w.units
-              << "  shards " << w.shards << "  steals " << w.steals << "\n";
+              << "  shards " << w.shards << "\n";
   }
   for (const obs::Alert& alert : report.alerts) {
     std::cout << "  ALERT " << alert.rule << ": "

@@ -3,17 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <exception>
 #include <optional>
 #include <string>
 #include <thread>
 #include <utility>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #include "core/thread_annotations.h"
 #include "game/client.h"
@@ -55,16 +49,13 @@ struct UnitResult {
 // worker's lifetime (span_ns); BuildSchedReport derives the residual idle
 // term, so the decomposition always sums to the measured span exactly.
 struct WorkerTelemetry {
-  std::uint64_t steals = 0;
   std::uint64_t work_ns = 0;   // executing unit shards
-  std::uint64_t steal_ns = 0;  // scanning peer queues (hit or miss)
   std::uint64_t stall_ns = 0;  // blocked on the reduction admission window
   std::uint64_t merge_ns = 0;  // inside Commit (parking + cursor folds)
   std::uint64_t span_ns = 0;   // worker start to worker exit
   std::uint64_t shards_run = 0;
   std::uint64_t units_run = 0;
-  std::vector<std::uint64_t> steal_hits;     // per-victim successful steals
-  std::vector<obs::SchedUnitSample> units;   // one record per executed unit
+  std::vector<obs::SchedUnitSample> units;  // one record per executed unit
 };
 
 // Wall-clock for the scheduler's diagnostic channel. steady_clock by
@@ -78,26 +69,49 @@ std::uint64_t NsBetween(SchedClock::time_point t0, SchedClock::time_point t1) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
 }
 
-// One work-stealing deque. Units are dealt round-robin, so every queue
-// holds an ascending sequence and queue k's front is the lowest unclaimed
-// unit of worker k. Own pops take the front, steals take the back of the
-// fullest victim: together with FIFO pops this keeps the globally lowest
-// unclaimed unit at some queue front, which is what makes the admission
-// window deadlock-free (the worker owning that front is never blocked on a
-// higher unit than the one it will claim next).
-struct WorkerQueue {
-  core::Mutex m;
-  std::deque<int> q GT_GUARDED_BY(m);
-};
+// Per-worker event cap for the scheduler timeline; past it a track counts
+// drops (TraceLog::dropped) instead of growing.
+constexpr std::size_t kSchedTraceMaxEventsPerWorker = std::size_t{1} << 16;
+
+// The one place worker threads are spawned: runs body(0), ..., body(workers
+// - 1), each on its own thread (inline on the caller when workers == 1),
+// joins them all, then rethrows the first exception any body threw. A body
+// that throws must first make its peers wind down, or the join waits for
+// them to finish their remaining work.
+void RunWorkers(int workers, FunctionRef<void(int)> body) {
+  if (workers == 1) {
+    body(0);
+    return;
+  }
+  struct ErrorSlot {
+    core::Mutex m;
+    std::exception_ptr error GT_GUARDED_BY(m);
+  } slot;
+  {
+    // jthread joins on destruction, so the workers already started are
+    // joined even when spawning a later one throws.
+    std::vector<std::jthread> pool;
+    pool.reserve(static_cast<std::size_t>(workers));
+    for (int w = 0; w < workers; ++w) {
+      pool.emplace_back([&slot, body, w] {
+        try {
+          body(w);
+        } catch (...) {
+          const core::MutexLock lock(slot.m);
+          if (!slot.error) slot.error = std::current_exception();
+        }
+      });
+    }
+  }
+  const core::MutexLock lock(slot.m);  // uncontended: every worker is joined
+  if (slot.error) std::rethrow_exception(slot.error);
+}
 
 // The streaming ordered reduction. Completed-but-unmerged units park in a
 // bounded ring; in-flight units always lie in [cursor, cursor + window),
 // so indexing by unit % window is collision-free and the ring is the whole
-// memory bound. Every piece of cross-worker state is a member here, with
-// its locking contract in the type: the master accumulators and the
-// cursor/ring under m_, the first-error slot under error_m_, and the
-// failure flag an atomic whose publication protocol is documented at its
-// store site.
+// memory bound. Every piece of cross-worker state is a member here, guarded
+// by m_.
 class StreamingReduction {
  public:
   StreamingReduction(int servers, int window_units)
@@ -105,32 +119,22 @@ class StreamingReduction {
         parked_(static_cast<std::size_t>(window_units)),
         shard_outcomes_(static_cast<std::size_t>(servers)) {}
 
-  // Fast-path check for worker loops. memory_order_acquire pairs with the
-  // release store in Poison(): a worker that observes the flag also
-  // observes every write the failing worker published before raising it
-  // (the error itself is additionally ordered by error_m_, so acquire here
-  // is belt-and-braces for the flag's own consumers, not a correctness
-  // requirement).
-  [[nodiscard]] bool Failed() const noexcept {
-    return failed_.load(std::memory_order_acquire);
-  }
-
   // Admission: holds the *claimed* unit until it fits the live window.
   // Waiting here (not before claiming) is what bounds memory - the unit's
-  // results do not exist yet. Returns false if the run failed while
-  // waiting; accumulates any blocked time into `stall_ns`.
+  // results do not exist yet. Units are claimed in ascending order, so the
+  // unit at the merge cursor is always claimed, and its claimer never waits
+  // here (cursor < cursor + window): the fold always progresses. Returns
+  // false if the run failed; accumulates any blocked time into `stall_ns`.
   [[nodiscard]] bool Admit(int unit, std::uint64_t& stall_ns) GT_EXCLUDES(m_) {
     const core::MutexLock lock(m_);
-    if (unit >= cursor_ + window_units_ && !failed_.load(std::memory_order_relaxed)) {
+    if (unit >= cursor_ + window_units_ && !failed_) {
       const auto wait_start = SchedClock::now();
       // Guarded predicate spelled as an explicit loop: a wait lambda would
       // read cursor_ outside any annotated scope (see CondVar::Wait note).
-      while (!failed_.load(std::memory_order_relaxed) && unit >= cursor_ + window_units_) {
-        admission_cv_.Wait(m_);
-      }
+      while (!failed_ && unit >= cursor_ + window_units_) admission_cv_.Wait(m_);
       stall_ns += NsBetween(wait_start, SchedClock::now());
     }
-    if (failed_.load(std::memory_order_relaxed)) return false;
+    if (failed_) return false;
     ++live_units_;
     peak_live_units_ = std::max(peak_live_units_, live_units_);
     return true;
@@ -160,31 +164,16 @@ class StreamingReduction {
     return folded;
   }
 
-  // Records the first error and poisons the admission window.
-  void Poison(std::exception_ptr error) GT_EXCLUDES(m_, error_m_) {
+  // Fails the run: every admission waiter wakes and gives up, and no
+  // further unit is admitted. The flag is set under m_, so a peer that just
+  // evaluated the admission predicate cannot miss the notify and sleep
+  // forever once this worker - possibly the last notifier - exits.
+  void Poison() GT_EXCLUDES(m_) {
     {
-      const core::MutexLock lock(error_m_);
-      if (!error_) error_ = std::move(error);
-    }
-    {
-      // The release store must happen under m_: a peer that just evaluated
-      // the admission predicate (saw failed_ == false) but has not yet
-      // blocked would otherwise miss this notify and sleep forever once
-      // this worker - the last possible notifier - exits.
       const core::MutexLock lock(m_);
-      failed_.store(true, std::memory_order_release);
+      failed_ = true;
     }
     admission_cv_.NotifyAll();
-  }
-
-  // Post-join: rethrows the first recorded error on the calling thread.
-  void RethrowIfFailed() GT_EXCLUDES(error_m_) {
-    std::exception_ptr error;
-    {
-      const core::MutexLock lock(error_m_);
-      error = std::move(error_);
-    }
-    if (error) std::rethrow_exception(error);
   }
 
   // Post-join: moves the master accumulators out. Locking is uncontended
@@ -247,6 +236,7 @@ class StreamingReduction {
   int live_units_ GT_GUARDED_BY(m_) = 0;
   int peak_live_units_ GT_GUARDED_BY(m_) = 0;
   std::uint64_t merged_units_ GT_GUARDED_BY(m_) = 0;
+  bool failed_ GT_GUARDED_BY(m_) = false;
   std::vector<std::optional<UnitResult>> parked_ GT_GUARDED_BY(m_);
 
   std::optional<Characterizer> master_ GT_GUARDED_BY(m_);
@@ -256,26 +246,7 @@ class StreamingReduction {
   obs::MetricsRegistry merged_metrics_ GT_GUARDED_BY(m_);
   obs::TraceLog merged_trace_ GT_GUARDED_BY(m_);
   obs::FlightRecorder merged_recorder_ GT_GUARDED_BY(m_);
-
-  // Written once (false -> true) under m_ with release; read with acquire
-  // outside m_ on worker fast paths and relaxed under m_ in the admission
-  // predicate, where the mutex already orders it.
-  std::atomic<bool> failed_{false};
-  core::Mutex error_m_;
-  std::exception_ptr error_ GT_GUARDED_BY(error_m_);
 };
-
-void PinThreadToCore(int index) {
-#if defined(__linux__)
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(index) % cores, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)index;
-#endif
-}
 
 }  // namespace
 
@@ -292,65 +263,43 @@ int ResolveWorkerCount(int n, int threads) noexcept {
 }
 
 void ParallelFor(int n, int threads, FunctionRef<void(int)> fn) {
+  GT_CHECK_GE(threads, 0) << "ParallelFor: worker count must be >= 0 (0 = one per core)";
   if (n <= 0) return;
-  const int workers = ResolveWorkerCount(n, threads);
-  if (workers == 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-
-  // First-error slot, with its locking contract in the type.
-  struct ErrorSlot {
-    core::Mutex m;
-    std::exception_ptr error GT_GUARDED_BY(m);
-  } slot;
-  // relaxed everywhere: the flag only curtails the claim loop; the error
-  // object itself is published via slot.m, and thread join orders
-  // everything before the rethrow.
+  // relaxed everywhere: the cursor only hands out indices and the flag only
+  // curtails the claim loop; the join orders everything before the rethrow.
   std::atomic<int> next{0};
   std::atomic<bool> failed{false};
-  auto worker = [&]() {
+  RunWorkers(ResolveWorkerCount(n, threads), [&](int) {
     while (!failed.load(std::memory_order_relaxed)) {
       const int i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
       try {
         fn(i);
       } catch (...) {
-        {
-          const core::MutexLock lock(slot.m);
-          if (!slot.error) slot.error = std::current_exception();
-        }
         failed.store(true, std::memory_order_relaxed);
-        return;
+        throw;
       }
     }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  {
-    const core::MutexLock lock(slot.m);
-    if (slot.error) std::rethrow_exception(slot.error);
-  }
+  });
 }
 
 FleetResult RunFleet(const FleetConfig& config) {
   GT_CHECK_GT(config.shards, 0) << "RunFleet: shards must be positive";
+  GT_CHECK_GE(config.threads, 0) << "RunFleet: worker count must be >= 0 (0 = one per core)";
   const std::size_t population = config.server.sessions.population;
   GT_CHECK_LE(static_cast<std::size_t>(config.shards), game::MaxDisjointServers(population))
       << "RunFleet: shard count exceeds the disjoint IP namespace at population "
       << population;
 
+  // Units group servers so a large fleet presents a few hundred of them:
+  // that bounds the per-unit telemetry and keeps the window's memory in
+  // units, not servers. The partition depends only on the server count,
+  // never on the worker count.
   const int servers = config.shards;
-  int unit_size = config.schedule.unit_size;
-  if (unit_size <= 0) unit_size = std::max(1, servers / 256);
-  unit_size = std::min(unit_size, servers);
+  const int unit_size = std::max(1, servers / 256);
   const int units = (servers + unit_size - 1) / unit_size;
   const int workers = ResolveWorkerCount(units, config.threads);
-  const int window_units =
-      std::max(1, workers * std::max(1, config.schedule.max_live_units_per_worker));
+  const int window_units = 2 * workers;
 
   // Category defaults of the ambient trace log (when one is bound) carry
   // over to the shard logs, so e.g. enabling "tick" upstream enables it in
@@ -358,15 +307,11 @@ FleetResult RunFleet(const FleetConfig& config) {
   const obs::ObsContext ambient = obs::Current();
 
   // ---- Scheduler state ---------------------------------------------------
-  std::vector<WorkerQueue> queues(static_cast<std::size_t>(workers));
-  for (int u = 0; u < units; ++u) {
-    WorkerQueue& queue = queues[static_cast<std::size_t>(u % workers)];
-    const core::MutexLock lock(queue.m);  // uncontended: workers not started
-    queue.q.push_back(u);
-  }
-
+  // The claim cursor: workers take units with fetch_add, so units are
+  // claimed in ascending order (relaxed: it only hands out indices; the
+  // results are published through the reduction's mutex).
+  std::atomic<int> next_unit{0};
   StreamingReduction reduction(servers, window_units);
-
   std::vector<WorkerTelemetry> telemetry(static_cast<std::size_t>(workers));
 
   // ---- Scheduler timeline (diagnostic channel) ---------------------------
@@ -374,13 +319,13 @@ FleetResult RunFleet(const FleetConfig& config) {
   // only its own track (no locking, like telemetry), and all spans share
   // one epoch so the tracks line up on a common wall-clock axis. Nothing
   // recorded here ever reaches the merged surfaces.
-  const bool sched_tracing = config.schedule.trace;
+  const bool sched_tracing = config.sched_trace;
   const SchedClock::time_point sched_epoch = SchedClock::now();
   std::vector<obs::TraceLog> sched_tracks;
   if (sched_tracing) {
     sched_tracks.reserve(static_cast<std::size_t>(workers));
     for (int w = 0; w < workers; ++w) {
-      sched_tracks.emplace_back(/*pid=*/w, config.schedule.trace_max_events_per_worker);
+      sched_tracks.emplace_back(/*pid=*/w, kSchedTraceMaxEventsPerWorker);
     }
   }
   const auto sched_s = [sched_epoch](SchedClock::time_point t) {
@@ -429,57 +374,9 @@ FleetResult RunFleet(const FleetConfig& config) {
   };
 
   auto worker_loop = [&](int w, WorkerTelemetry& tele, obs::TraceLog* track) {
-    WorkerQueue& own = queues[static_cast<std::size_t>(w)];
     for (;;) {
-      if (reduction.Failed()) return;
-
-      // Claim: own front first, then steal from the back of the fullest
-      // peer. Queues only drain, so finding every queue empty means every
-      // unit is claimed and this worker is done.
-      int unit = -1;
-      {
-        const core::MutexLock lock(own.m);
-        if (!own.q.empty()) {
-          unit = own.q.front();
-          own.q.pop_front();
-        }
-      }
-      if (unit < 0 && config.schedule.steal && workers > 1) {
-        GT_PROF_SCOPE("core.fleet.steal");
-        const auto scan_start = SchedClock::now();
-        int victim_hit = -1;
-        for (;;) {
-          int victim = -1;
-          std::size_t victim_backlog = 0;
-          for (int v = 0; v < workers; ++v) {
-            if (v == w) continue;
-            WorkerQueue& peer = queues[static_cast<std::size_t>(v)];
-            const core::MutexLock lock(peer.m);
-            if (peer.q.size() > victim_backlog) {
-              victim_backlog = peer.q.size();
-              victim = v;
-            }
-          }
-          if (victim < 0) break;
-          WorkerQueue& chosen = queues[static_cast<std::size_t>(victim)];
-          const core::MutexLock lock(chosen.m);
-          if (chosen.q.empty()) continue;  // raced with the victim; rescan
-          unit = chosen.q.back();
-          chosen.q.pop_back();
-          ++tele.steals;
-          ++tele.steal_hits[static_cast<std::size_t>(victim)];
-          victim_hit = victim;
-          break;
-        }
-        const auto scan_end = SchedClock::now();
-        tele.steal_ns += NsBetween(scan_start, scan_end);
-        if (track != nullptr) {
-          track->Complete(victim_hit >= 0 ? "steal hit w" + std::to_string(victim_hit)
-                                          : std::string("steal miss"),
-                          "steal", sched_s(scan_start), sched_s(scan_end));
-        }
-      }
-      if (unit < 0) return;
+      const int unit = next_unit.fetch_add(1, std::memory_order_relaxed);
+      if (unit >= units) return;
 
       {
         const auto admit_start = SchedClock::now();
@@ -499,16 +396,11 @@ FleetResult RunFleet(const FleetConfig& config) {
       unit_result.first_server = unit * unit_size;
       const int last_server = std::min(servers, unit_result.first_server + unit_size);
       const auto unit_start = SchedClock::now();
-      try {
-        unit_result.servers.reserve(
-            static_cast<std::size_t>(last_server - unit_result.first_server));
-        for (int s = unit_result.first_server; s < last_server; ++s) {
-          unit_result.servers.push_back(run_server(s));
-          ++tele.shards_run;
-        }
-      } catch (...) {
-        reduction.Poison(std::current_exception());
-        return;
+      unit_result.servers.reserve(
+          static_cast<std::size_t>(last_server - unit_result.first_server));
+      for (int s = unit_result.first_server; s < last_server; ++s) {
+        unit_result.servers.push_back(run_server(s));
+        ++tele.shards_run;
       }
       const auto unit_end = SchedClock::now();
       const std::uint64_t unit_ns = NsBetween(unit_start, unit_end);
@@ -539,14 +431,17 @@ FleetResult RunFleet(const FleetConfig& config) {
     }
   };
 
-  auto worker_main = [&](int w) {
-    if (config.schedule.pin_threads) PinThreadToCore(w);
+  RunWorkers(workers, [&](int w) {
     WorkerTelemetry& tele = telemetry[static_cast<std::size_t>(w)];
-    tele.steal_hits.assign(static_cast<std::size_t>(workers), 0);
     obs::TraceLog* track =
         sched_tracing ? &sched_tracks[static_cast<std::size_t>(w)] : nullptr;
     const auto start = SchedClock::now();
-    worker_loop(w, tele, track);
+    try {
+      worker_loop(w, tele, track);
+    } catch (...) {
+      reduction.Poison();  // wake the peers parked in Admit before unwinding
+      throw;
+    }
     const auto end = SchedClock::now();
     tele.span_ns = NsBetween(start, end);
     // The lifetime span is recorded last; a track saturated by inner spans
@@ -554,17 +449,7 @@ FleetResult RunFleet(const FleetConfig& config) {
     if (track != nullptr) {
       track->Complete("worker " + std::to_string(w), "worker", sched_s(start), sched_s(end));
     }
-  };
-
-  if (workers == 1) {
-    worker_main(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) pool.emplace_back(worker_main, w);
-    for (auto& t : pool) t.join();
-  }
-  reduction.RethrowIfFailed();
+  });
   StreamingReduction::Harvest harvest = reduction.TakeResults();
   GT_CHECK_EQ(harvest.merged_units, static_cast<std::uint64_t>(units))
       << "RunFleet: scheduler lost work units (internal bug)";
@@ -608,13 +493,10 @@ FleetResult RunFleet(const FleetConfig& config) {
     worker_samples.push_back(obs::SchedWorkerSample{
         .span_ns = tele.span_ns,
         .work_ns = tele.work_ns,
-        .steal_ns = tele.steal_ns,
         .stall_ns = tele.stall_ns,
         .merge_ns = tele.merge_ns,
         .units = tele.units_run,
         .shards = tele.shards_run,
-        .steals = tele.steals,
-        .steal_hits = tele.steal_hits,
     });
     unit_samples.insert(unit_samples.end(), tele.units.begin(), tele.units.end());
   }
@@ -622,9 +504,7 @@ FleetResult RunFleet(const FleetConfig& config) {
   result.sched_report.DumpInto(sched);
   for (const obs::SchedReport::Worker& w : result.sched_report.per_worker) {
     const std::string prefix = "fleet.worker." + std::to_string(w.worker);
-    sched.counter(prefix + ".steals").Add(w.steals);
     sched.counter(prefix + ".work_ns").Add(w.work_ns);
-    sched.counter(prefix + ".steal_ns").Add(w.steal_ns);
     sched.counter(prefix + ".admission_stall_ns").Add(w.stall_ns);
     sched.counter(prefix + ".merge_ns").Add(w.merge_ns);
     sched.counter(prefix + ".idle_ns").Add(w.idle_ns);
@@ -639,9 +519,7 @@ FleetResult RunFleet(const FleetConfig& config) {
   // per-worker caps, so Merge itself never drops.
   if (sched_tracing) {
     result.sched_trace = obs::TraceLog(
-        /*pid=*/0, config.schedule.trace_max_events_per_worker *
-                           static_cast<std::size_t>(workers) +
-                       static_cast<std::size_t>(workers));
+        /*pid=*/0, (kSchedTraceMaxEventsPerWorker + 1) * static_cast<std::size_t>(workers));
     for (obs::TraceLog& track : sched_tracks) {
       result.sched_trace.Merge(std::move(track));
     }

@@ -9,22 +9,21 @@
 // stats/trace/core layers.
 //
 // Scheduling (DESIGN.md "Fleet scheduling"): servers are grouped into
-// contiguous *work units* (shards-of-shards) distributed round-robin over
-// per-worker queues; a worker that drains its own queue steals from the
-// back of the fullest peer, so uneven shards never idle workers. Shard
+// contiguous *work units* (max(1, shards / 256) servers each), and workers
+// claim units from one shared cursor, so units are claimed in ascending
+// order and a worker that finishes early simply claims the next one. Shard
 // results are *streamed* into the master accumulators as units complete -
-// an admission window bounds the in-flight set to
-// workers * max_live_units_per_worker units, so peak memory is O(live
-// shards per worker), never O(total shards).
+// an admission window of 2 x workers units bounds the in-flight set, so
+// peak memory is O(live units), never O(total shards).
 //
 // Determinism invariant: the merged CharacterizationReport is a pure
 // function of (config, base_seed) - bit-identical for any worker-thread
-// count, unit size, window, steal policy or completion order - because
-// each shard is a deterministic single-threaded simulation seeded from its
-// own SplitMix64 substream (sim::SubstreamSeed), and the streaming
-// reduction folds per-server results in strictly increasing server order
-// regardless of which worker finished first (completed units park in a
-// bounded ring until the merge cursor reaches them).
+// count or completion order - because each shard is a deterministic
+// single-threaded simulation seeded from its own SplitMix64 substream
+// (sim::SubstreamSeed), and the streaming reduction folds per-server
+// results in strictly increasing server order regardless of which worker
+// finished first (completed units park in a bounded ring until the merge
+// cursor reaches them).
 #pragma once
 
 #include <cstdint>
@@ -42,39 +41,6 @@
 
 namespace gametrace::core {
 
-// Scheduler knobs. Every field changes wall-clock and memory only, never
-// the merged result (the unit partition is a pure function of the server
-// count and unit_size, and the merge order is always server order).
-struct FleetSchedule {
-  // Servers per work unit; 0 = auto (shards/256, clamped to >= 1), chosen
-  // so a large fleet presents a few hundred steal-able units. Must not
-  // depend on the worker count, or the unit partition would too.
-  int unit_size = 0;
-  // Admission window: at most workers * this many units may be in flight
-  // (running or parked awaiting their merge turn) at once. This is the
-  // memory bound - each in-flight unit holds its servers' analysis
-  // partials until the streaming reduction absorbs them.
-  int max_live_units_per_worker = 2;
-  // Scan other workers' queues when ours drains (from the back, so the
-  // victim's front - the next unit the merge cursor wants - stays put).
-  bool steal = true;
-  // Pin worker w to CPU w % hardware_concurrency (Linux only; elsewhere a
-  // no-op). Off by default: helps dedicated boxes, hurts shared CI.
-  bool pin_threads = false;
-  // Scheduler timeline tracing: record every unit execution (with its
-  // shard range), steal scan (victim + hit/miss), admission-window wait
-  // and merge-cursor fold as wall-clock spans, one TraceLog track per
-  // worker (FleetResult::sched_trace, pid = worker index) - a fleet run
-  // opens in Perfetto as a worker timeline. Diagnostic channel: spans are
-  // wall-clock- and worker-count-dependent and never touch the merged
-  // surfaces. Off by default; the per-worker counters and the
-  // critical-path report are measured either way.
-  bool trace = false;
-  // Per-worker event cap for the scheduler timeline; past it the track
-  // counts drops (TraceLog::dropped) instead of growing.
-  std::size_t trace_max_events_per_worker = 1u << 16;
-};
-
 struct FleetConfig {
   // Number of independent server shards. Each shard's clients live in
   // their own IP namespace (game::ShardIpShift packs servers into the
@@ -83,7 +49,8 @@ struct FleetConfig {
   // 9000-identity pool - stay exactly mergeable.
   int shards = 4;
   // Worker threads; 0 = one per hardware core, always capped at the work
-  // unit count. Changes wall-clock only, never the result.
+  // unit count; negative is rejected. Changes wall-clock only, never the
+  // result.
   int threads = 0;
   // Shard s simulates with seed sim::SubstreamSeed(base_seed, s).
   std::uint64_t base_seed = 42;
@@ -98,7 +65,15 @@ struct FleetConfig {
   // alone so shard results stay mergeable on one grid.
   std::function<void(int shard, game::GameConfig&)> configure_shard;
   CharacterizationOptions analysis;
-  FleetSchedule schedule;
+  // Scheduler timeline tracing: record every unit execution (with its
+  // shard range), blocked admission-window wait and merge-cursor fold as
+  // wall-clock spans, one TraceLog track per worker (FleetResult::
+  // sched_trace, pid = worker index) - a fleet run opens in Perfetto as a
+  // worker timeline. Diagnostic channel: spans are wall-clock- and
+  // worker-count-dependent and never touch the merged surfaces. Off by
+  // default; the per-worker counters and the critical-path report are
+  // measured either way.
+  bool sched_trace = false;
   // Per-shard trace-log capacity. The default matches a standalone run;
   // tests shrink it to exercise bounded-buffer drop accounting.
   std::size_t trace_max_events = obs::TraceLog::kDefaultMaxEvents;
@@ -134,9 +109,9 @@ struct FleetResult {
   // sampling grid every shard follows). Byte-identical JSONL at any worker
   // count, like `metrics`.
   obs::FlightRecorder recorder;
-  // Scheduler telemetry: fleet.worker.<i>.{steals,work_ns,steal_ns,
-  // admission_stall_ns,merge_ns,span_ns,idle_ns,shards_run,units_run}
-  // counters, fleet.scheduler.{units,unit_size,window,workers,
+  // Scheduler telemetry: fleet.worker.<i>.{work_ns,admission_stall_ns,
+  // merge_ns,span_ns,idle_ns,shards_run,units_run} counters,
+  // fleet.scheduler.{units,unit_size,window_units,workers,
   // merged_units,peak_live_units}, and the fleet.critpath.* gauges the
   // sched report dumps. Worker-count-DEPENDENT by nature, so it lives
   // here - never in `metrics`, the flight stream or the ambient context,
@@ -144,29 +119,31 @@ struct FleetResult {
   // exemption DESIGN.md "Fleet scheduling" documents).
   obs::MetricsRegistry scheduler_metrics;
   // Critical-path attribution built from the same measurements: per-worker
-  // work/steal/stall/merge/idle decomposition (components sum to each
-  // worker's span exactly), top-k straggler units, steal matrix,
-  // imbalance ratio and scheduler SLO alerts. Always populated.
+  // work/stall/merge/idle decomposition (components sum to each worker's
+  // span exactly), top-k straggler units, imbalance ratio and scheduler
+  // SLO alerts. Always populated.
   obs::SchedReport sched_report;
-  // The worker timeline (empty unless schedule.trace): per-worker span
+  // The worker timeline (empty unless config.sched_trace): per-worker span
   // tracks on the wall-clock axis, pid = worker index, Perfetto-openable
   // via TraceLog::WriteJson. Same diagnostic channel as the above.
   obs::TraceLog sched_trace;
 };
 
-// Runs every shard's RunServerTrace on the work-stealing worker pool and
-// streams the per-shard partials into the master accumulators in shard
-// order as units complete.
+// Runs every shard's RunServerTrace on the worker pool and streams the
+// per-shard partials into the master accumulators in shard order as units
+// complete. The first exception any shard throws (e.g. from
+// configure_shard) is rethrown here once every worker has stopped.
 [[nodiscard]] FleetResult RunFleet(const FleetConfig& config);
 
 // Resolved worker count for `n` work items: `threads` if positive, else one
 // per hardware core; always clamped to [1, n].
 [[nodiscard]] int ResolveWorkerCount(int n, int threads) noexcept;
 
-// Runs fn(0), ..., fn(n-1) across `threads` workers (resolved as above) and
-// blocks until all complete. Items are claimed dynamically; fn must only
-// write state owned by its own index. The first exception thrown by any
-// fn is rethrown on the calling thread after the pool drains. Takes a
+// Runs fn(0), ..., fn(n-1) across `threads` workers (resolved as above;
+// negative is rejected) and blocks until all complete. Items are claimed
+// in ascending order from one shared cursor; fn must only write state
+// owned by its own index. The first exception thrown by any fn is
+// rethrown on the calling thread after the pool drains. Takes a
 // FunctionRef, so the dispatch path never allocates: the callable is
 // borrowed for the duration of the call, which joins before returning.
 void ParallelFor(int n, int threads, FunctionRef<void(int)> fn);

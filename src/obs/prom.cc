@@ -41,7 +41,7 @@ void AppendHeader(std::string& out, const std::string& prom_name, std::string_vi
 
 // "fleet.worker.<w>.<rest>" -> family "fleet.<rest>" plus a worker label,
 // so every worker's instrument lands in ONE gametrace_fleet_* family
-// (e.g. gametrace_fleet_steals{worker="3"}) instead of a per-worker
+// (e.g. gametrace_fleet_units_run{worker="3"}) instead of a per-worker
 // metric name, which is what Prometheus can aggregate across.
 bool SplitWorkerMetric(std::string_view name, int& worker, std::string& family) {
   constexpr std::string_view kPrefix = "fleet.worker.";

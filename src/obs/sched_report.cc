@@ -15,13 +15,11 @@ void AppendWorkerJson(std::string& out, const SchedReport::Worker& w) {
   out += "{\"worker\": " + std::to_string(w.worker);
   out += ", \"span_ns\": " + std::to_string(w.span_ns);
   out += ", \"work_ns\": " + std::to_string(w.work_ns);
-  out += ", \"steal_ns\": " + std::to_string(w.steal_ns);
   out += ", \"stall_ns\": " + std::to_string(w.stall_ns);
   out += ", \"merge_ns\": " + std::to_string(w.merge_ns);
   out += ", \"idle_ns\": " + std::to_string(w.idle_ns);
   out += ", \"units\": " + std::to_string(w.units);
   out += ", \"shards\": " + std::to_string(w.shards);
-  out += ", \"steals\": " + std::to_string(w.steals);
   out += ", \"busy_ratio\": ";
   AppendJsonNumber(out, w.busy_ratio);
   out += '}';
@@ -89,15 +87,6 @@ std::string SchedReport::ToJson() const {
     out += i == 0 ? "\n    " : ",\n    ";
     AppendStragglerJson(out, stragglers[i]);
   }
-  out += "\n  ],\n  \"steal_matrix\": [";
-  for (std::size_t thief = 0; thief < steal_matrix.size(); ++thief) {
-    out += thief == 0 ? "\n    [" : ",\n    [";
-    for (std::size_t victim = 0; victim < steal_matrix[thief].size(); ++victim) {
-      if (victim > 0) out += ", ";
-      out += std::to_string(steal_matrix[thief][victim]);
-    }
-    out += ']';
-  }
   out += "\n  ],\n  \"alerts\": [";
   for (std::size_t i = 0; i < alerts.size(); ++i) {
     out += i == 0 ? "\n    " : ",\n    ";
@@ -114,7 +103,6 @@ SchedReport BuildSchedReport(const std::vector<SchedWorkerSample>& workers,
   if (workers.empty()) return report;
 
   report.per_worker.reserve(workers.size());
-  report.steal_matrix.assign(workers.size(), std::vector<std::uint64_t>(workers.size(), 0));
   double busy_sum = 0.0;
   double busy_max = 0.0;
   std::uint64_t span_sum = 0;
@@ -125,15 +113,12 @@ SchedReport BuildSchedReport(const std::vector<SchedWorkerSample>& workers,
     w.worker = static_cast<int>(i);
     w.span_ns = sample.span_ns;
     w.work_ns = sample.work_ns;
-    w.steal_ns = sample.steal_ns;
     w.stall_ns = sample.stall_ns;
     w.merge_ns = sample.merge_ns;
-    const std::uint64_t accounted =
-        sample.work_ns + sample.steal_ns + sample.stall_ns + sample.merge_ns;
+    const std::uint64_t accounted = sample.work_ns + sample.stall_ns + sample.merge_ns;
     w.idle_ns = sample.span_ns > accounted ? sample.span_ns - accounted : 0;
     w.units = sample.units;
     w.shards = sample.shards;
-    w.steals = sample.steals;
     w.busy_ratio = sample.span_ns > 0
                        ? static_cast<double>(sample.work_ns + sample.merge_ns) /
                              static_cast<double>(sample.span_ns)
@@ -143,9 +128,6 @@ SchedReport BuildSchedReport(const std::vector<SchedWorkerSample>& workers,
     span_sum += w.span_ns;
     stall_sum += w.stall_ns;
     report.makespan_ns = std::max(report.makespan_ns, w.span_ns);
-    for (std::size_t v = 0; v < sample.steal_hits.size() && v < workers.size(); ++v) {
-      report.steal_matrix[i][v] = sample.steal_hits[v];
-    }
     report.per_worker.push_back(w);
   }
   const double busy_mean = busy_sum / static_cast<double>(workers.size());

@@ -1,8 +1,8 @@
 // SchedReport: critical-path attribution for one fleet scheduler run.
 //
 // The fleet engine (core/fleet) measures, per worker, where the
-// wall-clock went - executing shards, scanning peers for steals, blocked
-// on the reduction admission window, folding the merge cursor - and hands
+// wall-clock went - executing shards, blocked on the reduction admission
+// window, folding the merge cursor - and hands
 // the raw samples here. BuildSchedReport decomposes each worker's
 // lifetime into those components (plus a residual idle term, so the
 // components always sum to the measured span exactly), names the top-k
@@ -38,14 +38,10 @@ class MetricsRegistry;
 struct SchedWorkerSample {
   std::uint64_t span_ns = 0;   // worker start to worker exit
   std::uint64_t work_ns = 0;   // executing unit shards
-  std::uint64_t steal_ns = 0;  // scanning peer queues (hit or miss)
   std::uint64_t stall_ns = 0;  // blocked on the reduction admission window
   std::uint64_t merge_ns = 0;  // inside Commit (parking + cursor folds)
   std::uint64_t units = 0;
   std::uint64_t shards = 0;
-  std::uint64_t steals = 0;  // successful steals (hits only)
-  // steal_hits[v] = units this worker stole from worker v; size = workers.
-  std::vector<std::uint64_t> steal_hits;
 };
 
 // One executed work unit: which worker ran it, which shard range, and for
@@ -66,15 +62,17 @@ struct SchedReport {
     int worker = 0;
     std::uint64_t span_ns = 0;
     std::uint64_t work_ns = 0;
-    std::uint64_t steal_ns = 0;
     std::uint64_t stall_ns = 0;
     std::uint64_t merge_ns = 0;
-    // Residual: span - (work + steal + stall + merge), clamped at 0, so
-    // the five components sum to span_ns exactly. Queue-claim locking and
-    // scheduling gaps land here.
+    // Residual: span - (work + stall + merge), clamped at 0, so the four
+    // components sum to span_ns exactly. Unit claims (one fetch_add each),
+    // admission bookkeeping and scheduling gaps land here.
     std::uint64_t idle_ns = 0;
     std::uint64_t units = 0;
     std::uint64_t shards = 0;
+    // Always 0: the scheduler has no stealing. Kept only because the
+    // end-to-end benchmark still reads both fields.
+    std::uint64_t steal_ns = 0;
     std::uint64_t steals = 0;
     // Useful fraction of the lifetime: (work + merge) / span.
     double busy_ratio = 0.0;
@@ -87,13 +85,12 @@ struct SchedReport {
   std::vector<Worker> per_worker;
   // Top-k units by duration, longest first (ties broken by unit index).
   std::vector<SchedUnitSample> stragglers;
-  // steal_matrix[thief][victim] = units thief stole from victim.
-  std::vector<std::vector<std::uint64_t>> steal_matrix;
   // max(busy_ratio) / mean(busy_ratio): 1.0 is a perfectly balanced
   // fleet; the makespan of an imbalanced one is set by its stragglers.
   double imbalance_ratio = 0.0;
   // sum(stall_ns) / sum(span_ns): fraction of total worker-time blocked
-  // on the admission window (widen max_live_units_per_worker to shrink).
+  // on the admission window - a straggler unit holding the merge cursor
+  // while 2 x workers later units complete.
   double admission_stall_fraction = 0.0;
   // Scheduler SLO alerts (WatchdogEngine::SchedulerRules) evaluated
   // against this report. Diagnostic-channel only: they never join the
@@ -113,8 +110,8 @@ struct SchedReport {
 
 // Builds the report from the scheduler's measured samples: derives the
 // residual idle term, busy ratios, imbalance and stall fractions, sorts
-// out the top_k stragglers and the steal matrix, then evaluates the
-// scheduler watchdog rules. `units` may arrive in any order.
+// out the top_k stragglers, then evaluates the scheduler watchdog rules.
+// `units` may arrive in any order.
 [[nodiscard]] SchedReport BuildSchedReport(const std::vector<SchedWorkerSample>& workers,
                                            const std::vector<SchedUnitSample>& units,
                                            int top_k = SchedReport::kDefaultTopK);

@@ -81,8 +81,8 @@ std::vector<SloRule> WatchdogEngine::SchedulerRules() {
       .direction = SloRule::Direction::kAbove,
       .threshold = 1.5,
       .description = "peak worker busy-ratio more than 1.5x the fleet mean: the "
-                     "makespan is set by straggler units, not total work - retune "
-                     "FleetSchedule::unit_size or check shard skew",
+                     "makespan is set by straggler units, not total work - check "
+                     "the shard cost skew configure_shard introduces",
   });
   rules.push_back(SloRule{
       .name = "fleet.admission.stall",
@@ -91,8 +91,9 @@ std::vector<SloRule> WatchdogEngine::SchedulerRules() {
       .direction = SloRule::Direction::kAbove,
       .threshold = 0.25,
       .description = "more than 25% of summed worker wall-clock spent blocked on "
-                     "the reduction admission window - widen "
-                     "FleetSchedule::max_live_units_per_worker",
+                     "the reduction admission window: a straggler unit holds the "
+                     "merge cursor - check the shard cost skew configure_shard "
+                     "introduces",
   });
   return rules;
 }

@@ -95,10 +95,12 @@ class WatchdogEngine {
   //
   //   fleet.worker.imbalance   peak worker busy-ratio > 1.5x the mean -
   //                            the makespan is set by stragglers, not by
-  //                            total work (retune unit_size)
+  //                            total work (check configure_shard's shard
+  //                            cost skew)
   //   fleet.admission.stall    > 25% of summed worker wall-clock blocked
-  //                            on the reduction admission window (widen
-  //                            max_live_units_per_worker)
+  //                            on the reduction admission window - a
+  //                            straggler unit holds the merge cursor
+  //                            (same remedy)
   [[nodiscard]] static std::vector<SloRule> SchedulerRules();
 
   // Evaluates every rule against one snapshot transition. A null

@@ -1,16 +1,20 @@
-// Work-stealing scheduler tests: the streaming ordered reduction must keep
-// the fleet result a pure function of (config, base_seed) whatever the
-// worker count, unit size, admission window or steal policy - even when
-// the per-shard workloads are deliberately uneven - while the live-unit
-// window bounds memory and the telemetry accounts for every shard.
+// Fleet scheduler tests: the streaming ordered reduction must keep the
+// fleet result a pure function of (config, base_seed) whatever the worker
+// count or unit grouping - even when the per-shard workloads are
+// deliberately uneven - while the live-unit window bounds memory, the
+// telemetry accounts for every shard, and a failing shard stops the whole
+// pool without hanging it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/fleet.h"
@@ -62,73 +66,102 @@ TEST(FleetScheduler, ReportBitIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(one.report.hurst.mid_scale, seven.report.hurst.mid_scale);
 }
 
-// Scheduling knobs move work between workers and change the completion
-// order, but the fold order is always the server order: the result bits
-// cannot depend on unit size, window, stealing or pinning.
-TEST(FleetScheduler, ReportBitIdenticalAcrossScheduleShapes) {
-  FleetConfig config = UnevenFleet(6);
-  config.threads = 3;
-  const auto baseline = RunFleet(config);
-  const std::string metrics_json = baseline.metrics.ToJson();
+// A fleet above 511 servers groups two servers per unit (unit_size =
+// shards / 256), run at 1 and 3 workers. Short shards keep it cheap; the
+// runs are shared by the three grouping tests below.
+struct GroupedRuns {
+  static constexpr int kShards = 520;
+  static constexpr int kUnitSize = 2;
+  static constexpr int kUnits = kShards / kUnitSize;
+  FleetResult one;
+  FleetResult three;
+};
 
-  config.schedule.unit_size = 4;
-  const auto coarse = RunFleet(config);
-  EXPECT_EQ(metrics_json, coarse.metrics.ToJson());
-  EXPECT_EQ(baseline.report.summary.size_stats_out().variance(),
-            coarse.report.summary.size_stats_out().variance());
-  EXPECT_EQ(baseline.report.minute_bytes_out.values(), coarse.report.minute_bytes_out.values());
-
-  config.schedule.unit_size = 1;
-  config.schedule.max_live_units_per_worker = 1;
-  const auto tight = RunFleet(config);
-  EXPECT_EQ(metrics_json, tight.metrics.ToJson());
-  EXPECT_EQ(baseline.report.hurst.small_scale, tight.report.hurst.small_scale);
-
-  config.schedule.steal = false;
-  config.schedule.pin_threads = true;
-  const auto static_pinned = RunFleet(config);
-  EXPECT_EQ(metrics_json, static_pinned.metrics.ToJson());
-  EXPECT_EQ(baseline.report.summary.app_bytes_total(),
-            static_pinned.report.summary.app_bytes_total());
+FleetResult RunGrouped(int threads) {
+  FleetConfig config = FleetConfig::Scaled(GroupedRuns::kShards, 5.0);
+  config.base_seed = 11;
+  config.threads = threads;
+  return RunFleet(config);
 }
 
-TEST(FleetScheduler, AdmissionWindowBoundsLiveUnits) {
-  FleetConfig config = FleetConfig::Scaled(24, 30.0);
-  config.threads = 3;
-  config.schedule.unit_size = 1;
-  config.schedule.max_live_units_per_worker = 1;
-  const auto result = RunFleet(config);
+const GroupedRuns& Grouped() {
+  static const GroupedRuns runs{.one = RunGrouped(1), .three = RunGrouped(3)};
+  return runs;
+}
 
-  // 3 workers x 1 live unit each: never more than 3 units' results alive.
-  EXPECT_EQ(result.scheduler_metrics.gauge_value("fleet.scheduler.window_units"), 3.0);
-  EXPECT_LE(result.scheduler_metrics.gauge_value("fleet.scheduler.peak_live_units"), 3.0);
-  EXPECT_GE(result.scheduler_metrics.gauge_value("fleet.scheduler.peak_live_units"), 1.0);
+// Unit grouping and the worker count move work between workers and change
+// the completion order, but the fold order is always the server order: the
+// result bits cannot depend on either.
+TEST(FleetScheduler, ReportBitIdenticalAcrossScheduleShapes) {
+  const GroupedRuns& runs = Grouped();
+  ASSERT_EQ(runs.one.scheduler_metrics.gauge_value("fleet.scheduler.unit_size"),
+            static_cast<double>(GroupedRuns::kUnitSize));
+  EXPECT_EQ(runs.one.metrics.ToJson(), runs.three.metrics.ToJson());
+  EXPECT_EQ(runs.one.total_packets, runs.three.total_packets);
+  EXPECT_EQ(runs.one.total_players.values(), runs.three.total_players.values());
+  EXPECT_EQ(runs.one.report.summary.app_bytes_total(),
+            runs.three.report.summary.app_bytes_total());
+  EXPECT_EQ(runs.one.report.summary.size_stats_out().variance(),
+            runs.three.report.summary.size_stats_out().variance());
+  EXPECT_EQ(runs.one.report.minute_bytes_out.values(),
+            runs.three.report.minute_bytes_out.values());
+  EXPECT_EQ(runs.one.report.hurst.small_scale, runs.three.report.hurst.small_scale);
+}
+
+// The window is 2 x workers units, and the live set never exceeds it.
+TEST(FleetScheduler, AdmissionWindowBoundsLiveUnits) {
+  const GroupedRuns& runs = Grouped();
+  for (const FleetResult* result : {&runs.one, &runs.three}) {
+    const obs::MetricsRegistry& sched = result->scheduler_metrics;
+    const double window = sched.gauge_value("fleet.scheduler.window_units");
+    EXPECT_EQ(window, 2.0 * result->threads_used);
+    EXPECT_LE(sched.gauge_value("fleet.scheduler.peak_live_units"), window);
+    EXPECT_GE(sched.gauge_value("fleet.scheduler.peak_live_units"), 1.0);
+  }
 }
 
 TEST(FleetScheduler, TelemetryAccountsForEveryShardAndUnit) {
-  FleetConfig config = UnevenFleet(9);
-  config.threads = 3;
-  config.schedule.unit_size = 2;  // 5 units: 4 full + 1 remainder
-  const auto result = RunFleet(config);
+  const GroupedRuns& runs = Grouped();
+  for (const FleetResult* result : {&runs.one, &runs.three}) {
+    const obs::MetricsRegistry& sched = result->scheduler_metrics;
+    const int workers = result->threads_used;
+    EXPECT_EQ(sched.gauge_value("fleet.scheduler.workers"), static_cast<double>(workers));
+    EXPECT_EQ(sched.gauge_value("fleet.scheduler.units"),
+              static_cast<double>(GroupedRuns::kUnits));
+    EXPECT_EQ(sched.gauge_value("fleet.scheduler.unit_size"),
+              static_cast<double>(GroupedRuns::kUnitSize));
+    EXPECT_EQ(sched.counter_value("fleet.scheduler.merged_units"),
+              static_cast<std::uint64_t>(GroupedRuns::kUnits));
 
-  const obs::MetricsRegistry& sched = result.scheduler_metrics;
-  EXPECT_EQ(sched.gauge_value("fleet.scheduler.workers"), 3.0);
-  EXPECT_EQ(sched.gauge_value("fleet.scheduler.units"), 5.0);
-  EXPECT_EQ(sched.gauge_value("fleet.scheduler.unit_size"), 2.0);
-  EXPECT_EQ(sched.counter_value("fleet.scheduler.merged_units"), 5u);
-
-  std::uint64_t shards_run = 0;
-  std::uint64_t units_run = 0;
-  for (int w = 0; w < 3; ++w) {
-    const std::string prefix = "fleet.worker." + std::to_string(w);
-    shards_run += sched.counter_value(prefix + ".shards_run");
-    units_run += sched.counter_value(prefix + ".units_run");
-    // idle_ns / steals exist for every worker (possibly zero).
-    (void)sched.counter_value(prefix + ".idle_ns");
-    (void)sched.counter_value(prefix + ".steals");
+    std::uint64_t shards_run = 0;
+    std::uint64_t units_run = 0;
+    for (int w = 0; w < workers; ++w) {
+      const std::string prefix = "fleet.worker." + std::to_string(w);
+      shards_run += sched.counter_value(prefix + ".shards_run");
+      units_run += sched.counter_value(prefix + ".units_run");
+    }
+    EXPECT_EQ(shards_run, static_cast<std::uint64_t>(GroupedRuns::kShards)) << workers;
+    EXPECT_EQ(units_run, static_cast<std::uint64_t>(GroupedRuns::kUnits)) << workers;
   }
-  EXPECT_EQ(shards_run, 9u);
-  EXPECT_EQ(units_run, 5u);
+}
+
+// A shard that fails mid-fleet must fail the whole run: the worker that
+// hit it wakes the peers blocked in admission (the failing unit holds the
+// merge cursor, so later units fill the window and wait), every worker
+// stops, and RunFleet rethrows the shard's exception instead of hanging.
+TEST(FleetScheduler, MidFleetShardFailureRethrowsWithoutHanging) {
+  FleetConfig config = UnevenFleet(24);
+  config.threads = 3;
+  const auto uneven = config.configure_shard;
+  config.configure_shard = [uneven](int shard, game::GameConfig& server) {
+    if (shard == 8) {
+      // Hold the merge cursor long enough for the peers to fill the window.
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      throw std::runtime_error("shard 8 failed");
+    }
+    uneven(shard, server);
+  };
+  EXPECT_THROW((void)RunFleet(config), std::runtime_error);
 }
 
 // Scheduler telemetry is worker-count-dependent by design, so it must stay
@@ -155,8 +188,8 @@ int ShardCountFromSpanName(const std::string& name) {
 }
 
 // The timeline and the counters are two views of the same execution: for
-// every worker track, the number of unit spans, their summed shard ranges
-// and the steal-hit spans must equal the fleet.worker.* counters, every
+// every worker track, the number of unit spans and their summed shard
+// ranges must equal the fleet.worker.* counters, every
 // span must nest inside its worker's lifetime span, unit spans within a
 // track must not overlap (one worker runs one unit at a time), and every
 // unit must appear in exactly one track.
@@ -164,8 +197,7 @@ TEST(FleetScheduler, TimelineSpansReconcileWithCounters) {
   for (const int threads : {1, 3, 7}) {
     FleetConfig config = UnevenFleet(9);
     config.threads = threads;
-    config.schedule.unit_size = 1;  // 9 units: enough to spread and steal
-    config.schedule.trace = true;
+    config.sched_trace = true;  // 9 shards: 9 single-server units
     const auto result = RunFleet(config);
     const obs::MetricsRegistry& sched = result.scheduler_metrics;
 
@@ -182,7 +214,6 @@ TEST(FleetScheduler, TimelineSpansReconcileWithCounters) {
       const std::string prefix = "fleet.worker." + std::to_string(worker);
       const obs::TraceLog::Event* lifetime = nullptr;
       std::vector<const obs::TraceLog::Event*> unit_spans;
-      std::uint64_t steal_hits = 0;
       std::uint64_t shard_sum = 0;
       for (const obs::TraceLog::Event* event : events) {
         const std::string cat = event->cat;
@@ -195,14 +226,11 @@ TEST(FleetScheduler, TimelineSpansReconcileWithCounters) {
           // Globally: each unit runs on exactly one worker, exactly once.
           EXPECT_TRUE(units_seen.insert(event->name).second)
               << event->name << " ran twice (" << threads << " workers)";
-        } else if (cat == "steal" && event->name.find("steal hit") == 0) {
-          ++steal_hits;
         }
       }
 
       EXPECT_EQ(unit_spans.size(), sched.counter_value(prefix + ".units_run"));
       EXPECT_EQ(shard_sum, sched.counter_value(prefix + ".shards_run"));
-      EXPECT_EQ(steal_hits, sched.counter_value(prefix + ".steals"));
 
       ASSERT_NE(lifetime, nullptr) << "worker " << worker << " has no lifetime span";
       constexpr double kEpsUs = 1e-3;  // double round-trip through seconds
@@ -238,7 +266,7 @@ TEST(FleetScheduler, TracingLeavesMergedSurfacesByteIdentical) {
   EXPECT_EQ(untraced.sched_trace.size(), 0u);
   EXPECT_FALSE(untraced.sched_report.empty());
 
-  config.schedule.trace = true;
+  config.sched_trace = true;
   for (const int threads : {1, 3, 7}) {
     config.threads = threads;
     const auto traced = RunFleet(config);
@@ -247,7 +275,7 @@ TEST(FleetScheduler, TracingLeavesMergedSurfacesByteIdentical) {
   }
 }
 
-// The report's five components are measured plus residual, so they must
+// The report's four components are measured plus residual, so they must
 // cover each worker's span exactly - not approximately - and the
 // makespan must be the slowest worker's span.
 TEST(FleetScheduler, CriticalPathComponentsSumToWorkerSpans) {
@@ -261,7 +289,7 @@ TEST(FleetScheduler, CriticalPathComponentsSumToWorkerSpans) {
   std::uint64_t units = 0;
   std::uint64_t shards = 0;
   for (const obs::SchedReport::Worker& w : report.per_worker) {
-    EXPECT_EQ(w.work_ns + w.steal_ns + w.stall_ns + w.merge_ns + w.idle_ns, w.span_ns)
+    EXPECT_EQ(w.work_ns + w.stall_ns + w.merge_ns + w.idle_ns, w.span_ns)
         << "worker " << w.worker;
     max_span = std::max(max_span, w.span_ns);
     units += w.units;
@@ -285,7 +313,7 @@ TEST(FleetScheduler, CriticalPathComponentsSumToWorkerSpans) {
 TEST(FleetScheduler, SchedulerMetricsRespectTheNamingSeam) {
   FleetConfig config = UnevenFleet(5);
   config.threads = 2;
-  config.schedule.trace = true;
+  config.sched_trace = true;
   const auto result = RunFleet(config);
 
   std::vector<std::string> names;

@@ -211,6 +211,9 @@ TEST(Fleet, Validation) {
   // first id beyond it.
   bad.shards = 300000;
   EXPECT_THROW((void)RunFleet(bad), gametrace::ContractViolation);
+  // A negative worker count is a caller bug, not "all cores".
+  FleetConfig negative = SmallFleet(2, -1);
+  EXPECT_THROW((void)RunFleet(negative), gametrace::ContractViolation);
   EXPECT_THROW((void)MergeReports({}), gametrace::ContractViolation);
 }
 
@@ -233,6 +236,10 @@ TEST(ParallelFor, PropagatesExceptions) {
                     if (i == 7) throw std::runtime_error("shard failure");
                   }),
       std::runtime_error);
+}
+
+TEST(ParallelFor, RejectsNegativeWorkerCount) {
+  EXPECT_THROW(ParallelFor(4, -1, [](int) {}), gametrace::ContractViolation);
 }
 
 TEST(SubstreamSeed, DeterministicAndPositionIndependent) {

@@ -96,7 +96,7 @@ TEST(ExportSession, RecordSchedulerWritesTheDiagnosticChannel) {
   EXPECT_FALSE(session.has_scheduler());
 
   MetricsRegistry sched;
-  sched.counter("fleet.worker.0.steals").Add(4);
+  sched.counter("fleet.worker.0.units_run").Add(4);
   std::vector<SchedWorkerSample> samples(1);
   samples[0].span_ns = 1000;
   samples[0].work_ns = 900;
@@ -108,7 +108,7 @@ TEST(ExportSession, RecordSchedulerWritesTheDiagnosticChannel) {
 
   EXPECT_EQ(session.Finish(), 0);
   const auto metrics = JsonReader::Parse(ReadFile(dir + "/sched_metrics.json"));
-  EXPECT_EQ(metrics.at("counters").at("fleet.worker.0.steals").number, 4.0);
+  EXPECT_EQ(metrics.at("counters").at("fleet.worker.0.units_run").number, 4.0);
   const auto parsed_report = JsonReader::Parse(ReadFile(dir + "/sched_report.json"));
   EXPECT_EQ(parsed_report.at("workers").number, 1.0);
   const auto timeline = JsonReader::Parse(ReadFile(dir + "/sched_trace.json"));
@@ -116,7 +116,7 @@ TEST(ExportSession, RecordSchedulerWritesTheDiagnosticChannel) {
 
   // The scheduler registry rides the Prometheus text as labeled families.
   const std::string prom = ReadFile(dir + "/metrics.prom");
-  EXPECT_NE(prom.find("gametrace_fleet_steals{worker=\"0\"} 4"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("gametrace_fleet_units_run{worker=\"0\"} 4"), std::string::npos) << prom;
 }
 
 TEST(ExportSession, SchedFilesAreWrittenEvenWithoutARecordCall) {

@@ -180,9 +180,9 @@ TEST(Prom, EmptyRegistryYieldsEmptyExposition) {
 // worker number (numeric, so worker 10 follows worker 2).
 TEST(Prom, WorkerMetricsBecomeLabeledFamilies) {
   MetricsRegistry registry;
-  registry.counter("fleet.worker.0.steals").Add(3);
-  registry.counter("fleet.worker.2.steals").Add(5);
-  registry.counter("fleet.worker.10.steals").Add(7);
+  registry.counter("fleet.worker.0.units_run").Add(3);
+  registry.counter("fleet.worker.2.units_run").Add(5);
+  registry.counter("fleet.worker.10.units_run").Add(7);
   registry.gauge("fleet.worker.1.span_ns").Set(123.0);
   registry.counter("fleet.scheduler.merged_units").Add(9);  // not per-worker
 
@@ -190,16 +190,16 @@ TEST(Prom, WorkerMetricsBecomeLabeledFamilies) {
   PromDocument doc;
   ParsePromTextInto(text, doc);
 
-  const auto steals = doc.All("gametrace_fleet_steals");
-  ASSERT_EQ(steals.size(), 3u);
-  EXPECT_EQ(steals[0].labels.at("worker"), "0");
-  EXPECT_EQ(steals[0].value, 3.0);
-  EXPECT_EQ(steals[1].labels.at("worker"), "2");
-  EXPECT_EQ(steals[2].labels.at("worker"), "10");
-  EXPECT_EQ(steals[2].value, 7.0);
-  EXPECT_EQ(doc.types.at("gametrace_fleet_steals"), "counter");
+  const auto units_run = doc.All("gametrace_fleet_units_run");
+  ASSERT_EQ(units_run.size(), 3u);
+  EXPECT_EQ(units_run[0].labels.at("worker"), "0");
+  EXPECT_EQ(units_run[0].value, 3.0);
+  EXPECT_EQ(units_run[1].labels.at("worker"), "2");
+  EXPECT_EQ(units_run[2].labels.at("worker"), "10");
+  EXPECT_EQ(units_run[2].value, 7.0);
+  EXPECT_EQ(doc.types.at("gametrace_fleet_units_run"), "counter");
   // Exactly one TYPE header for the whole family.
-  const std::string header = "# TYPE gametrace_fleet_steals counter";
+  const std::string header = "# TYPE gametrace_fleet_units_run counter";
   EXPECT_EQ(text.find(header), text.rfind(header));
 
   // Per-worker gauges use the same seam.

@@ -1,8 +1,8 @@
 // BuildSchedReport tests: the critical-path decomposition is a pure
-// function of the scheduler's samples - residual idle makes the five
+// function of the scheduler's samples - residual idle makes the four
 // components sum to each worker's span exactly, stragglers sort by
-// duration, the steal matrix mirrors the per-worker hit vectors, and the
-// scheduler SLO rules fire on the ratios the report derives.
+// duration, and the scheduler SLO rules fire on the ratios the report
+// derives.
 #include "obs/sched_report.h"
 
 #include <gtest/gtest.h>
@@ -21,12 +21,11 @@ namespace {
 using gametrace::testing::JsonReader;
 using gametrace::testing::JsonValue;
 
-SchedWorkerSample Sample(std::uint64_t span, std::uint64_t work, std::uint64_t steal,
-                         std::uint64_t stall, std::uint64_t merge) {
+SchedWorkerSample Sample(std::uint64_t span, std::uint64_t work, std::uint64_t stall,
+                         std::uint64_t merge) {
   SchedWorkerSample sample;
   sample.span_ns = span;
   sample.work_ns = work;
-  sample.steal_ns = steal;
   sample.stall_ns = stall;
   sample.merge_ns = merge;
   return sample;
@@ -34,13 +33,13 @@ SchedWorkerSample Sample(std::uint64_t span, std::uint64_t work, std::uint64_t s
 
 TEST(SchedReport, ComponentsSumToSpanViaResidualIdle) {
   // 1000 span, 700 accounted: idle must absorb the remaining 300.
-  std::vector<SchedWorkerSample> workers = {Sample(1000, 400, 100, 120, 80)};
+  std::vector<SchedWorkerSample> workers = {Sample(1000, 400, 220, 80)};
   const SchedReport report = BuildSchedReport(workers, {});
 
   ASSERT_EQ(report.workers, 1);
   const SchedReport::Worker& w = report.per_worker[0];
   EXPECT_EQ(w.idle_ns, 300u);
-  EXPECT_EQ(w.work_ns + w.steal_ns + w.stall_ns + w.merge_ns + w.idle_ns, w.span_ns);
+  EXPECT_EQ(w.work_ns + w.stall_ns + w.merge_ns + w.idle_ns, w.span_ns);
   EXPECT_DOUBLE_EQ(w.busy_ratio, (400.0 + 80.0) / 1000.0);
   EXPECT_EQ(report.makespan_ns, 1000u);
 }
@@ -48,15 +47,15 @@ TEST(SchedReport, ComponentsSumToSpanViaResidualIdle) {
 TEST(SchedReport, ResidualIdleClampsAtZero) {
   // Components over-account the span (timer quantization can do this);
   // idle clamps at zero rather than wrapping the unsigned subtraction.
-  std::vector<SchedWorkerSample> workers = {Sample(100, 90, 20, 0, 0)};
+  std::vector<SchedWorkerSample> workers = {Sample(100, 90, 20, 0)};
   const SchedReport report = BuildSchedReport(workers, {});
   EXPECT_EQ(report.per_worker[0].idle_ns, 0u);
 }
 
 TEST(SchedReport, MakespanIsTheSlowestWorker) {
-  std::vector<SchedWorkerSample> workers = {Sample(500, 500, 0, 0, 0),
-                                            Sample(900, 400, 0, 0, 0),
-                                            Sample(700, 700, 0, 0, 0)};
+  std::vector<SchedWorkerSample> workers = {Sample(500, 500, 0, 0),
+                                            Sample(900, 400, 0, 0),
+                                            Sample(700, 700, 0, 0)};
   const SchedReport report = BuildSchedReport(workers, {});
   EXPECT_EQ(report.makespan_ns, 900u);
 }
@@ -64,15 +63,15 @@ TEST(SchedReport, MakespanIsTheSlowestWorker) {
 TEST(SchedReport, ImbalanceAndStallRatios) {
   // busy ratios 0.9 and 0.3: mean 0.6, max 0.9 -> imbalance 1.5.
   // stalls 100 + 300 over spans 1000 + 1000 -> stall fraction 0.2.
-  std::vector<SchedWorkerSample> workers = {Sample(1000, 900, 0, 100, 0),
-                                            Sample(1000, 300, 0, 300, 0)};
+  std::vector<SchedWorkerSample> workers = {Sample(1000, 900, 100, 0),
+                                            Sample(1000, 300, 300, 0)};
   const SchedReport report = BuildSchedReport(workers, {});
   EXPECT_DOUBLE_EQ(report.imbalance_ratio, 1.5);
   EXPECT_DOUBLE_EQ(report.admission_stall_fraction, 0.2);
 }
 
 TEST(SchedReport, StragglersSortByDurationThenUnit) {
-  std::vector<SchedWorkerSample> workers = {Sample(100, 100, 0, 0, 0)};
+  std::vector<SchedWorkerSample> workers = {Sample(100, 100, 0, 0)};
   std::vector<SchedUnitSample> units = {
       {.unit = 2, .worker = 0, .first_shard = 4, .shard_count = 2, .dur_ns = 50},
       {.unit = 0, .worker = 0, .first_shard = 0, .shard_count = 2, .dur_ns = 90},
@@ -89,21 +88,6 @@ TEST(SchedReport, StragglersSortByDurationThenUnit) {
   EXPECT_EQ(report.stragglers[0].dur_ns, 90u);
 }
 
-TEST(SchedReport, StealMatrixMirrorsPerWorkerHits) {
-  SchedWorkerSample w0 = Sample(100, 100, 0, 0, 0);
-  SchedWorkerSample w1 = Sample(100, 100, 0, 0, 0);
-  w0.steal_hits = {0, 3};  // w0 stole 3 units from w1
-  w1.steal_hits = {1, 0};  // w1 stole 1 unit from w0
-  w0.steals = 3;
-  w1.steals = 1;
-  const SchedReport report = BuildSchedReport({w0, w1}, {});
-
-  ASSERT_EQ(report.steal_matrix.size(), 2u);
-  EXPECT_EQ(report.steal_matrix[0][1], 3u);
-  EXPECT_EQ(report.steal_matrix[1][0], 1u);
-  EXPECT_EQ(report.steal_matrix[0][0], 0u);
-}
-
 TEST(SchedReport, EmptyInputMakesAnEmptyReport) {
   const SchedReport report = BuildSchedReport({}, {});
   EXPECT_TRUE(report.empty());
@@ -115,8 +99,8 @@ TEST(SchedReport, SchedulerRulesFireOnBadRatios) {
   // Imbalance 0.9/0.5 = 1.8 > 1.5 and stall 600/2000 = 0.3 > 0.25: both
   // scheduler SLO rules must fire, into the report (diagnostic channel),
   // never into the deterministic alert stream.
-  std::vector<SchedWorkerSample> workers = {Sample(1000, 900, 0, 0, 0),
-                                            Sample(1000, 100, 0, 600, 0)};
+  std::vector<SchedWorkerSample> workers = {Sample(1000, 900, 0, 0),
+                                            Sample(1000, 100, 600, 0)};
   const SchedReport report = BuildSchedReport(workers, {});
   ASSERT_EQ(report.alerts.size(), 2u);
   EXPECT_EQ(report.alerts[0].rule, "fleet.worker.imbalance");
@@ -126,15 +110,15 @@ TEST(SchedReport, SchedulerRulesFireOnBadRatios) {
 }
 
 TEST(SchedReport, BalancedFleetRaisesNoAlerts) {
-  std::vector<SchedWorkerSample> workers = {Sample(1000, 800, 50, 10, 100),
-                                            Sample(1000, 790, 60, 20, 90)};
+  std::vector<SchedWorkerSample> workers = {Sample(1000, 800, 60, 100),
+                                            Sample(1000, 790, 80, 90)};
   const SchedReport report = BuildSchedReport(workers, {});
   EXPECT_TRUE(report.alerts.empty());
 }
 
 TEST(SchedReport, DumpIntoExportsCritpathInstruments) {
-  std::vector<SchedWorkerSample> workers = {Sample(1000, 900, 0, 0, 0),
-                                            Sample(800, 100, 0, 600, 0)};
+  std::vector<SchedWorkerSample> workers = {Sample(1000, 900, 0, 0),
+                                            Sample(800, 100, 600, 0)};
   const SchedReport report = BuildSchedReport(workers, {});
   MetricsRegistry registry;
   report.DumpInto(registry);
@@ -151,13 +135,10 @@ TEST(SchedReport, DumpIntoExportsCritpathInstruments) {
 }
 
 TEST(SchedReport, ToJsonRoundTripsThroughAStrictParser) {
-  SchedWorkerSample w0 = Sample(1000, 600, 100, 100, 100);
-  SchedWorkerSample w1 = Sample(900, 850, 10, 10, 10);
-  w0.steal_hits = {0, 2};
-  w1.steal_hits = {0, 0};
+  SchedWorkerSample w0 = Sample(1000, 600, 200, 100);
+  SchedWorkerSample w1 = Sample(900, 850, 20, 10);
   w0.units = 3;
   w0.shards = 6;
-  w0.steals = 2;
   std::vector<SchedUnitSample> units = {
       {.unit = 0, .worker = 0, .first_shard = 0, .shard_count = 2, .dur_ns = 400},
       {.unit = 1, .worker = 1, .first_shard = 2, .shard_count = 2, .dur_ns = 500},
@@ -175,8 +156,6 @@ TEST(SchedReport, ToJsonRoundTripsThroughAStrictParser) {
   EXPECT_EQ(worker0.at("units").number, 3.0);
   ASSERT_EQ(doc.at("stragglers").items.size(), 2u);
   EXPECT_EQ(doc.at("stragglers").items[0].at("unit").number, 1.0);
-  ASSERT_EQ(doc.at("steal_matrix").items.size(), 2u);
-  EXPECT_EQ(doc.at("steal_matrix").items[0].items[1].number, 2.0);
   EXPECT_TRUE(doc.has("imbalance_ratio"));
   EXPECT_TRUE(doc.has("admission_stall_fraction"));
   EXPECT_TRUE(doc.has("alerts"));

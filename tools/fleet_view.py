@@ -2,9 +2,8 @@
 """Render a fleet scheduler critical-path report (--sched-report-out) for humans.
 
 Shows where each worker's wall-clock went as a stacked utilization bar
-(work / merge / steal-scan / admission-stall / idle), the steal matrix
-(who stole from whom), the top straggler units with their shard ranges,
-and any scheduler SLO alerts the report carries. With --timeline it also
+(work / merge / admission-stall / idle), the top straggler units with
+their shard ranges, and any scheduler SLO alerts the report carries. With --timeline it also
 sanity-checks the Perfetto trace (--sched-trace-out) against the report:
 events per worker track and the bounded-buffer drop count.
 
@@ -29,9 +28,9 @@ from viz_common import format_ns, print_table, stacked_bar
 
 # Stacked-bar segment order and glyphs: busy components first, then the
 # waits. Mirrors SchedReport::Worker's decomposition.
-COMPONENTS = ("work_ns", "merge_ns", "steal_ns", "stall_ns", "idle_ns")
-COMPONENT_CHARS = ("█", "▓", "▒", "░", " ")
-LEGEND = "█ work  ▓ merge  ▒ steal-scan  ░ admission-stall  (blank) idle"
+COMPONENTS = ("work_ns", "merge_ns", "stall_ns", "idle_ns")
+COMPONENT_CHARS = ("█", "▓", "░", " ")
+LEGEND = "█ work  ▓ merge  ░ admission-stall  (blank) idle"
 
 
 def read_json(path, what):
@@ -62,20 +61,7 @@ def print_workers(report, width):
             f"span {format_ns(span)}",
             f"units {w.get('units', 0)}",
             f"shards {w.get('shards', 0)}",
-            f"steals {w.get('steals', 0)}",
         ])
-    print_table(rows)
-
-
-def print_steal_matrix(matrix):
-    if not matrix or not any(any(row) for row in matrix):
-        print("steal matrix: no steals")
-        return
-    print("steal matrix (row = thief, column = victim):")
-    header = ["  "] + [f"w{v}" for v in range(len(matrix))]
-    rows = [header]
-    for thief, row in enumerate(matrix):
-        rows.append([f"  w{thief}"] + [str(n) if n else "." for n in row])
     print_table(rows)
 
 
@@ -140,7 +126,6 @@ def main():
           f"admission stall {100.0 * report.get('admission_stall_fraction', 0):.1f}% "
           f"of summed worker-time")
     print_workers(report, max(args.width, 8))
-    print_steal_matrix(report.get("steal_matrix", []))
     print_stragglers(report.get("stragglers", []))
     print_alerts(report.get("alerts", []))
     if args.timeline:
