@@ -487,7 +487,7 @@ TelemetryOverhead MeasureTelemetryOverhead() {
     });
   }
   {
-    stats::OnlineHurst hurst(stats::OnlineHurst::Options::LogSpaced(0.05));
+    stats::OnlineHurst hurst({.base_interval = 0.05});
     sim::Rng rng(8);
     o.hurst_push_ns = best_of([&] {
       for (int i = 0; i < 1024; ++i) hurst.Push(rng.NextDouble());

@@ -92,34 +92,4 @@ CharacterizationReport Characterizer::Finish(double trace_duration) {
   };
 }
 
-CharacterizationReport MergeReports(std::vector<CharacterizationReport> reports) {
-  GT_CHECK(!reports.empty()) << "MergeReports: no reports";
-  CharacterizationReport merged = std::move(reports.front());
-  for (std::size_t i = 1; i < reports.size(); ++i) {
-    CharacterizationReport& r = reports[i];
-    merged.summary.Merge(r.summary);
-    merged.minute_packets_in.Merge(r.minute_packets_in);
-    merged.minute_packets_out.Merge(r.minute_packets_out);
-    merged.minute_bytes_in.Merge(r.minute_bytes_in);
-    merged.minute_bytes_out.Merge(r.minute_bytes_out);
-    merged.vt_base_packets.Merge(r.vt_base_packets);
-    merged.sessions.insert(merged.sessions.end(),
-                           std::make_move_iterator(r.sessions.begin()),
-                           std::make_move_iterator(r.sessions.end()));
-    merged.session_bandwidth.Merge(r.session_bandwidth);
-    merged.size_total.Merge(r.size_total);
-    merged.size_in.Merge(r.size_in);
-    merged.size_out.Merge(r.size_out);
-  }
-  std::sort(merged.sessions.begin(), merged.sessions.end(),
-            [](const trace::Session& a, const trace::Session& b) { return a.start < b.start; });
-  merged.variance_time = {};
-  merged.hurst = {};
-  if (merged.vt_base_packets.size() >= 16 && merged.vt_base_packets.Variance() > 0.0) {
-    merged.variance_time = stats::ComputeVarianceTime(merged.vt_base_packets);
-    merged.hurst = stats::EstimateHurstRegions(merged.variance_time);
-  }
-  return merged;
-}
-
 }  // namespace gametrace::core

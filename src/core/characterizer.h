@@ -100,12 +100,4 @@ class Characterizer final : public trace::CaptureSink {
   std::vector<double> scratch_times_;  // reused per batch by OnColumns
 };
 
-// Reduces finished per-shard reports into one fleet-wide report: summaries,
-// load series, histograms and session lists merge exactly; the
-// variance-time plot and Hurst regions are recomputed from the merged base
-// series (they are nonlinear in the input, so they cannot be merged
-// point-wise). Equivalent to Characterizer::Merge before Finish. Throws
-// std::invalid_argument when `reports` is empty or geometries differ.
-[[nodiscard]] CharacterizationReport MergeReports(std::vector<CharacterizationReport> reports);
-
 }  // namespace gametrace::core

@@ -131,8 +131,8 @@ class CsServer {
   net::ColumnarBatch tick_batch_;
   bool batching_ = false;
   // Packets emitted by the current tick, flushed into the load ring as one
-  // bulk Add at the tick timestamp (see OnTick) - under kSum reduction the
-  // bin sums match per-packet adds while costing one ring walk per tick.
+  // bulk Add at the tick timestamp (see OnTick) - ring bins are sums, so
+  // they match per-packet adds while costing one ring walk per tick.
   std::uint64_t tick_ring_count_ = 0;
   std::vector<ServerEventListener*> listeners_;
   std::unordered_set<std::uint64_t> live_sessions_;

@@ -236,26 +236,13 @@ void AppendSketchJson(std::string& out, const stats::QuantileSketch& sketch, boo
   out += "}";
 }
 
-const char* ReductionName(stats::TieredRing::Reduction reduction) {
-  switch (reduction) {
-    case stats::TieredRing::Reduction::kSum:
-      return "sum";
-    case stats::TieredRing::Reduction::kMax:
-      return "max";
-    case stats::TieredRing::Reduction::kMean:
-      return "mean";
-  }
-  return "sum";
-}
-
 // Compact (flight) ring snapshots carry only this many trailing bins per
 // tier - enough for a sparkline, bounded per snapshot.
 constexpr std::size_t kCompactRingTail = 32;
 
 void AppendRingJson(std::string& out, const stats::TieredRing& ring, bool full) {
-  out += "{\"reduction\": \"";
-  out += ReductionName(ring.reduction());
-  out += "\", \"dropped_late\": " + std::to_string(ring.dropped_late());
+  // Every ring bin is a sample sum; the field keeps the JSON schema stable.
+  out += "{\"reduction\": \"sum\", \"dropped_late\": " + std::to_string(ring.dropped_late());
   out += ", \"hurst\": ";
   if (const stats::OnlineHurst* hurst = ring.hurst()) {
     out += "{\"samples\": " + std::to_string(hurst->samples());

@@ -42,8 +42,7 @@ DeviceStats::DeviceStats(const DeviceStats& other)
     : metrics_(other.metrics_),
       series_{other.series_[0], other.series_[1], other.series_[2], other.series_[3]},
       delay_(other.delay_),
-      delay_p50_(other.delay_p50_),
-      delay_p99_(other.delay_p99_) {
+      delay_quantiles_(other.delay_quantiles_) {
   BindCounters();
 }
 
@@ -52,8 +51,7 @@ DeviceStats& DeviceStats::operator=(const DeviceStats& other) {
   metrics_ = other.metrics_;
   for (int i = 0; i < kSegmentCount; ++i) series_[i] = other.series_[i];
   delay_ = other.delay_;
-  delay_p50_ = other.delay_p50_;
-  delay_p99_ = other.delay_p99_;
+  delay_quantiles_ = other.delay_quantiles_;
   BindCounters();
   return *this;
 }
@@ -83,8 +81,7 @@ void DeviceStats::CountDrop(Segment arrival_segment, double t) {
 
 void DeviceStats::RecordDelay(double seconds) {
   delay_.Add(seconds);
-  delay_p50_.Add(seconds);
-  delay_p99_.Add(seconds);
+  delay_quantiles_.Add(seconds);
 }
 
 std::uint64_t DeviceStats::packets(Segment s) const noexcept {

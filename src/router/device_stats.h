@@ -1,6 +1,7 @@
 // Per-segment accounting for the NAT experiment (paper Table IV and
 // Figures 14-15): packets counted on each of the four observation points
-// around the device, plus queueing-delay statistics.
+// around the device, plus queueing-delay statistics (moments and a
+// relative-error quantile sketch for the p50/p99 tail).
 //
 // Counts are stored in an embedded obs::MetricsRegistry (counters
 // "nat.<segment>.packets" / "nat.<segment>.drops"), so a NAT run's device
@@ -12,7 +13,7 @@
 #include <cstdint>
 
 #include "obs/metrics.h"
-#include "stats/quantile.h"
+#include "stats/quantile_sketch.h"
 #include "stats/running_stats.h"
 #include "stats/time_series.h"
 
@@ -58,8 +59,9 @@ class DeviceStats {
   [[nodiscard]] double loss_rate_outgoing() const noexcept;  // server->NAT->clients
 
   [[nodiscard]] const stats::RunningStats& delay() const noexcept { return delay_; }
-  [[nodiscard]] double delay_p50() const noexcept { return delay_p50_.Value(); }
-  [[nodiscard]] double delay_p99() const noexcept { return delay_p99_.Value(); }
+  // Within 1% of the exact order statistic (the sketch's default alpha).
+  [[nodiscard]] double delay_p50() const { return delay_quantiles_.Quantile(0.50); }
+  [[nodiscard]] double delay_p99() const { return delay_quantiles_.Quantile(0.99); }
 
   // The backing registry (segment counters plus anything bound into it,
   // e.g. the NAT device's queue instruments). Mutable access exists so
@@ -81,8 +83,9 @@ class DeviceStats {
   obs::Counter* dropped_ = nullptr;
   stats::TimeSeries series_[kSegmentCount];
   stats::RunningStats delay_;
-  stats::P2Quantile delay_p50_{0.50};
-  stats::P2Quantile delay_p99_{0.99};
+  // Plain member, not registered in metrics_: device_metrics JSON carries
+  // only the segment counters and the device's queue instruments.
+  stats::QuantileSketch delay_quantiles_;
 };
 
 }  // namespace gametrace::router

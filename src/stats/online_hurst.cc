@@ -6,58 +6,22 @@
 
 namespace gametrace::stats {
 
-OnlineHurst::Options OnlineHurst::Options::LogSpaced(double base_interval,
-                                                     std::size_t num_scales) {
-  Options options;
-  options.base_interval = base_interval;
-  options.scales.reserve(num_scales);
-  std::size_t m = 1;
-  for (std::size_t i = 0; i < num_scales; ++i) {
-    options.scales.push_back(m);
-    m *= 2;
-  }
-  return options;
-}
-
-OnlineHurst::Options OnlineHurst::Options::MatchingBatch(double base_interval,
-                                                         std::size_t length,
-                                                         const VarianceTimeOptions& batch) {
-  GT_CHECK_GT(batch.ratio, 1.0) << "OnlineHurst: batch ratio must exceed 1";
-  Options options;
-  options.base_interval = base_interval;
-  options.min_blocks = batch.min_blocks;
-  std::size_t m = 1;
-  while (length / m >= batch.min_blocks) {
-    options.scales.push_back(m);
-    const auto next =
-        static_cast<std::size_t>(std::ceil(static_cast<double>(m) * batch.ratio));
-    m = next > m ? next : m + 1;
-  }
-  return options;
-}
-
-OnlineHurst::OnlineHurst(Options options) : options_(std::move(options)) {
-  GT_CHECK(!options_.scales.empty()) << "OnlineHurst: need at least one scale";
-  GT_CHECK_EQ(options_.scales.front(), 1u) << "OnlineHurst: scales must start at m = 1";
+OnlineHurst::OnlineHurst(Options options) : options_(options) {
+  GT_CHECK(options_.num_scales >= 1 && options_.num_scales <= 63)
+      << "OnlineHurst: num_scales must be in [1, 63]";
   GT_CHECK_GT(options_.base_interval, 0.0) << "OnlineHurst: base interval must be positive";
-  scales_.reserve(options_.scales.size());
-  std::size_t previous = 0;
-  for (const std::size_t m : options_.scales) {
-    GT_CHECK_GT(m, previous) << "OnlineHurst: scales must be strictly ascending";
-    previous = m;
+  scales_.reserve(options_.num_scales);
+  std::size_t m = 1;
+  for (std::size_t i = 0; i < options_.num_scales; ++i, m *= 2) {
     Scale scale;
     scale.m = m;
     scale.inv_m = 1.0 / static_cast<double>(m);
     scales_.push_back(scale);
   }
-  cascade_ = true;
-  for (std::size_t i = 1; i < scales_.size(); ++i) {
-    cascade_ = cascade_ && scales_[i].m == 2 * scales_[i - 1].m;
-  }
 }
 
 bool OnlineHurst::SameShape(const OnlineHurst& other) const noexcept {
-  return options_.scales == other.options_.scales &&
+  return options_.num_scales == other.options_.num_scales &&
          options_.base_interval == other.options_.base_interval &&
          options_.min_blocks == other.options_.min_blocks;
 }
@@ -106,8 +70,7 @@ double OnlineHurst::HurstEstimate(double min_interval_seconds,
 }
 
 std::size_t OnlineHurst::MemoryBytes() const noexcept {
-  return sizeof(*this) + scales_.capacity() * sizeof(Scale) +
-         options_.scales.capacity() * sizeof(std::size_t);
+  return sizeof(*this) + scales_.capacity() * sizeof(Scale);
 }
 
 }  // namespace gametrace::stats

@@ -36,21 +36,12 @@ namespace gametrace::stats {
 class OnlineHurst {
  public:
   struct Options {
-    // Block sizes in base bins, ascending, starting at 1.
-    std::vector<std::size_t> scales;
     double base_interval = 0.050;  // seconds per base bin
-    std::size_t min_blocks = 8;    // completed blocks required per plot point
-
-    // Power-of-two scales 1, 2, 4, ... (num_scales of them): the default
-    // log-spaced sweep. 16 scales at a 50 ms base reach 27 min - past the
-    // paper's 50 ms - 30 min mid region.
-    [[nodiscard]] static Options LogSpaced(double base_interval, std::size_t num_scales = 16);
-
-    // The batch estimator's geometric sweep (m = 1, ceil(m*ratio), ...)
-    // for series of `length` bins - the tolerance tests feed both
-    // estimators identical input over identical block sizes.
-    [[nodiscard]] static Options MatchingBatch(double base_interval, std::size_t length,
-                                               const VarianceTimeOptions& batch = {});
+    // Block sizes 1, 2, 4, ..., 2^(num_scales - 1) base bins. 16 scales at
+    // a 50 ms base reach 27 min - past the paper's 50 ms - 30 min mid
+    // region.
+    std::size_t num_scales = 16;
+    std::size_t min_blocks = 8;  // completed blocks required per plot point
   };
 
   explicit OnlineHurst(Options options);
@@ -60,37 +51,24 @@ class OnlineHurst {
   // tracking TieredRing, called once per tick at simulation scale.
   void Push(double bin_value) {
     ++samples_;
-    if (cascade_) {
-      // Doubling scales nest exactly: a completed block at level i IS half
-      // a block at level i + 1, so one completion propagates its raw sum
-      // upward instead of every level re-accumulating every bin. Level i
-      // fires every 2^i pushes - amortized O(1) per push where the generic
-      // loop is O(#scales). Block boundaries and values match the generic
-      // path (same absolute alignment; sums associate in halves, and
-      // sum * inv_m is exact for power-of-two m).
-      double sum = bin_value;  // raw sum of the block just completed
-      std::size_t i = 0;
-      for (;;) {
-        Scale& scale = scales_[i];
-        scale.block_means.Add(sum * scale.inv_m);
-        if (++i == scales_.size()) break;
-        Scale& up = scales_[i];
-        up.open_sum += sum;
-        up.open_n += scale.m;
-        if (up.open_n < up.m) break;
-        sum = up.open_sum;
-        up.open_sum = 0.0;
-        up.open_n = 0;
-      }
-      return;
-    }
-    for (Scale& scale : scales_) {
-      scale.open_sum += bin_value;
-      if (++scale.open_n == scale.m) {
-        scale.block_means.Add(scale.open_sum / static_cast<double>(scale.m));
-        scale.open_sum = 0.0;
-        scale.open_n = 0;
-      }
+    // Doubling scales nest exactly: a completed block at level i IS half a
+    // block at level i + 1, so one completion propagates its raw sum
+    // upward instead of every level re-accumulating every bin. Level i
+    // fires every 2^i pushes - amortized O(1) per push. sum * inv_m is
+    // exact for power-of-two m.
+    double sum = bin_value;  // raw sum of the block just completed
+    std::size_t i = 0;
+    for (;;) {
+      Scale& scale = scales_[i];
+      scale.block_means.Add(sum * scale.inv_m);
+      if (++i == scales_.size()) break;
+      Scale& up = scales_[i];
+      up.open_sum += sum;
+      up.open_n += scale.m;
+      if (up.open_n < up.m) break;
+      sum = up.open_sum;
+      up.open_sum = 0.0;
+      up.open_n = 0;
     }
   }
 
@@ -126,9 +104,9 @@ class OnlineHurst {
  private:
   struct Scale {
     std::size_t m = 1;
-    double inv_m = 1.0;         // 1/m; exact for the power-of-two cascade,
-                                // where sum * inv_m is bit-identical to
-                                // sum / m without the divide latency
+    double inv_m = 1.0;         // 1/m; exact for power-of-two m, so
+                                // sum * inv_m is bit-identical to sum / m
+                                // without the divide latency
     double open_sum = 0.0;      // partial block in progress
     std::size_t open_n = 0;     // bins accumulated into open_sum
     RunningStats block_means;   // statistics over completed block means
@@ -137,10 +115,6 @@ class OnlineHurst {
   Options options_;
   std::vector<Scale> scales_;
   std::uint64_t samples_ = 0;
-  // True when every scale doubles the previous one (the LogSpaced
-  // schedule): Push then cascades completed block sums upward in
-  // amortized O(1) instead of touching every scale per bin.
-  bool cascade_ = false;
 };
 
 }  // namespace gametrace::stats

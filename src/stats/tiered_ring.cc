@@ -7,20 +7,6 @@
 
 namespace gametrace::stats {
 
-namespace {
-
-// Adds `from`'s raw triple into `into` (tier cascade and shard merge share
-// this); the max combine must read into.count before it grows.
-void FoldBin(TieredRing::Bin& into, const TieredRing::Bin& from) {
-  if (from.count > 0) {
-    into.max = into.count > 0 ? std::max(into.max, from.max) : from.max;
-  }
-  into.sum += from.sum;
-  into.count += from.count;
-}
-
-}  // namespace
-
 TieredRing::Options TieredRing::Options::PaperSchedule(double base_interval) {
   Options options;
   options.tiers = {
@@ -29,7 +15,6 @@ TieredRing::Options TieredRing::Options::PaperSchedule(double base_interval) {
       {.interval = base_interval * 1200.0, .capacity = 240},  // ~minutes
       {.interval = base_interval * 72000.0, .capacity = 168}, // ~hours, one week
   };
-  options.reduction = Reduction::kSum;
   return options;
 }
 
@@ -60,27 +45,14 @@ TieredRing::TieredRing(Options options) : options_(std::move(options)) {
     tiers_[k].ratio = whole;
   }
   if (options_.track_hurst) {
-    hurst_.emplace(OnlineHurst::Options::LogSpaced(tiers_.front().interval,
-                                                   options_.hurst_scales));
+    hurst_.emplace(OnlineHurst::Options{.base_interval = tiers_.front().interval,
+                                        .num_scales = options_.hurst_scales});
   }
-}
-
-double TieredRing::BinValue(const Bin& bin) const noexcept {
-  switch (options_.reduction) {
-    case Reduction::kSum:
-      return bin.sum;
-    case Reduction::kMax:
-      return bin.max;
-    case Reduction::kMean:
-      return bin.count > 0 ? bin.sum / static_cast<double>(bin.count) : 0.0;
-  }
-  return 0.0;
 }
 
 void TieredRing::EvictFront(std::size_t k) {
   Tier& tier = tiers_[k];
-  const Bin evicted = tier.bins[static_cast<std::size_t>(tier.first) % tier.capacity];
-  const double value = BinValue(evicted);
+  const double value = tier.bins[static_cast<std::size_t>(tier.first) % tier.capacity];
   tier.evicted_value_max =
       tier.evicted == 0 ? value : std::max(tier.evicted_value_max, value);
   tier.evicted_value_sum += value;
@@ -94,10 +66,10 @@ void TieredRing::EvictFront(std::size_t k) {
       // tier's own evictions as needed). Later folds reuse the slot - the
       // coarse tier only ever evicts from its front, never the newest bin
       // being filled.
-      Bin* coarse = EnsureCovers(k + 1, tier.fold_index);
+      const double* coarse = EnsureCovers(k + 1, tier.fold_index);
       GT_CHECK(coarse != nullptr) << "TieredRing: coarse tier fell behind its fine tier";
     }
-    FoldBin(tiers_[k + 1].bins[tier.fold_slot], evicted);
+    tiers_[k + 1].bins[tier.fold_slot] += value;
     if (++tier.fold_phase == tier.ratio) {
       tier.fold_phase = 0;
       ++tier.fold_index;
@@ -106,7 +78,7 @@ void TieredRing::EvictFront(std::size_t k) {
   }
 }
 
-TieredRing::Bin* TieredRing::EnsureCovers(std::size_t k, std::int64_t index) {
+double* TieredRing::EnsureCovers(std::size_t k, std::int64_t index) {
   Tier& tier = tiers_[k];
   if (index < tier.first) return nullptr;  // window already moved past this bin
   while (tier.first + static_cast<std::int64_t>(tier.held) <= index) {
@@ -117,7 +89,7 @@ TieredRing::Bin* TieredRing::EnsureCovers(std::size_t k, std::int64_t index) {
     const auto slot =
         static_cast<std::size_t>(tier.first + static_cast<std::int64_t>(tier.held)) %
         tier.capacity;
-    tier.bins[slot] = Bin{};
+    tier.bins[slot] = 0.0;
     ++tier.held;
   }
   return &tier.bins[static_cast<std::size_t>(index) % tier.capacity];
@@ -127,10 +99,7 @@ void TieredRing::Add(double t, double value) {
   // Same-bin fast path (see the header): the common case is a burst of
   // samples into the newest base bin, two compares away.
   if (t >= fast_lo_ && t < fast_hi_) {
-    Bin& bin = tiers_.front().bins[fast_slot_];
-    bin.max = bin.count > 0 ? std::max(bin.max, value) : value;
-    bin.sum += value;
-    ++bin.count;
+    tiers_.front().bins[fast_slot_] += value;
     return;
   }
   const double interval = tiers_.front().interval;
@@ -145,7 +114,7 @@ void TieredRing::Add(double t, double value) {
     GT_CHECK(std::isfinite(t) && t >= 0.0) << "TieredRing::Add: time must be finite and >= 0";
     index = static_cast<std::int64_t>(t / interval);
   }
-  Bin* bin = EnsureCovers(0, index);
+  double* bin = EnsureCovers(0, index);
   if (bin == nullptr) {
     ++dropped_late_;
     return;
@@ -156,13 +125,7 @@ void TieredRing::Add(double t, double value) {
   fast_hi_ = static_cast<double>(index + 1) * interval;
   fast_slot_ = static_cast<std::size_t>(index) % tiers_.front().capacity;
   fast_index_ = index;
-  if (bin->count == 0) {
-    bin->max = value;
-  } else {
-    bin->max = std::max(bin->max, value);
-  }
-  bin->sum += value;
-  ++bin->count;
+  *bin += value;
 }
 
 void TieredRing::AdvanceTo(double t) {
@@ -174,8 +137,7 @@ void TieredRing::AdvanceTo(double t) {
 }
 
 bool TieredRing::SameShape(const TieredRing& other) const noexcept {
-  if (options_.reduction != other.options_.reduction ||
-      options_.track_hurst != other.options_.track_hurst ||
+  if (options_.track_hurst != other.options_.track_hurst ||
       options_.hurst_scales != other.options_.hurst_scales ||
       tiers_.size() != other.tiers_.size()) {
     return false;
@@ -190,7 +152,7 @@ bool TieredRing::SameShape(const TieredRing& other) const noexcept {
 }
 
 void TieredRing::Merge(const TieredRing& other) {
-  GT_CHECK(SameShape(other)) << "TieredRing::Merge: schedule/reduction mismatch";
+  GT_CHECK(SameShape(other)) << "TieredRing::Merge: schedule mismatch";
   for (std::size_t k = 0; k < tiers_.size(); ++k) {
     Tier& mine = tiers_[k];
     const Tier& theirs = other.tiers_[k];
@@ -200,7 +162,7 @@ void TieredRing::Merge(const TieredRing& other) {
     for (std::size_t i = 0; i < mine.held; ++i) {
       const auto slot =
           static_cast<std::size_t>(mine.first + static_cast<std::int64_t>(i)) % mine.capacity;
-      FoldBin(mine.bins[slot], theirs.bins[slot]);
+      mine.bins[slot] += theirs.bins[slot];
     }
     // Pooled eviction aggregates: sums add (aggregate-exact mean), peaks
     // take the worst single shard - see the header comment.
@@ -241,7 +203,7 @@ double TieredRing::TierValue(std::size_t tier, std::int64_t index) const {
   const Tier& t = tiers_[tier];
   GT_CHECK(index >= t.first && index < t.first + static_cast<std::int64_t>(t.held))
       << "TieredRing::TierValue: bin not held";
-  return BinValue(t.bins[static_cast<std::size_t>(index) % t.capacity]);
+  return t.bins[static_cast<std::size_t>(index) % t.capacity];
 }
 
 TieredRing::TierStats TieredRing::Stats(std::size_t tier) const {
@@ -255,7 +217,7 @@ TieredRing::TierStats TieredRing::Stats(std::size_t tier) const {
   for (std::size_t i = 0; i < t.held; ++i) {
     const auto slot =
         static_cast<std::size_t>(t.first + static_cast<std::int64_t>(i)) % t.capacity;
-    const double value = BinValue(t.bins[slot]);
+    const double value = t.bins[slot];
     value_sum += value;
     peak = have_peak ? std::max(peak, value) : value;
     have_peak = true;
@@ -274,7 +236,7 @@ std::vector<double> TieredRing::RecentValues(std::size_t tier, std::size_t n) co
   for (std::size_t i = t.held - take; i < t.held; ++i) {
     const auto slot =
         static_cast<std::size_t>(t.first + static_cast<std::int64_t>(i)) % t.capacity;
-    values.push_back(BinValue(t.bins[slot]));
+    values.push_back(t.bins[slot]);
   }
   return values;
 }
@@ -282,7 +244,7 @@ std::vector<double> TieredRing::RecentValues(std::size_t tier, std::size_t n) co
 std::size_t TieredRing::MemoryBytes() const noexcept {
   std::size_t bytes = sizeof(*this) + tiers_.capacity() * sizeof(Tier) +
                       options_.tiers.capacity() * sizeof(TierSpec);
-  for (const Tier& tier : tiers_) bytes += tier.bins.capacity() * sizeof(Bin);
+  for (const Tier& tier : tiers_) bytes += tier.bins.capacity() * sizeof(double);
   if (hurst_.has_value()) bytes += hurst_->MemoryBytes();
   return bytes;
 }

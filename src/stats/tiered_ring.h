@@ -10,16 +10,15 @@
 // paper's burst statistics - 50 ms peak-to-mean ratio, per-minute load
 // envelope - survive arbitrarily long runs in O(total capacity) memory.
 //
-// Bins carry (sum, count, max-of-samples); the reduction mode chooses how
-// a bin reads as a value: kSum (packet counts - the paper's load series),
-// kMax (high-water levels) or kMean (per-bin averages). Folding carries
-// the raw triple, so every tier's value is exact for its mode, and the
-// newest bin of each coarse tier is still filling (same as RRD).
+// A bin is the sum of the samples that landed in it (packet counts - the
+// paper's load series), so folding a bin into the next tier is one add
+// and every tier's value is exact; the newest bin of each coarse tier is
+// still filling (same as RRD).
 //
 // Determinism / merge contract: rings are time-anchored at t = 0, so two
 // shards simulating the same duration advance bin-for-bin in lockstep.
 // Merge GT_CHECKs identical schedule and advancement, then adds held bins
-// component-wise (exact: the merged window equals the ring of the summed
+// slot-wise (exact: the merged window equals the ring of the summed
 // stream) and pools eviction aggregates: evicted value sums add (the
 // merged mean is the aggregate-series mean), evicted peaks take the max
 // over shards (the worst single-shard burst - the per-link provisioning
@@ -39,8 +38,6 @@ namespace gametrace::stats {
 
 class TieredRing {
  public:
-  enum class Reduction : std::uint8_t { kSum = 0, kMax = 1, kMean = 2 };
-
   struct TierSpec {
     double interval = 0.050;     // seconds per bin
     std::size_t capacity = 128;  // bins held before eviction
@@ -50,7 +47,6 @@ class TieredRing {
     // Fine to coarse; every interval must be an integer multiple (>= 2) of
     // the previous one so bins nest exactly.
     std::vector<TierSpec> tiers;
-    Reduction reduction = Reduction::kSum;
     // When true, evicted base bins stream into an OnlineHurst estimator.
     bool track_hurst = false;
     std::size_t hurst_scales = 16;
@@ -59,12 +55,6 @@ class TieredRing {
     // tick): base x128, then x20 (1 s at a 50 ms tick) x240, then x60
     // (1 min) x240, then x60 (1 h) x168 - one week of hourly bins.
     [[nodiscard]] static Options PaperSchedule(double base_interval = 0.050);
-  };
-
-  struct Bin {
-    double sum = 0.0;
-    double max = 0.0;  // max sample; 0 for an empty bin
-    std::uint64_t count = 0;
   };
 
   // Lifetime (evicted + held) view of one tier.
@@ -100,8 +90,8 @@ class TieredRing {
   // Bins the tier has evicted (their values live on in the aggregates).
   [[nodiscard]] std::uint64_t tier_evicted(std::size_t tier) const;
 
-  // Value of the held bin at absolute index `index` under the reduction
-  // mode. Contract: tier_first <= index < tier_first + tier_held.
+  // Value (sample sum) of the held bin at absolute index `index`.
+  // Contract: tier_first <= index < tier_first + tier_held.
   [[nodiscard]] double TierValue(std::size_t tier, std::int64_t index) const;
 
   // Evicted aggregates combined with the held window.
@@ -111,14 +101,13 @@ class TieredRing {
   // recorder's per-tier sparkline tail.
   [[nodiscard]] std::vector<double> RecentValues(std::size_t tier, std::size_t n) const;
 
-  [[nodiscard]] Reduction reduction() const noexcept { return options_.reduction; }
   [[nodiscard]] std::uint64_t dropped_late() const noexcept { return dropped_late_; }
   [[nodiscard]] const OnlineHurst* hurst() const noexcept {
     return hurst_.has_value() ? &*hurst_ : nullptr;
   }
 
-  // True when the tier schedule, reduction mode and Hurst configuration
-  // match - the re-registration and merge precondition.
+  // True when the tier schedule and Hurst configuration match - the
+  // re-registration and merge precondition.
   [[nodiscard]] bool SameShape(const TieredRing& other) const noexcept;
 
   [[nodiscard]] std::size_t MemoryBytes() const noexcept;
@@ -130,7 +119,7 @@ class TieredRing {
     std::size_t ratio = 0;    // bins of this tier per bin of the next
     std::int64_t first = 0;   // absolute index of the oldest held bin
     std::size_t held = 0;
-    std::vector<Bin> bins;    // capacity slots; slot = absolute index % capacity
+    std::vector<double> bins;  // capacity slots; slot = absolute index % capacity
     std::uint64_t evicted = 0;
     double evicted_value_sum = 0.0;
     double evicted_value_max = 0.0;
@@ -146,9 +135,8 @@ class TieredRing {
     std::size_t fold_slot = 0;    // fold_index % next tier's capacity
   };
 
-  [[nodiscard]] double BinValue(const Bin& bin) const noexcept;
   // Ensures tier `k` holds bin `index`, evicting/cascading as needed.
-  Bin* EnsureCovers(std::size_t k, std::int64_t index);
+  double* EnsureCovers(std::size_t k, std::int64_t index);
   void EvictFront(std::size_t k);
 
   Options options_;

@@ -14,7 +14,6 @@
 #include "sim/event_queue.h"
 #include "stats/histogram.h"
 #include "stats/linear_regression.h"
-#include "stats/quantile.h"
 #include "stats/time_series.h"
 #include "game/client.h"
 #include "game/config.h"
@@ -54,12 +53,6 @@ TEST(Contracts, HistogramMergeRequiresIdenticalGeometry) {
   stats::Histogram a(0.0, 10.0, 5);
   stats::Histogram b(0.0, 10.0, 6);
   EXPECT_THROW(a.Merge(b), ContractViolation);
-}
-
-TEST(Contracts, QuantileMergeRequiresSameQuantile) {
-  stats::P2Quantile p50(0.5);
-  stats::P2Quantile p99(0.99);
-  EXPECT_THROW(p50.Merge(p99), ContractViolation);
 }
 
 TEST(Contracts, ShardIpShiftRejectsIdBeyondNamespace) {

@@ -175,12 +175,14 @@ TEST(Fleet, NamespacingKeepsShardClientsDisjoint) {
   }
 }
 
-TEST(Fleet, MergeReportsEqualsAccumulatorMerge) {
+TEST(Fleet, StandaloneShardsFoldToTheFleetReport) {
   const FleetConfig config = SmallFleet(2, 1);
   const auto fleet = RunFleet(config);
 
-  // Re-run each shard standalone, finish separately, merge the reports.
-  std::vector<CharacterizationReport> reports;
+  // Re-run each shard as an independent standalone Characterizer, fold the
+  // unfinished shards in server order with Characterizer::Merge and finish
+  // once: the result must reproduce the fleet report.
+  Characterizer merged(config.analysis);
   for (int shard = 0; shard < config.shards; ++shard) {
     game::GameConfig server = config.server;
     server.seed = sim::SubstreamSeed(config.base_seed, static_cast<std::uint64_t>(shard));
@@ -188,19 +190,19 @@ TEST(Fleet, MergeReportsEqualsAccumulatorMerge) {
         game::ShardIpShift(static_cast<std::uint32_t>(shard), server.sessions.population);
     Characterizer characterizer(config.analysis);
     (void)RunServerTrace(server, characterizer);
-    reports.push_back(characterizer.Finish(server.trace_duration));
+    merged.Merge(std::move(characterizer));
   }
-  auto merged = MergeReports(std::move(reports));
+  const CharacterizationReport report = merged.Finish(config.server.trace_duration);
 
-  EXPECT_EQ(merged.summary.total_packets(), fleet.report.summary.total_packets());
-  EXPECT_EQ(merged.summary.unique_clients_attempting(),
+  EXPECT_EQ(report.summary.total_packets(), fleet.report.summary.total_packets());
+  EXPECT_EQ(report.summary.unique_clients_attempting(),
             fleet.report.summary.unique_clients_attempting());
-  EXPECT_EQ(merged.minute_packets_in.values(), fleet.report.minute_packets_in.values());
-  EXPECT_EQ(merged.vt_base_packets.values(), fleet.report.vt_base_packets.values());
-  EXPECT_EQ(merged.sessions.size(), fleet.report.sessions.size());
-  ExpectHistogramsIdentical(merged.size_total, fleet.report.size_total);
-  ExpectHistogramsIdentical(merged.session_bandwidth, fleet.report.session_bandwidth);
-  EXPECT_EQ(merged.hurst.mid_scale, fleet.report.hurst.mid_scale);
+  EXPECT_EQ(report.minute_packets_in.values(), fleet.report.minute_packets_in.values());
+  EXPECT_EQ(report.vt_base_packets.values(), fleet.report.vt_base_packets.values());
+  EXPECT_EQ(report.sessions.size(), fleet.report.sessions.size());
+  ExpectHistogramsIdentical(report.size_total, fleet.report.size_total);
+  ExpectHistogramsIdentical(report.session_bandwidth, fleet.report.session_bandwidth);
+  EXPECT_EQ(report.hurst.mid_scale, fleet.report.hurst.mid_scale);
 }
 
 TEST(Fleet, Validation) {
@@ -214,7 +216,6 @@ TEST(Fleet, Validation) {
   // A negative worker count is a caller bug, not "all cores".
   FleetConfig negative = SmallFleet(2, -1);
   EXPECT_THROW((void)RunFleet(negative), gametrace::ContractViolation);
-  EXPECT_THROW((void)MergeReports({}), gametrace::ContractViolation);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {

@@ -196,7 +196,7 @@ TEST(GoldenDigest, NatExperimentResult) {
   canon.Field("nat_table", std::uint64_t{r.nat_table_size});
   canon.Field("freezes", r.server_freezes).Field("qoe_quits", r.qoe_quits);
   canon.Series("players", r.players);
-  ExpectDigest("300 s NAT experiment", canon.str(), 0x3ac15b2bdfb93c4d);
+  ExpectDigest("300 s NAT experiment", canon.str(), 0x0854647fe69d1c6d);
 }
 
 TEST(GoldenDigest, TraceWriterBytes) {

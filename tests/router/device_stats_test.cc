@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "sim/rng.h"
+
 namespace gametrace::router {
 namespace {
 
@@ -107,6 +112,22 @@ TEST(DeviceStats, DelayStatistics) {
   EXPECT_NEAR(stats.delay_p50(), 0.050, 0.005);
   EXPECT_NEAR(stats.delay_p99(), 0.099, 0.005);
   EXPECT_DOUBLE_EQ(stats.delay().max(), 0.1);
+
+  // The meltdown shape: a calm device (~1 ms), then a filling queue whose
+  // delay ramps to 80 ms. p50 sits in the calm phase and p99 on the ramp;
+  // both must be within 1% of the exact order statistic.
+  sim::Rng rng(15);
+  std::vector<double> delays;
+  for (int i = 0; i < 6000; ++i) delays.push_back(0.9e-3 + 0.2e-3 * rng.NextDouble());
+  for (int i = 0; i < 4000; ++i) delays.push_back(1e-3 + 79e-3 * (i + rng.NextDouble()) / 4000.0);
+  DeviceStats meltdown(1.0);
+  for (const double d : delays) meltdown.RecordDelay(d);
+  std::sort(delays.begin(), delays.end());
+  const auto exact = [&delays](double q) {
+    return delays[static_cast<std::size_t>(q * static_cast<double>(delays.size() - 1))];
+  };
+  EXPECT_NEAR(meltdown.delay_p50(), exact(0.50), 0.01 * exact(0.50));
+  EXPECT_NEAR(meltdown.delay_p99(), exact(0.99), 0.01 * exact(0.99));
 }
 
 }  // namespace

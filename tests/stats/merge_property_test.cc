@@ -3,12 +3,12 @@
 // This is the correctness foundation of the sharded fleet engine.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cmath>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.h"
 #include "stats/histogram.h"
-#include "stats/quantile.h"
 #include "stats/running_stats.h"
 #include "stats/time_series.h"
 
@@ -125,42 +125,6 @@ TEST(MergeProperty, TimeSeriesMergeExtendsToLongerSeries) {
   ASSERT_EQ(a.size(), 10u);
   EXPECT_DOUBLE_EQ(a[0], 1.0);
   EXPECT_DOUBLE_EQ(a[9], 2.0);
-}
-
-TEST(MergeProperty, P2QuantileMergeTracksExactQuantile) {
-  // The P-square merge is approximate; it must stay within the estimator's
-  // own error envelope of the exact order statistic.
-  auto xs = RandomStream(77, 4000, 1000.0);
-  P2Quantile merged(0.9);
-  {
-    P2Quantile left(0.9);
-    P2Quantile right(0.9);
-    for (std::size_t i = 0; i < xs.size(); ++i) ((i < xs.size() / 2) ? left : right).Add(xs[i]);
-    left.Merge(right);
-    merged = left;
-  }
-  EXPECT_EQ(merged.count(), xs.size());
-
-  std::sort(xs.begin(), xs.end());
-  const double exact = xs[static_cast<std::size_t>(0.9 * static_cast<double>(xs.size()))];
-  EXPECT_NEAR(merged.Value(), exact, 0.05 * 1000.0);
-}
-
-TEST(MergeProperty, P2QuantileMergeSmallSides) {
-  P2Quantile a(0.5);
-  P2Quantile b(0.5);
-  for (double x : {1.0, 2.0, 3.0}) a.Add(x);
-  for (double x : {4.0, 5.0}) b.Add(x);
-  a.Merge(b);  // both below 5 samples: replayed exactly
-  EXPECT_EQ(a.count(), 5u);
-  EXPECT_DOUBLE_EQ(a.Value(), 3.0);
-
-  P2Quantile empty(0.5);
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 5u);
-
-  P2Quantile mismatched(0.25);
-  EXPECT_THROW(a.Merge(mismatched), gametrace::ContractViolation);
 }
 
 }  // namespace

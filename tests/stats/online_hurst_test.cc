@@ -1,8 +1,7 @@
 // OnlineHurst: the streaming variance-time estimator must agree with the
-// batch estimator on identical input (same block sizes, same alignment),
-// its doubling cascade must equal the generic per-scale loop, and its
-// pooled merge must match single-pass statistics over the same block-mean
-// population.
+// batch estimator on identical input (the doubling block sizes, same
+// alignment), and its pooled merge must match single-pass statistics over
+// the same block-mean population.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,10 +40,10 @@ TEST(OnlineHurst, MatchesTheBatchEstimatorOnIdenticalInput) {
   for (std::size_t i = 0; i < n; ++i) {
     series.Add(0.050 * static_cast<double>(i) + 0.001, xs[i]);
   }
-  const VarianceTimeOptions batch_options;
-  const VarianceTimePlot batch = ComputeVarianceTime(series, batch_options);
+  // ratio 2 sweeps m = 1, 2, 4, ... - the online estimator's scales.
+  const VarianceTimePlot batch = ComputeVarianceTime(series, {.ratio = 2.0});
 
-  OnlineHurst online(OnlineHurst::Options::MatchingBatch(0.050, n, batch_options));
+  OnlineHurst online({.base_interval = 0.050});
   for (double x : xs) online.Push(x);
   const VarianceTimePlot streamed = online.EstimatePlot();
 
@@ -62,40 +61,9 @@ TEST(OnlineHurst, MatchesTheBatchEstimatorOnIdenticalInput) {
   EXPECT_NEAR(online.HurstEstimate(lo, hi), batch.HurstEstimate(lo, hi), 1e-6);
 }
 
-TEST(OnlineHurst, CascadeEqualsTheGenericLoopOnSharedScales) {
-  // LogSpaced scales are powers of two, so Push takes the upward-cascade
-  // path. Appending one non-doubling scale (12) to the same schedule
-  // forces the generic per-scale loop; with integer-valued input both
-  // paths' block sums are exact, so the shared scales must agree to the
-  // last bit.
-  const std::size_t n = 2048;
-  const auto xs = BurstyCounts(37, n);
-
-  OnlineHurst cascade(OnlineHurst::Options::LogSpaced(0.050, 4));  // {1, 2, 4, 8}
-  OnlineHurst::Options generic_options;
-  generic_options.base_interval = 0.050;
-  generic_options.scales = {1, 2, 4, 8, 12};
-  OnlineHurst generic_loop(generic_options);
-  for (double x : xs) {
-    cascade.Push(x);
-    generic_loop.Push(x);
-  }
-
-  const VarianceTimePlot a = cascade.EstimatePlot();
-  const VarianceTimePlot b = generic_loop.EstimatePlot();
-  ASSERT_EQ(a.points.size(), 4u);
-  ASSERT_EQ(b.points.size(), 5u);
-  EXPECT_DOUBLE_EQ(a.base_variance, b.base_variance);
-  for (std::size_t i = 0; i < a.points.size(); ++i) {
-    ASSERT_EQ(a.points[i].m, b.points[i].m);
-    EXPECT_DOUBLE_EQ(a.points[i].normalized_variance, b.points[i].normalized_variance)
-        << "scale m = " << a.points[i].m;
-  }
-}
-
 TEST(OnlineHurst, WhiteNoiseReadsAsShortRangeDependence) {
   sim::Rng rng(41);
-  OnlineHurst online(OnlineHurst::Options::LogSpaced(0.050, 10));
+  OnlineHurst online({.base_interval = 0.050, .num_scales = 10});
   for (int i = 0; i < 1 << 15; ++i) online.Push(std::floor(100.0 * rng.NextDouble()));
   const double h = online.HurstEstimate(0.050, 0.050 * 512.0);
   EXPECT_NEAR(h, 0.5, 0.1);  // i.i.d. load has H = 1/2
@@ -110,8 +78,8 @@ TEST(OnlineHurst, MergePoolsBlockMeansAcrossLockstepShards) {
   const auto a = BurstyCounts(43, n);
   const auto b = BurstyCounts(47, n);
 
-  OnlineHurst ha(OnlineHurst::Options::LogSpaced(0.050, 6));
-  OnlineHurst hb(OnlineHurst::Options::LogSpaced(0.050, 6));
+  OnlineHurst ha({.base_interval = 0.050, .num_scales = 6});
+  OnlineHurst hb({.base_interval = 0.050, .num_scales = 6});
   for (double x : a) ha.Push(x);
   for (double x : b) hb.Push(x);
   ha.Merge(hb);
@@ -139,21 +107,21 @@ TEST(OnlineHurst, MergePoolsBlockMeansAcrossLockstepShards) {
 }
 
 TEST(OnlineHurst, MergeRejectsMismatchedSchedules) {
-  OnlineHurst a(OnlineHurst::Options::LogSpaced(0.050, 6));
-  OnlineHurst b(OnlineHurst::Options::LogSpaced(0.050, 8));
+  OnlineHurst a({.base_interval = 0.050, .num_scales = 6});
+  OnlineHurst b({.base_interval = 0.050, .num_scales = 8});
   EXPECT_FALSE(a.SameShape(b));
   EXPECT_THROW(a.Merge(b), gametrace::ContractViolation);
 }
 
 TEST(OnlineHurst, InsufficientDataFallsBackToHalf) {
-  OnlineHurst online(OnlineHurst::Options::LogSpaced(0.050, 16));
+  OnlineHurst online({.base_interval = 0.050, .num_scales = 16});
   for (int i = 0; i < 4; ++i) online.Push(1.0);
   EXPECT_FALSE(online.CanEstimate(0.050, 1800.0));
   EXPECT_EQ(online.HurstEstimate(0.050, 1800.0), 0.5);
 }
 
 TEST(OnlineHurst, MemoryIsIndependentOfStreamLength) {
-  OnlineHurst online(OnlineHurst::Options::LogSpaced(0.050, 16));
+  OnlineHurst online({.base_interval = 0.050, .num_scales = 16});
   for (int i = 0; i < 100; ++i) online.Push(static_cast<double>(i % 7));
   const std::size_t early = online.MemoryBytes();
   for (int i = 0; i < 1 << 18; ++i) online.Push(static_cast<double>(i % 11));

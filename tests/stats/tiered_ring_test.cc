@@ -18,13 +18,11 @@ namespace {
 
 // A tiny schedule the tests can reason about exactly: 1 s base bins (4
 // held), folding 4:1 into 4 s bins (4 held), folding 4:1 into 16 s bins.
-TieredRing::Options TinySchedule(TieredRing::Reduction reduction = TieredRing::Reduction::kSum,
-                                 bool track_hurst = false) {
+TieredRing::Options TinySchedule(bool track_hurst = false) {
   TieredRing::Options options;
   options.tiers = {{.interval = 1.0, .capacity = 4},
                    {.interval = 4.0, .capacity = 4},
                    {.interval = 16.0, .capacity = 2}};
-  options.reduction = reduction;
   options.track_hurst = track_hurst;
   options.hurst_scales = 4;
   return options;
@@ -81,11 +79,11 @@ TEST(TieredRing, LifetimeAggregatesSurviveEviction) {
 }
 
 TEST(TieredRing, BulkAddMatchesUnitAddsUnderSumReduction) {
-  // The server folds each tick's packet count in as one Add(t, n); under
-  // kSum every exposed value (tier values, stats, Hurst feed) must match
+  // The server folds each tick's packet count in as one Add(t, n); bins
+  // are sums, so every exposed value (tier values, stats, Hurst feed) must match
   // n unit adds at the same timestamp.
-  TieredRing bulk(TinySchedule(TieredRing::Reduction::kSum, /*track_hurst=*/true));
-  TieredRing units(TinySchedule(TieredRing::Reduction::kSum, /*track_hurst=*/true));
+  TieredRing bulk(TinySchedule(/*track_hurst=*/true));
+  TieredRing units(TinySchedule(/*track_hurst=*/true));
   sim::Rng rng(17);
   for (int s = 0; s < 64; ++s) {
     const auto n = 1 + static_cast<int>(rng.NextBelow(7));
@@ -122,7 +120,7 @@ TEST(TieredRing, AdvanceToClosesEmptyBinsAndKeepsAddConsistent) {
 TEST(TieredRing, MergedShardsEqualTheSummedStreamBitForBit) {
   // Shard the same grid across 8 rings (each sees its own traffic), then
   // reduce in shard order, reversed, and pairwise (1/2/8-worker shapes).
-  // kSum folding is exact, so every reduction must equal the ring of the
+  // Sum folding is exact, so every reduction must equal the ring of the
   // summed stream bit for bit.
   sim::Rng rng(29);
   std::vector<std::vector<double>> load(8, std::vector<double>(48));
@@ -131,7 +129,7 @@ TEST(TieredRing, MergedShardsEqualTheSummedStreamBitForBit) {
   }
 
   const auto run_shard = [&](std::size_t k) {
-    TieredRing ring(TinySchedule(TieredRing::Reduction::kSum, /*track_hurst=*/true));
+    TieredRing ring(TinySchedule(/*track_hurst=*/true));
     for (std::size_t s = 0; s < load[k].size(); ++s) {
       ring.Add(static_cast<double>(s) + 0.5, load[k][s]);
     }
@@ -139,7 +137,7 @@ TEST(TieredRing, MergedShardsEqualTheSummedStreamBitForBit) {
     return ring;
   };
 
-  TieredRing whole(TinySchedule(TieredRing::Reduction::kSum, /*track_hurst=*/true));
+  TieredRing whole(TinySchedule(/*track_hurst=*/true));
   for (std::size_t s = 0; s < 48; ++s) {
     double total = 0.0;
     for (const auto& shard : load) total += shard[s];
@@ -147,7 +145,7 @@ TEST(TieredRing, MergedShardsEqualTheSummedStreamBitForBit) {
   }
   whole.AdvanceTo(48.0);
 
-  // Held windows are exact under kSum: the merged ring's bins equal the
+  // Held windows are exact: the merged ring's bins equal the
   // summed stream's bins bit for bit. (Eviction PEAKS deliberately differ:
   // a merge keeps the worst single-shard burst, not the aggregate peak -
   // so they are compared across reduction shapes, not against `whole`.)
@@ -193,7 +191,9 @@ TEST(TieredRing, MergedShardsEqualTheSummedStreamBitForBit) {
 
 TEST(TieredRing, MergeRejectsShapeAndLockstepViolations) {
   TieredRing a(TinySchedule());
-  TieredRing b(TinySchedule(TieredRing::Reduction::kMax));
+  TieredRing::Options wider = TinySchedule();
+  wider.tiers[1].capacity = 8;  // same intervals, different capacity
+  TieredRing b(wider);
   EXPECT_FALSE(a.SameShape(b));
   EXPECT_THROW(a.Merge(b), gametrace::ContractViolation);
 
@@ -226,7 +226,7 @@ TEST(TieredRing, PaperScheduleSpansAWeekOfHours) {
 }
 
 TEST(TieredRing, HurstFeedConsumesEvictedBaseBins) {
-  TieredRing ring(TinySchedule(TieredRing::Reduction::kSum, /*track_hurst=*/true));
+  TieredRing ring(TinySchedule(/*track_hurst=*/true));
   for (int s = 0; s < 30; ++s) ring.Add(static_cast<double>(s) + 0.5, 2.0);
   ASSERT_NE(ring.hurst(), nullptr);
   EXPECT_EQ(ring.hurst()->samples(), ring.tier_evicted(0));
