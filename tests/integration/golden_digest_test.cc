@@ -22,6 +22,12 @@
 #include "core/experiment.h"
 #include "core/fleet.h"
 #include "game/config.h"
+#include "obs/flight_recorder.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
+#include "obs/prom.h"
+#include "obs/trace_log.h"
+#include "obs/watchdog.h"
 #include "trace/trace_format.h"
 
 namespace gametrace {
@@ -197,6 +203,38 @@ TEST(GoldenDigest, NatExperimentResult) {
   canon.Field("freezes", r.server_freezes).Field("qoe_quits", r.qoe_quits);
   canon.Series("players", r.players);
   ExpectDigest("300 s NAT experiment", canon.str(), 0x0854647fe69d1c6d);
+}
+
+// The observability surfaces of a run in which a watchdog fires: the 120 s
+// Table IV overload of FlightBlackbox.NatOverloadRaisesTheMeltdownAlert-
+// OnSchedule (meltdown alert at t=60). Flight JSONL, alerts JSONL and the
+// Prometheus text of the ambient registry. Profiling stays off in this
+// binding, so no wall-clock prof.* entries reach any of the three.
+TEST(GoldenDigest, NatObservabilitySurfaces) {
+  obs::MetricsRegistry metrics;
+  obs::TraceLog trace;
+  obs::FlightRecorder recorder(obs::FlightRecorder::Options{.sample_period_seconds = 60.0});
+  obs::WatchdogEngine watchdog(obs::WatchdogEngine::BuiltinRules());
+  {
+    const obs::ScopedObsBinding bind({.metrics = &metrics,
+                                      .trace = &trace,
+                                      .recorder = &recorder,
+                                      .watchdog = &watchdog,
+                                      .heartbeat = false});
+    auto config = core::NatExperimentConfig::Defaults();
+    config.duration = 120.0;
+    config.game.trace_duration = 120.0;
+    config.game.maps.map_duration = 180.0;
+    (void)core::RunNatExperiment(config);
+  }
+  std::ostringstream prom;
+  obs::WritePrometheusText(metrics, prom);
+  Canon canon;
+  canon.Text("flight", recorder.ToJsonl());
+  canon.Text("alerts", watchdog.ToJsonl());
+  canon.Text("prometheus", prom.str());
+  EXPECT_EQ(canon.str().find("prof"), std::string::npos);
+  ExpectDigest("120 s NAT flight/alerts/prom", canon.str(), 0x186068a4780f8f6f);
 }
 
 TEST(GoldenDigest, TraceWriterBytes) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
+#include "net/packet_batch.h"
+
 namespace gametrace::router {
 namespace {
 
@@ -14,6 +19,37 @@ net::PacketRecord MakeRecord(double t, net::Direction dir, std::uint16_t bytes =
   r.app_bytes = bytes;
   r.direction = dir;
   return r;
+}
+
+// Hands `records` to the device's injector as one columnar batch, the way
+// CsServer delivers a tick.
+void InjectBatch(NatDevice& nat, const std::vector<net::PacketRecord>& records) {
+  net::ColumnarBatch batch;
+  for (const net::PacketRecord& r : records) batch.PushRecord(r);
+  nat.injector().OnColumns(batch.View());
+}
+
+// The exact simulation time of the device's k-th livelock episode (1-based).
+// The episode schedule draws only from the device's own generator, never
+// from traffic, so an idle twin finds it: the smallest end time at which
+// RunUntil has executed k episodes, bisected down to adjacent doubles.
+double EpisodeTime(const NatDevice::Config& cfg, int k) {
+  auto episodes_by = [&cfg](double t) {
+    sim::Simulator s;
+    NatDevice twin(s, cfg);
+    twin.Start();
+    s.RunUntil(t);
+    return twin.livelock_episodes();
+  };
+  double lo = 0.0;
+  double hi = 1.0;
+  while (episodes_by(hi) < k) hi *= 2.0;
+  while (std::nextafter(lo, hi) < hi) {
+    const double mid = lo + (hi - lo) / 2.0;
+    if (mid <= lo || mid >= hi) break;
+    (episodes_by(mid) >= k ? hi : lo) = mid;
+  }
+  return hi;
 }
 
 NatDevice::Config QuietConfig() {
@@ -77,8 +113,9 @@ TEST(NatDevice, LanBufferOverflowDropsOutgoing) {
   cfg.lan_buffer = 4;
   NatDevice nat(s, cfg);
   int losses = 0;
-  nat.SetLossCallback([&](const net::PacketRecord&, Segment seg) {
+  nat.SetLossCallback([&](const net::PacketRecord& record, Segment seg) {
     EXPECT_EQ(seg, Segment::kServerToNat);
+    EXPECT_EQ(s.Now(), record.timestamp);  // dropped at its own arrival instant
     ++losses;
   });
   nat.Start();
@@ -101,6 +138,12 @@ TEST(NatDevice, LanBurstStarvesWanRing) {
   cfg.lan_buffer = 64;
   cfg.wan_buffer = 2;
   NatDevice nat(s, cfg);
+  int losses = 0;
+  nat.SetLossCallback([&](const net::PacketRecord& record, Segment seg) {
+    EXPECT_EQ(seg, Segment::kClientsToNat);
+    EXPECT_EQ(s.Now(), record.timestamp);  // dropped at its own arrival instant
+    ++losses;
+  });
   nat.Start();
   s.At(0.0, [&] {
     for (int i = 0; i < 30; ++i) nat.OnArrival(MakeRecord(0.0, net::Direction::kServerToClient));
@@ -115,6 +158,7 @@ TEST(NatDevice, LanBurstStarvesWanRing) {
   s.RunUntil(1.0);
   EXPECT_EQ(nat.stats().drops(Segment::kServerToNat), 0u);
   EXPECT_GT(nat.stats().drops(Segment::kClientsToNat), 5u);
+  EXPECT_EQ(static_cast<std::uint64_t>(losses), nat.stats().drops(Segment::kClientsToNat));
   EXPECT_GT(nat.stats().loss_rate_incoming(), nat.stats().loss_rate_outgoing());
 }
 
@@ -203,6 +247,124 @@ TEST(NatDevice, InjectorSchedulesAtRecordTimestamp) {
   EXPECT_EQ(nat.stats().packets(Segment::kClientsToNat), 0u);
   s.RunUntil(1.0);
   EXPECT_EQ(nat.stats().packets(Segment::kClientsToNat), 1u);
+}
+
+// ---- Tie order and the wake latch --------------------------------------
+//
+// Jitter-0 cases where two device events share an instant. Simultaneous
+// events run in the order they were scheduled, so an arrival injected
+// before a service started precedes that service's completion, and one
+// injected after it follows. Delivery times and drop counts are pinned.
+
+TEST(NatDevice, ArrivalInjectedBeforeServiceStartPrecedesItsCompletion) {
+  sim::Simulator s;
+  NatDevice::Config cfg = QuietConfig();
+  cfg.lan_buffer = 1;
+  NatDevice nat(s, cfg);
+  std::vector<double> deliveries;
+  std::vector<double> drops;
+  nat.SetDeliverCallback([&](const net::PacketRecord&, Segment) { deliveries.push_back(s.Now()); });
+  nat.SetLossCallback([&](const net::PacketRecord&, Segment) { drops.push_back(s.Now()); });
+  nat.Start();
+  // One batch: the first packet's service ends at exactly 0.001, the
+  // instant the next two arrive. Both arrivals come first: one fills the
+  // one-slot LAN buffer, the other is dropped, then the completion frees it.
+  InjectBatch(nat, {MakeRecord(0.0, net::Direction::kServerToClient),
+                    MakeRecord(0.001, net::Direction::kServerToClient),
+                    MakeRecord(0.001, net::Direction::kServerToClient)});
+  s.RunUntil(1.0);
+  EXPECT_EQ(deliveries, (std::vector<double>{0.001, 0.002}));
+  EXPECT_EQ(drops, (std::vector<double>{0.001}));
+  EXPECT_EQ(nat.stats().drops(Segment::kServerToNat), 1u);
+}
+
+TEST(NatDevice, ArrivalInjectedAfterServiceStartFollowsItsCompletion) {
+  sim::Simulator s;
+  NatDevice::Config cfg = QuietConfig();
+  cfg.lan_buffer = 1;
+  NatDevice nat(s, cfg);
+  std::vector<double> deliveries;
+  nat.SetDeliverCallback([&](const net::PacketRecord&, Segment) { deliveries.push_back(s.Now()); });
+  nat.Start();
+  InjectBatch(nat, {MakeRecord(0.0, net::Direction::kServerToClient)});
+  // Injected mid-service: the completion at 0.001 was scheduled first, so
+  // it frees the CPU before the two arrivals at the same instant.
+  s.At(0.0005, [&] {
+    InjectBatch(nat, {MakeRecord(0.001, net::Direction::kServerToClient),
+                      MakeRecord(0.001, net::Direction::kServerToClient)});
+  });
+  s.RunUntil(1.0);
+  EXPECT_EQ(deliveries, (std::vector<double>{0.001, 0.002, 0.003}));
+  EXPECT_EQ(nat.stats().drops(Segment::kServerToNat), 0u);
+}
+
+TEST(NatDevice, ArrivalOnFullStallEndPrecedesTheWakeUp) {
+  NatDevice::Config cfg = QuietConfig();
+  cfg.lan_buffer = 1;
+  cfg.episode_mean_interval = 2.0;
+  cfg.episode_min_duration = 0.5;
+  cfg.episode_max_duration = 0.5;
+  cfg.episode_full_stall = 0.1;
+  const double episode = EpisodeTime(cfg, 1);
+  const double stall_end = episode + cfg.episode_full_stall;
+
+  sim::Simulator s;
+  NatDevice nat(s, cfg);
+  std::vector<double> deliveries;
+  std::vector<double> drops;
+  nat.SetDeliverCallback([&](const net::PacketRecord&, Segment) { deliveries.push_back(s.Now()); });
+  nat.SetLossCallback([&](const net::PacketRecord& record, Segment) {
+    EXPECT_EQ(s.Now(), record.timestamp);
+    drops.push_back(s.Now());
+  });
+  nat.Start();
+  // A LAN packet parks in the one-slot buffer during the stall and arms the
+  // wake-up for the stall end; a second one lands exactly on that instant.
+  // It was injected first, so it arrives before the wake-up and finds the
+  // buffer full.
+  InjectBatch(nat, {MakeRecord(episode + 0.05, net::Direction::kServerToClient),
+                    MakeRecord(stall_end, net::Direction::kServerToClient)});
+  s.RunUntil(episode + 5.0);
+  EXPECT_EQ(drops, (std::vector<double>{stall_end}));
+  EXPECT_EQ(deliveries, (std::vector<double>{stall_end + 0.001}));
+}
+
+TEST(NatDevice, SecondEpisodeKeepsThePendingWanWakeUp) {
+  NatDevice::Config cfg = QuietConfig();
+  cfg.episode_mean_interval = 0.5;
+  cfg.episode_min_duration = 1.0;
+  cfg.episode_max_duration = 1.0;
+  cfg.episode_full_stall = 0.05;
+  cfg.seed = 15;
+  const double first = EpisodeTime(cfg, 1);
+  const double second = EpisodeTime(cfg, 2);
+  // The second episode's full stall must start after the WAN packet and
+  // end before the first episode's starvation does; the third comes after
+  // the WAN packet has left.
+  ASSERT_GT(second, first + 0.2);
+  ASSERT_LT(second + cfg.episode_full_stall, first + 1.0);
+  ASSERT_GT(EpisodeTime(cfg, 3), second + 1.1);
+
+  sim::Simulator s;
+  NatDevice nat(s, cfg);
+  std::vector<double> lan_deliveries;
+  std::vector<double> wan_deliveries;
+  nat.SetDeliverCallback([&](const net::PacketRecord&, Segment seg) {
+    (seg == Segment::kNatToClients ? lan_deliveries : wan_deliveries).push_back(s.Now());
+  });
+  nat.Start();
+  // A WAN packet during the first episode's starvation latches a wake-up at
+  // its end. A LAN packet during the second episode's full stall finds that
+  // wake-up pending and schedules none of its own, so it waits for the
+  // latched one rather than the second stall's end.
+  InjectBatch(nat, {MakeRecord(first + 0.1, net::Direction::kClientToServer),
+                    MakeRecord(second + 0.01, net::Direction::kServerToClient)});
+  s.RunUntil(second + 5.0);
+  const double latched_wake = first + 1.0;
+  EXPECT_EQ(lan_deliveries, (std::vector<double>{latched_wake + 0.001}));
+  EXPECT_EQ(wan_deliveries, (std::vector<double>{second + 1.0 + 0.001}));
+  EXPECT_EQ(nat.stats().drops(Segment::kServerToNat) + nat.stats().drops(Segment::kClientsToNat),
+            0u);
 }
 
 }  // namespace
