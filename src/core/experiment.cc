@@ -71,17 +71,18 @@ void InstallHeartbeat(sim::Simulator& simulator, const game::CsServer& server,
 // Schedules the flight-recorder sampling pulse: every sampling period the
 // ambient registry (refreshed with the simulator's queue high-water mark)
 // is snapshotted into the recorder and the watchdog catches up on the new
-// snapshot. `extra` (may be null) is merged on top of the ambient registry
-// first - the NAT experiment's device registry only reaches the ambient
-// export at the end of the run, but its packet counters drive the
-// meltdown rule and must be visible per snapshot.
+// snapshot. The registry of `nat` (may be null) is merged on top of the
+// ambient registry first - the NAT experiment's device registry only
+// reaches the ambient export at the end of the run, but its packet
+// counters drive the meltdown rule and must be visible per snapshot.
+// Reading it brings the device up to the sampling instant.
 void InstallFlightSampling(sim::Simulator& simulator, const obs::ObsContext& ctx,
-                           const obs::MetricsRegistry* extra) {
+                           router::NatDevice* nat) {
   if (ctx.recorder == nullptr || ctx.metrics == nullptr) return;
   const double period = ctx.recorder->options().sample_period_seconds;
   simulator.Every(period, period,
                   [&simulator, metrics = ctx.metrics, recorder = ctx.recorder,
-                   watchdog = ctx.watchdog, extra](double t) {
+                   watchdog = ctx.watchdog, nat](double t) {
                     metrics->gauge("sim.queue.high_water", obs::Gauge::MergeMode::kMax)
                         .SetMax(static_cast<double>(simulator.queue_high_water()));
                     // Align ring instruments on the sampling grid so shard
@@ -90,7 +91,7 @@ void InstallFlightSampling(sim::Simulator& simulator, const obs::ObsContext& ctx
                     // period a multiple of the server tick for this.
                     metrics->AdvanceRingsTo(t);
                     obs::MetricsRegistry view = *metrics;
-                    if (extra != nullptr) view.Merge(*extra);
+                    if (nat != nullptr) view.Merge(nat->stats().metrics());
                     recorder->Sample(t, std::move(view));
                     if (watchdog != nullptr) watchdog->CatchUp(*recorder);
                   });
@@ -133,7 +134,7 @@ ServerTraceResult RunServerTrace(const game::GameConfig& config, trace::CaptureS
     const double interval = ResolveHeartbeatInterval(config.trace_duration);
     if (interval > 0.0) InstallHeartbeat(simulator, server, config.trace_duration, interval);
   }
-  InstallFlightSampling(simulator, ctx, /*extra=*/nullptr);
+  InstallFlightSampling(simulator, ctx, /*nat=*/nullptr);
   {
     const obs::ScopedSpan run_span(ctx.trace, "server_trace", "run");
     server.Run();
@@ -227,7 +228,7 @@ NatExperimentResult RunNatExperiment(const NatExperimentConfig& config) {
     const double interval = ResolveHeartbeatInterval(config.duration);
     if (interval > 0.0) InstallHeartbeat(simulator, server, config.duration, interval);
   }
-  InstallFlightSampling(simulator, ctx, &nat.stats().metrics());
+  InstallFlightSampling(simulator, ctx, &nat);
   {
     const obs::ScopedSpan run_span(ctx.trace, "nat_experiment", "run");
     simulator.RunUntil(config.duration);

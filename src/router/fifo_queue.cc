@@ -1,7 +1,6 @@
 #include "router/fifo_queue.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <string>
 
 #include "core/check.h"
@@ -23,30 +22,18 @@ void FifoQueue::BindMetrics(obs::MetricsRegistry& registry, std::string_view pre
   metric_high_water_->SetMax(static_cast<double>(max_occupancy_));
 }
 
-bool FifoQueue::TryPush(QueuedPacket packet) {
-  occupancy_.Add(static_cast<double>(queue_.size()));
-  if (full()) {
-    ++drops_;
-    if (metric_drops_ != nullptr) metric_drops_->Add();
-    return false;
-  }
-  queue_.push_back(std::move(packet));
-  ++pushes_;
-  if (metric_pushes_ != nullptr) metric_pushes_->Add();
-  max_occupancy_ = std::max(max_occupancy_, queue_.size());
-  if (metric_high_water_ != nullptr) {
-    metric_high_water_->SetMax(static_cast<double>(max_occupancy_));
-  }
-  GT_DCHECK_LE(queue_.size(), capacity_) << "FifoQueue: occupancy exceeds capacity";
-  GT_DCHECK_LE(max_occupancy_, capacity_) << "FifoQueue: recorded high-water mark is impossible";
-  return true;
+void FifoQueue::Grow() {
+  const std::size_t grown = std::min(capacity_, std::max<std::size_t>(8, 2 * ring_.size()));
+  std::vector<std::uint32_t> ring(grown);
+  for (std::size_t i = 0; i < size_; ++i) ring[i] = ring_[(head_ + i) % ring_.size()];
+  ring_ = std::move(ring);
+  head_ = 0;
 }
 
-std::optional<QueuedPacket> FifoQueue::Pop() {
-  if (queue_.empty()) return std::nullopt;
-  QueuedPacket out = std::move(queue_.front());
-  queue_.pop_front();
-  return out;
+void FifoQueue::RaiseHighWater() {
+  max_occupancy_ = size_;
+  if (metric_high_water_ != nullptr) metric_high_water_->SetMax(static_cast<double>(size_));
+  GT_DCHECK_LE(size_, capacity_) << "FifoQueue: occupancy exceeds capacity";
 }
 
 }  // namespace gametrace::router

@@ -24,11 +24,23 @@
 // server misses client updates and briefly stops broadcasting
 // (CsServer::InduceStall), which is what correlates the Figure 15 dropouts
 // with incoming loss.
+//
+// The device runs its own queueing in time order instead of scheduling a
+// simulator event per arrival and per service completion. Injected rows
+// wait in a pending-arrival buffer sorted by (arrival time, injection
+// order); a commit step replays arrivals, completions (start + drawn
+// service time, the Lindley recursion) and stall wake-ups up to the
+// current time whenever the device is touched. A simulator event is armed
+// only where an observable can happen: at the earliest pending arrival
+// that might be dropped, and - with a deliver callback - at the next
+// completion or wake-up. So every loss and delivery callback still runs at
+// its own instant. DESIGN.md section "NAT device" has the event rule.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <limits>
+#include <vector>
 
 #include "net/packet.h"
 #include "obs/metrics.h"
@@ -70,26 +82,31 @@ class NatDevice {
   NatDevice(const NatDevice&) = delete;
   NatDevice& operator=(const NatDevice&) = delete;
 
-  void SetDeliverCallback(DeliverFn fn) { deliver_ = std::move(fn); }
+  // Each delivery calls `fn` at its completion instant (Now() equals the
+  // completion time), which costs one simulator event per delivery.
+  void SetDeliverCallback(DeliverFn fn);
+  // Each drop calls `fn` at the dropped packet's arrival instant.
   void SetLossCallback(LossFn fn) { on_loss_ = std::move(fn); }
 
   // Must be called once before injecting traffic; starts the livelock
   // schedule.
   void Start();
 
-  // A packet reaches the device at the current simulation time.
+  // A packet reaches the device at the current simulation time. It arrives
+  // ahead of device events already due at this instant.
   void OnArrival(const net::PacketRecord& record);
 
-  // A sink that schedules OnArrival at each record's own timestamp - the
-  // glue between CsServer's emission and the device (also re-orders the
-  // within-tick emission skew).
+  // A sink that queues each record to arrive at its own timestamp (or now,
+  // if that has passed) - the glue between CsServer's emission and the
+  // device (also re-orders the within-tick emission skew). Records due at
+  // the same instant arrive in injection order.
   [[nodiscard]] trace::CaptureSink& injector() noexcept { return injector_; }
 
-  [[nodiscard]] const DeviceStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const FifoQueue& lan_queue() const noexcept { return lan_q_; }
-  [[nodiscard]] const FifoQueue& wan_queue() const noexcept { return wan_q_; }
-  [[nodiscard]] std::size_t nat_table_size() const noexcept { return nat_table_.size(); }
-  [[nodiscard]] bool busy() const noexcept { return busy_; }
+  // Reads bring the device up to the current simulation time first.
+  [[nodiscard]] const DeviceStats& stats();
+  [[nodiscard]] const FifoQueue& lan_queue();
+  [[nodiscard]] const FifoQueue& wan_queue();
+  [[nodiscard]] std::size_t nat_table_size();
   [[nodiscard]] int livelock_episodes() const noexcept { return episodes_; }
 
  private:
@@ -102,10 +119,67 @@ class NatDevice {
     NatDevice* device_;
   };
 
+  // Client endpoint -> external port, in a flat open-addressing table keyed
+  // by the 48-bit (ip, port) endpoint: SessionTracker's layout (Fibonacci
+  // hashing, power-of-two capacity, linear probing). Mappings are never
+  // removed, so there are no tombstones.
+  class NatTable {
+   public:
+    // Maps `endpoint` to `port` unless it is mapped already; true if new.
+    bool Insert(std::uint64_t endpoint, std::uint16_t port);
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+   private:
+    void Rehash(std::size_t capacity);
+
+    std::vector<std::uint64_t> keys_;  // capacity-sized, power of two
+    std::vector<std::uint16_t> ports_;
+    std::vector<std::uint8_t> used_;
+    std::size_t size_ = 0;
+  };
+
+  // A packet inside the device, from arrival to departure or drop.
+  struct Row {
+    double at = 0.0;  // arrival time
+    net::PacketRecord record;
+  };
+
+  // An injected row that has not arrived yet. `stamp` orders it against
+  // other device events due at the same instant.
+  struct Pending {
+    double at = 0.0;
+    std::uint64_t stamp = 0;
+    std::uint32_t row = 0;
+    bool lan = false;
+  };
+
+  // How far a commit at time t reaches.
+  enum class Horizon : std::uint8_t {
+    // Events strictly before t: the touch itself runs ahead of device
+    // events due at t (an injection, an episode).
+    kBefore,
+    // Events at t too, stopping at the first one a callback would observe
+    // (a read; that event has its own armed event).
+    kAt,
+    // Every event at or before t (the armed event firing at t).
+    kThrough,
+  };
+
+  static constexpr double kNever = std::numeric_limits<double>::infinity();
+
+  void Inject(const net::PacketBatch& batch);
+  // Brings the device up to Now(), then re-arms (a read, the armed event).
+  // Every other touch commits, changes the device, then re-arms.
+  void Touch(Horizon horizon);
+  void AdvanceTo(double t, Horizon horizon);
+  void Rearm();
+
+  std::uint32_t AcquireRow(double at, const net::PacketRecord& record);
+  void Arrive(std::uint32_t row);
+  void TryBeginService(double now);
+  void Complete();
+  void Drop(std::uint32_t row, Segment arrival_segment);
   void ScheduleNextEpisode();
-  void TryBeginService();
-  void CompleteService(QueuedPacket packet);
-  void Drop(const net::PacketRecord& record, Segment arrival_segment);
 
   sim::Simulator* simulator_;
   Config config_;
@@ -117,15 +191,37 @@ class NatDevice {
   InjectorSink injector_;
   DeliverFn deliver_;
   LossFn on_loss_;
-  std::unordered_map<std::uint64_t, std::uint16_t> nat_table_;  // endpoint -> external port
+  NatTable nat_table_;
   std::uint16_t next_external_port_ = 1024;
-  bool busy_ = false;
   bool started_ = false;
   double wan_starved_until_ = 0.0;
   double full_stall_until_ = 0.0;
   int episodes_ = 0;
-  std::uint64_t wake_event_ = 0;
-  bool wake_pending_ = false;
+
+  // Packet store: the queues and the pending buffer hold row ids.
+  std::vector<Row> rows_;
+  std::vector<std::uint32_t> free_rows_;
+  // Sorted by (at, stamp); entries before pending_head_ have arrived.
+  std::vector<Pending> pending_;
+  std::size_t pending_head_ = 0;
+  std::uint64_t next_stamp_ = 0;
+
+  // The service in progress.
+  bool busy_ = false;
+  std::uint32_t in_service_ = 0;
+  double completion_at_ = kNever;
+  std::uint64_t completion_stamp_ = 0;
+  // The stall wake-up. It is latched: a new episode that moves the stall
+  // ends leaves a pending wake-up at its old time.
+  double wake_at_ = kNever;
+  std::uint64_t wake_stamp_ = 0;
+
+  // The one armed simulator event (kNever: none).
+  double armed_at_ = kNever;
+  std::uint64_t armed_id_ = 0;
+  // Set while a commit runs: a callback that touches the device sees the
+  // state of the event that called it.
+  bool committing_ = false;
 
   // Ambient observability captured at construction: drop/livelock instants
   // go to the trace log ("nat" category), episode counts to the ambient

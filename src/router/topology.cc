@@ -25,18 +25,28 @@ void DeviceChain::Start() {
 
 void DeviceChain::InjectorSink::OnColumns(const net::PacketBatch& batch) {
   auto& chain = *chain_;
+  const auto out = static_cast<std::uint8_t>(net::Direction::kServerToClient);
   for (std::size_t i = 0; i < batch.count; ++i) {
-    const net::PacketRecord record = batch.RecordAt(i);
-    const bool outbound = record.direction == net::Direction::kServerToClient;
-    if (outbound) {
+    if (batch.directions[i] == out) {
       ++chain.end_to_end_.sent_out;
     } else {
       ++chain.end_to_end_.sent_in;
     }
-    NatDevice* edge = outbound ? chain.devices_.front().get() : chain.devices_.back().get();
-    const double at = std::max(chain.simulator_->Now(), record.timestamp);
-    chain.simulator_->At(at, [edge, record] { edge->OnArrival(record); });
   }
+  NatDevice& first = *chain.devices_.front();
+  NatDevice& last = *chain.devices_.back();
+  if (&first == &last) {
+    // One device sees both directions in the batch's own row order.
+    first.injector().OnColumns(batch);
+    return;
+  }
+  outbound_.Clear();
+  inbound_.Clear();
+  for (std::size_t i = 0; i < batch.count; ++i) {
+    (batch.directions[i] == out ? outbound_ : inbound_).PushFrom(batch, i);
+  }
+  if (!outbound_.empty()) first.injector().OnColumns(outbound_.View());
+  if (!inbound_.empty()) last.injector().OnColumns(inbound_.View());
 }
 
 void DeviceChain::Forward(const net::PacketRecord& record, std::size_t from_hop) {

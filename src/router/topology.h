@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "net/packet.h"
+#include "net/packet_batch.h"
 #include "router/nat_device.h"
 #include "stats/running_stats.h"
 #include "trace/capture.h"
@@ -35,13 +36,13 @@ class DeviceChain {
   // Starts every hop's internal schedule.
   void Start();
 
-  // Sink that injects each record at the correct edge (outbound packets
-  // enter hop 0, inbound packets enter the last hop) at the record's own
-  // timestamp.
+  // Sink that hands each record to the correct edge device's injector
+  // (outbound packets enter hop 0, inbound packets enter the last hop),
+  // which queues it for the record's own timestamp.
   [[nodiscard]] trace::CaptureSink& injector() noexcept { return injector_; }
 
   [[nodiscard]] std::size_t hop_count() const noexcept { return devices_.size(); }
-  [[nodiscard]] const NatDevice& hop(std::size_t i) const { return *devices_.at(i); }
+  [[nodiscard]] NatDevice& hop(std::size_t i) { return *devices_.at(i); }
 
   struct EndToEnd {
     std::uint64_t sent_out = 0;
@@ -73,6 +74,9 @@ class DeviceChain {
 
    private:
     DeviceChain* chain_;
+    // Per-edge slices of a batch when the edges are different devices.
+    net::ColumnarBatch outbound_;
+    net::ColumnarBatch inbound_;
   };
 
   void Forward(const net::PacketRecord& record, std::size_t from_hop);

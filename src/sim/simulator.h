@@ -1,8 +1,10 @@
 // Discrete-event simulator: a clock plus an event queue.
 //
 // The whole reproduction is event-driven: game server ticks, client send
-// times, session arrivals/departures, map rotations, NAT service
-// completions are all events against one Simulator instance.
+// times, session arrivals/departures, map rotations, NAT drops and livelock
+// episodes are all events against one Simulator instance. (The NAT device
+// replays its own arrivals and completions between events; see
+// router/nat_device.h.)
 #pragma once
 
 #include <cstdint>

@@ -234,7 +234,7 @@ TEST(GoldenDigest, NatObservabilitySurfaces) {
   canon.Text("alerts", watchdog.ToJsonl());
   canon.Text("prometheus", prom.str());
   EXPECT_EQ(canon.str().find("prof"), std::string::npos);
-  ExpectDigest("120 s NAT flight/alerts/prom", canon.str(), 0x186068a4780f8f6f);
+  ExpectDigest("120 s NAT flight/alerts/prom", canon.str(), 0x976eed15c0c30088);
 }
 
 TEST(GoldenDigest, TraceWriterBytes) {

@@ -7,69 +7,70 @@
 namespace gametrace::router {
 namespace {
 
-QueuedPacket MakePacket(double t, NatPort port = NatPort::kLan) {
-  QueuedPacket p;
-  p.record.timestamp = t;
-  p.in_port = port;
-  p.enqueued_at = t;
-  return p;
-}
-
 TEST(FifoQueue, Validation) { EXPECT_THROW(FifoQueue(0), gametrace::ContractViolation); }
 
 TEST(FifoQueue, PushPopFifoOrder) {
   FifoQueue q(10);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.TryPush(MakePacket(i)));
-  for (int i = 0; i < 5; ++i) {
-    const auto p = q.Pop();
-    ASSERT_TRUE(p.has_value());
-    EXPECT_DOUBLE_EQ(p->enqueued_at, i);
+  for (std::uint32_t i = 0; i < 5; ++i) EXPECT_TRUE(q.TryPush(i));
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    const auto row = q.Pop();
+    ASSERT_TRUE(row.has_value());
+    EXPECT_EQ(*row, i);
   }
   EXPECT_FALSE(q.Pop().has_value());
 }
 
 TEST(FifoQueue, DropTailWhenFull) {
   FifoQueue q(3);
-  EXPECT_TRUE(q.TryPush(MakePacket(0)));
-  EXPECT_TRUE(q.TryPush(MakePacket(1)));
-  EXPECT_TRUE(q.TryPush(MakePacket(2)));
+  EXPECT_TRUE(q.TryPush(0));
+  EXPECT_TRUE(q.TryPush(1));
+  EXPECT_TRUE(q.TryPush(2));
   EXPECT_TRUE(q.full());
-  EXPECT_FALSE(q.TryPush(MakePacket(3)));
+  EXPECT_FALSE(q.TryPush(3));
   EXPECT_EQ(q.drops(), 1u);
   EXPECT_EQ(q.pushes(), 3u);
   EXPECT_EQ(q.size(), 3u);
   // The survivors are the first three (drop-tail, not drop-head).
-  EXPECT_DOUBLE_EQ(q.Pop()->enqueued_at, 0.0);
+  EXPECT_EQ(q.Pop(), 0u);
 }
 
 TEST(FifoQueue, SpaceReopensAfterPop) {
   FifoQueue q(1);
-  EXPECT_TRUE(q.TryPush(MakePacket(0)));
-  EXPECT_FALSE(q.TryPush(MakePacket(1)));
+  EXPECT_TRUE(q.TryPush(0));
+  EXPECT_FALSE(q.TryPush(1));
   (void)q.Pop();
-  EXPECT_TRUE(q.TryPush(MakePacket(2)));
+  EXPECT_TRUE(q.TryPush(2));
 }
 
 TEST(FifoQueue, MaxOccupancyTracked) {
   FifoQueue q(10);
-  for (int i = 0; i < 7; ++i) (void)q.TryPush(MakePacket(i));
+  for (std::uint32_t i = 0; i < 7; ++i) (void)q.TryPush(i);
   for (int i = 0; i < 7; ++i) (void)q.Pop();
-  for (int i = 0; i < 3; ++i) (void)q.TryPush(MakePacket(i));
+  for (std::uint32_t i = 0; i < 3; ++i) (void)q.TryPush(i);
   EXPECT_EQ(q.max_occupancy(), 7u);
 }
 
 TEST(FifoQueue, OccupancyStatsAtPush) {
   FifoQueue q(100);
-  for (int i = 0; i < 10; ++i) (void)q.TryPush(MakePacket(i));
+  for (std::uint32_t i = 0; i < 10; ++i) (void)q.TryPush(i);
   // Occupancies seen at push: 0,1,...,9 -> mean 4.5.
   EXPECT_DOUBLE_EQ(q.occupancy_at_push().mean(), 4.5);
   EXPECT_EQ(q.occupancy_at_push().count(), 10u);
 }
 
-TEST(FifoQueue, PortPreserved) {
-  FifoQueue q(4);
-  (void)q.TryPush(MakePacket(0, NatPort::kWan));
-  EXPECT_EQ(q.Pop()->in_port, NatPort::kWan);
+TEST(FifoQueue, RowIdsPreservedAcrossGrowthAndWrap) {
+  // The ring starts small and grows on demand: interleave pushes and pops
+  // so the live range wraps before and after each growth.
+  FifoQueue q(100);
+  std::uint32_t next_in = 1000;
+  std::uint32_t next_out = 1000;
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.TryPush(next_in++));
+    ASSERT_EQ(q.Pop(), next_out++);
+  }
+  EXPECT_EQ(q.size(), 80u);
+  while (!q.empty()) ASSERT_EQ(q.Pop(), next_out++);
+  EXPECT_EQ(next_out, next_in);
 }
 
 }  // namespace

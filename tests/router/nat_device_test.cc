@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -247,6 +248,37 @@ TEST(NatDevice, InjectorSchedulesAtRecordTimestamp) {
   EXPECT_EQ(nat.stats().packets(Segment::kClientsToNat), 0u);
   s.RunUntil(1.0);
   EXPECT_EQ(nat.stats().packets(Segment::kClientsToNat), 1u);
+}
+
+TEST(NatDevice, InjectedStreamKeepsTheEventQueueShort) {
+  // 1,000 packets in tick-sized batches of 25, alternating directions at
+  // 2 ms spacing: half the device's capacity, so nothing overflows and no
+  // packet needs a simulator event of its own.
+  sim::Simulator s;
+  NatDevice nat(s, QuietConfig());
+  nat.Start();
+  int ticks = 0;
+  std::size_t max_pending = 0;
+  std::uint64_t feeder = 0;
+  feeder = s.Every(0.0, 0.05, [&](double t) {
+    std::vector<net::PacketRecord> batch;
+    for (int i = 0; i < 25; ++i) {
+      batch.push_back(MakeRecord(t + i * 0.002,
+                                 i % 2 == 0 ? net::Direction::kServerToClient
+                                            : net::Direction::kClientToServer,
+                                 60, 0x0A000005, static_cast<std::uint16_t>(3000 + i)));
+    }
+    InjectBatch(nat, batch);
+    max_pending = std::max(max_pending, s.pending());
+    if (++ticks == 40) s.Cancel(feeder);
+  });
+  s.RunUntil(3.0);
+  EXPECT_EQ(nat.stats().packets(Segment::kNatToClients), 520u);  // 13 of each 25
+  EXPECT_EQ(nat.stats().packets(Segment::kNatToServer), 480u);
+  EXPECT_EQ(nat.stats().drops(Segment::kServerToNat) + nat.stats().drops(Segment::kClientsToNat),
+            0u);
+  EXPECT_LE(max_pending, 2u);  // the feeder itself, at most one armed event
+  EXPECT_LE(s.events_executed(), 50u);
 }
 
 // ---- Tie order and the wake latch --------------------------------------
