@@ -1,6 +1,7 @@
 #include "core/characterizer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -10,8 +11,19 @@
 namespace gametrace::core {
 
 namespace {
+
 constexpr std::size_t kSizeBins = 500;  // 1-byte bins over [0, 500)
+
+// Number of u16 values v with v < hi. A non-positive or NaN hi gives 0
+// (the size histograms' constructor then rejects it) rather than a
+// negative-to-unsigned cast.
+std::size_t U16ValuesBelow(double hi) {
+  constexpr double kU16Values = 65536.0;
+  if (!(hi > 0.0)) return 0;
+  return static_cast<std::size_t>(std::ceil(std::min(hi, kU16Values)));
 }
+
+}  // namespace
 
 Characterizer::Characterizer(CharacterizationOptions options)
     : options_(options),
@@ -19,29 +31,31 @@ Characterizer::Characterizer(CharacterizationOptions options)
       minute_agg_(options.minute_interval, 0.0, options.wire_overhead),
       vt_packets_(0.0, options.vt_base_interval),
       sessions_(options.session_idle_timeout),
-      size_total_(0.0, options.size_histogram_max, kSizeBins),
+      size_slots_(U16ValuesBelow(options.size_histogram_max)),
+      size_counts_(2 * (size_slots_ + 1), 0),
       size_in_(0.0, options.size_histogram_max, kSizeBins),
       size_out_(0.0, options.size_histogram_max, kSizeBins) {}
 
 void Characterizer::OnColumns(const net::PacketBatch& batch) {
   GT_PROF_SCOPE("core.characterizer.on_columns");
-  summary_.OnColumns(batch);
   minute_agg_.OnColumns(batch);
   sessions_.OnColumns(batch);
   const std::size_t n = batch.count;
   const double* ts = batch.timestamps;
-  scratch_times_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ts[i] < options_.vt_window) scratch_times_.push_back(ts[i]);
-  }
-  vt_packets_.AddColumn(scratch_times_, 1.0);
-  const std::span<const std::uint16_t> sizes(batch.app_bytes, n);
-  const std::span<const std::uint8_t> dirs(batch.directions, n);
+  const std::uint8_t* dirs = batch.directions;
+  const std::uint16_t* sizes = batch.app_bytes;
+  const double vt_window = options_.vt_window;
+  const std::size_t slots = size_slots_;
+  std::uint64_t* counts = size_counts_.data();
   constexpr auto kIn = static_cast<std::uint8_t>(net::Direction::kClientToServer);
-  constexpr auto kOut = static_cast<std::uint8_t>(net::Direction::kServerToClient);
-  size_total_.AddColumn(sizes);
-  size_in_.AddColumn(sizes, dirs, kIn);
-  size_out_.AddColumn(sizes, dirs, kOut);
+  trace::TraceSummary::Pass summary(summary_, batch);
+  for (std::size_t i = 0; i < n; ++i) {
+    summary.Add(dirs[i], sizes[i], batch.kinds[i], batch.client_ips[i]);
+    if (ts[i] < vt_window) vt_packets_.Add(ts[i]);
+    const std::size_t row = dirs[i] == kIn ? 0 : slots + 1;
+    ++counts[row + std::min<std::size_t>(sizes[i], slots)];
+  }
+  summary.Commit();
 }
 
 void Characterizer::Merge(Characterizer&& other) {
@@ -51,9 +65,7 @@ void Characterizer::Merge(Characterizer&& other) {
   minute_agg_.Merge(other.minute_agg_);
   vt_packets_.Merge(other.vt_packets_);
   sessions_.Merge(std::move(other.sessions_));
-  size_total_.Merge(other.size_total_);
-  size_in_.Merge(other.size_in_);
-  size_out_.Merge(other.size_out_);
+  for (std::size_t i = 0; i < size_counts_.size(); ++i) size_counts_[i] += other.size_counts_[i];
 }
 
 CharacterizationReport Characterizer::Finish(double trace_duration) {
@@ -67,6 +79,19 @@ CharacterizationReport Characterizer::Finish(double trace_duration) {
   stats::Histogram session_bw = trace::SessionTracker::BandwidthHistogram(
       sessions, options_.session_min_duration, options_.session_bw_histogram_max,
       options_.session_bw_bins);
+
+  // Fold the exact size counts into the histograms; the overflow slot goes
+  // in at the top edge, which Add counts as overflow.
+  for (std::size_t d = 0; d < 2; ++d) {
+    stats::Histogram& hist = d == 0 ? size_in_ : size_out_;
+    const std::uint64_t* row = size_counts_.data() + d * (size_slots_ + 1);
+    for (std::size_t v = 0; v < size_slots_; ++v) {
+      if (row[v] != 0) hist.Add(static_cast<double>(v), row[v]);
+    }
+    if (row[size_slots_] != 0) hist.Add(options_.size_histogram_max, row[size_slots_]);
+  }
+  stats::Histogram size_total = size_in_;
+  size_total.Merge(size_out_);
 
   stats::VarianceTimePlot vt;
   stats::HurstRegions hurst;
@@ -86,7 +111,7 @@ CharacterizationReport Characterizer::Finish(double trace_duration) {
       .hurst = hurst,
       .sessions = std::move(sessions),
       .session_bandwidth = std::move(session_bw),
-      .size_total = std::move(size_total_),
+      .size_total = std::move(size_total),
       .size_in = std::move(size_in_),
       .size_out = std::move(size_out_),
   };

@@ -68,9 +68,10 @@ class Characterizer final : public trace::CaptureSink {
  public:
   explicit Characterizer(CharacterizationOptions options = {});
 
-  // Each constituent analysis consumes the raw columns through its own
-  // kernel - no record materialisation anywhere in the pipeline. The
-  // constituents are final classes, so these member calls devirtualize.
+  // One fused per-record loop feeds the summary, the variance-time series
+  // and the size tables through each constituent's own inline step; the
+  // load aggregator and the session tracker run their kernels on the raw
+  // columns. No record materialisation anywhere in the pipeline.
   void OnColumns(const net::PacketBatch& batch) override;
 
   // Absorbs another (un-finished) characterizer: every accumulator is
@@ -94,10 +95,15 @@ class Characterizer final : public trace::CaptureSink {
   trace::LoadAggregator minute_agg_;
   stats::TimeSeries vt_packets_;
   trace::SessionTracker sessions_;
-  stats::Histogram size_total_;
+  // Exact per-direction packet-size counts: row d (0 = in, 1 = out) holds
+  // one slot per u16 value below size_histogram_max, then one overflow
+  // slot. Integral counts, so Finish folds them into size_in_/size_out_
+  // through Histogram::Add(value, count) with the bins a per-packet Add
+  // would have chosen.
+  std::size_t size_slots_;  // u16 values below size_histogram_max
+  std::vector<std::uint64_t> size_counts_;
   stats::Histogram size_in_;
   stats::Histogram size_out_;
-  std::vector<double> scratch_times_;  // reused per batch by OnColumns
 };
 
 }  // namespace gametrace::core

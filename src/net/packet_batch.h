@@ -12,8 +12,8 @@
 //                       Cheap to copy and to slice.
 //  * ColumnarBatch    - owning storage, reusable across ticks (capacity is
 //                       kept by Clear), built either record-by-record by a
-//                       producer (CsServer::Emit, TraceReader::Drain) or in
-//                       bulk from an AoS span (Replay).
+//                       producer (CsServer::Emit) or in bulk (Replay's AoS
+//                       span, TraceReader::Drain's decoded chunk).
 //
 // Invariant: RecordAt(i) reconstructs record i bit-for-bit, so a
 // record-at-a-time sink sees exactly the records the producer emitted.
@@ -92,6 +92,9 @@ struct PacketBatch {
 // One record laid out as single-element columns: the batch a producer
 // hands over when it emits a lone packet outside any tick.
 struct PacketRow {
+  // Fields left for the caller to fill (ColumnarBatch::AppendRows).
+  PacketRow() noexcept = default;
+
   explicit PacketRow(const PacketRecord& r) noexcept
       : timestamp(r.timestamp),
         client_ip(r.client_ip.value()),
@@ -148,13 +151,19 @@ class ColumnarBatch {
     size_ = i + 1;
   }
 
-  // Bulk AoS -> SoA transpose (Replay). Appends. One pass, no per-element
-  // capacity checks: each record is read once and fanned out to the seven
-  // column streams.
+  // Bulk AoS -> SoA transpose (Replay). Appends.
   void Append(std::span<const PacketRecord> records) {
+    AppendRows(records.size(),
+               [&](std::size_t i, PacketRow& row) { row = PacketRow(records[i]); });
+  }
+
+  // Bulk append of `n` rows: make_row(i, row) fills row i, which is fanned
+  // out to the seven column streams. One capacity check for the whole run
+  // and the column pointers held in registers (a u8 column store could
+  // otherwise alias them and force a reload per row).
+  template <typename MakeRow>
+  void AppendRows(std::size_t n, MakeRow&& make_row) {
     const std::size_t old = size_;
-    const std::size_t n = records.size();
-    const PacketRecord* r = records.data();
     if (old + n > timestamps_.size()) GrowTo(old + n);
     double* ts = timestamps_.data() + old;
     std::uint32_t* ips = client_ips_.data() + old;
@@ -164,13 +173,15 @@ class ColumnarBatch {
     std::uint8_t* dirs = directions_.data() + old;
     std::uint8_t* kinds = kinds_.data() + old;
     for (std::size_t i = 0; i < n; ++i) {
-      ts[i] = r[i].timestamp;
-      ips[i] = r[i].client_ip.value();
-      seqs[i] = r[i].seq;
-      ports[i] = r[i].client_port;
-      bytes[i] = r[i].app_bytes;
-      dirs[i] = static_cast<std::uint8_t>(r[i].direction);
-      kinds[i] = static_cast<std::uint8_t>(r[i].kind);
+      PacketRow row{};
+      make_row(i, row);
+      ts[i] = row.timestamp;
+      ips[i] = row.client_ip;
+      seqs[i] = row.seq;
+      ports[i] = row.client_port;
+      bytes[i] = row.app_bytes;
+      dirs[i] = row.direction;
+      kinds[i] = row.kind;
     }
     size_ = old + n;
   }

@@ -16,53 +16,6 @@ Histogram::Histogram(double lo, double hi, std::size_t bins)
   GT_CHECK_NE(bins, 0) << "Histogram: need at least one bin";
 }
 
-void Histogram::AddColumn(std::span<const std::uint16_t> xs) noexcept {
-  const std::size_t last = counts_.size() - 1;
-  std::uint64_t under = 0;
-  std::uint64_t over = 0;
-  for (const std::uint16_t xi : xs) {
-    const double x = static_cast<double>(xi);
-    if (x < lo_) {
-      ++under;
-      continue;
-    }
-    if (x >= hi_) {
-      ++over;
-      continue;
-    }
-    ++counts_[std::min(static_cast<std::size_t>((x - lo_) / width_), last)];
-  }
-  underflow_ += under;
-  overflow_ += over;
-  total_ += xs.size();
-}
-
-void Histogram::AddColumn(std::span<const std::uint16_t> xs, std::span<const std::uint8_t> mask,
-                          std::uint8_t match) noexcept {
-  const std::size_t last = counts_.size() - 1;
-  const std::size_t n = xs.size();
-  std::uint64_t added = 0;
-  std::uint64_t under = 0;
-  std::uint64_t over = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (mask[i] != match) continue;
-    ++added;
-    const double x = static_cast<double>(xs[i]);
-    if (x < lo_) {
-      ++under;
-      continue;
-    }
-    if (x >= hi_) {
-      ++over;
-      continue;
-    }
-    ++counts_[std::min(static_cast<std::size_t>((x - lo_) / width_), last)];
-  }
-  underflow_ += under;
-  overflow_ += over;
-  total_ += added;
-}
-
 double Histogram::bin_center(std::size_t bin) const {
   GT_CHECK_LT(bin, counts_.size()) << "Histogram::bin_center: bin out of range";
   return lo_ + (static_cast<double>(bin) + 0.5) * width_;

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/check.h"
@@ -40,16 +39,6 @@ class Histogram {
     bin = std::min(bin, counts_.size() - 1);
     counts_[bin] += weight;
   }
-
-  // Columnar kernels over a dense u16 sample column (packet sizes straight
-  // from a net::PacketBatch): no 24-byte record stride, and the range tests
-  // run over sequential u16 loads the compiler can unroll. Counts are
-  // integral, so the result is identical to per-sample Add.
-  void AddColumn(std::span<const std::uint16_t> xs) noexcept;
-  // Masked variant: adds only samples whose mask byte equals `match`
-  // (direction-split size histograms). mask must be at least xs.size() long.
-  void AddColumn(std::span<const std::uint16_t> xs, std::span<const std::uint8_t> mask,
-                 std::uint8_t match) noexcept;
 
   [[nodiscard]] double lo() const noexcept { return lo_; }
   [[nodiscard]] double hi() const noexcept { return hi_; }

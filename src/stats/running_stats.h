@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <span>
 
 namespace gametrace::stats {
 
@@ -26,21 +25,6 @@ class RunningStats {
     m2_ += delta * (x - mean_);
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
-  }
-
-  // Columnar kernels: sequential Welford over a dense u16 sample column
-  // (packet sizes straight from a net::PacketBatch), optionally masked by a
-  // u8 column (direction). Bit-identical to calling Add on each selected
-  // sample in column order - the recurrence itself cannot be reordered.
-  void AddColumnU16(std::span<const std::uint16_t> xs) noexcept {
-    for (const std::uint16_t x : xs) Add(static_cast<double>(x));
-  }
-  void AddColumnU16(std::span<const std::uint16_t> xs, std::span<const std::uint8_t> mask,
-                    std::uint8_t match) noexcept {
-    const std::size_t n = xs.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (mask[i] == match) Add(static_cast<double>(xs[i]));
-    }
   }
 
   // Combines another accumulator into this one, as if every sample fed to

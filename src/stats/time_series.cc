@@ -13,62 +13,6 @@ TimeSeries::TimeSeries(double start_time, double interval)
   GT_CHECK(interval > 0.0) << "TimeSeries: interval must be positive";
 }
 
-void TimeSeries::AddColumn(std::span<const double> times, double value) {
-  const std::size_t n = times.size();
-  std::size_t i = 0;
-  while (i < n) {
-    const double t = times[i];
-    if (t < start_) {
-      ++dropped_;
-      ++i;
-      continue;
-    }
-    const std::size_t bin = BinIndex(t);
-    // Extend the run while consecutive samples land in the same bin: one
-    // lookup, one resize check and one accumulation for the whole run.
-    std::size_t j = i + 1;
-    while (j < n && times[j] >= start_ && BinIndex(times[j]) == bin) ++j;
-    if (bin >= bins_.size()) bins_.resize(bin + 1, 0.0);
-    bins_[bin] += value * static_cast<double>(j - i);
-    i = j;
-  }
-}
-
-void TimeSeries::AddColumn(std::span<const double> times, std::span<const std::uint8_t> mask,
-                           std::uint8_t match, double value) {
-  const std::size_t n = times.size();
-  std::size_t i = 0;
-  while (i < n) {
-    if (mask[i] != match) {
-      ++i;
-      continue;
-    }
-    const double t = times[i];
-    if (t < start_) {
-      ++dropped_;
-      ++i;
-      continue;
-    }
-    const std::size_t bin = BinIndex(t);
-    std::size_t run = 1;
-    std::size_t j = i + 1;
-    // Extend over the selected run: skipped samples end the run only if a
-    // later selected sample lands in a different bin.
-    while (j < n) {
-      if (mask[j] != match) {
-        ++j;
-        continue;
-      }
-      if (times[j] < start_ || BinIndex(times[j]) != bin) break;
-      ++run;
-      ++j;
-    }
-    if (bin >= bins_.size()) bins_.resize(bin + 1, 0.0);
-    bins_[bin] += value * static_cast<double>(run);
-    i = j;
-  }
-}
-
 void TimeSeries::Set(double t, double value) {
   if (t < start_) {
     ++dropped_;

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/check.h"
@@ -33,19 +32,6 @@ class TimeSeries {
     if (i >= bins_.size()) bins_.resize(i + 1, 0.0);
     bins_[i] += value;
   }
-
-  // Columnar kernel over a dense timestamp column: adds `value` once per
-  // sample with a single bin lookup and a single accumulation per same-bin
-  // run. Exact (bit-identical to the per-sample Add loop) whenever the
-  // accumulated values are integral, which covers every packet-count and
-  // byte-count series in the library.
-  void AddColumn(std::span<const double> times, double value = 1.0);
-
-  // Masked variant for direction-split series: adds `value` at times[i] only
-  // where mask[i] == match, run-aggregated within the selection. mask must
-  // be at least times.size() long.
-  void AddColumn(std::span<const double> times, std::span<const std::uint8_t> mask,
-                 std::uint8_t match, double value = 1.0);
 
   // Overwrites the bin containing `t` (used for gauge-style series such as
   // player counts sampled once per interval).

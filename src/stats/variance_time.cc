@@ -74,15 +74,16 @@ VarianceTimePlot ComputeVarianceTime(const TimeSeries& base,
 HurstRegions EstimateHurstRegions(const VarianceTimePlot& plot,
                                   double small_mid_boundary,
                                   double mid_large_boundary) {
+  // A region may hold too few points to fit for a short trace (the large
+  // scale for any trace under an hour, every region above the first few
+  // bins of a sub-second one); it reports H = 0.5 (the paper's asymptote).
+  const auto estimate = [&plot](double lo, double hi) {
+    return plot.PointsInRegion(lo, hi) >= 2 ? plot.HurstEstimate(lo, hi) : 0.5;
+  };
   HurstRegions regions;
-  regions.small_scale = plot.HurstEstimate(0.0, small_mid_boundary);
-  regions.mid_scale = plot.HurstEstimate(small_mid_boundary, mid_large_boundary);
-  // The large-scale region may be empty for short traces; report H = 0.5
-  // (the paper's asymptote) when there are not enough points to fit.
-  const double inf = std::numeric_limits<double>::infinity();
-  regions.large_scale = plot.PointsInRegion(mid_large_boundary, inf) >= 2
-                            ? plot.HurstEstimate(mid_large_boundary, inf)
-                            : 0.5;
+  regions.small_scale = estimate(0.0, small_mid_boundary);
+  regions.mid_scale = estimate(small_mid_boundary, mid_large_boundary);
+  regions.large_scale = estimate(mid_large_boundary, std::numeric_limits<double>::infinity());
   return regions;
 }
 

@@ -66,6 +66,7 @@ struct HurstRegions {
   double large_scale = 0.0;  // > 30 min       (expect H ~ 1/2)
 };
 
+// A region holding fewer than two plot points (a short trace) reports 1/2.
 [[nodiscard]] HurstRegions EstimateHurstRegions(const VarianceTimePlot& plot,
                                                 double small_mid_boundary = 0.050,
                                                 double mid_large_boundary = 1800.0);

@@ -12,59 +12,27 @@ TraceSummary::TraceSummary(std::uint32_t wire_overhead_bytes) : overhead_(wire_o
 
 void TraceSummary::OnColumns(const net::PacketBatch& batch) {
   GT_PROF_SCOPE("trace.summary.on_columns");
-  const std::size_t n = batch.count;
-  if (n == 0) return;
-  const double* ts = batch.timestamps;
-  if (first_time_ < 0.0) first_time_ = ts[0];
-  last_time_ = ts[n - 1];
-
-  // One interleaved pass over the raw u8/u16 columns: the loads are dense,
-  // and keeping the two directions interleaved lets the out-of-order core
-  // overlap the two serial Welford division chains - the kernel's actual
-  // latency bound.
-  const std::uint8_t* dirs = batch.directions;
-  const std::uint16_t* sizes = batch.app_bytes;
-  const std::uint8_t* kinds = batch.kinds;
-  const std::uint32_t* ips = batch.client_ips;
-  constexpr auto kIn = static_cast<std::uint8_t>(net::Direction::kClientToServer);
-  constexpr auto kReq = static_cast<std::uint8_t>(net::PacketKind::kConnectRequest);
-  constexpr auto kAccept = static_cast<std::uint8_t>(net::PacketKind::kConnectAccept);
-  constexpr auto kReject = static_cast<std::uint8_t>(net::PacketKind::kConnectReject);
-  std::uint64_t pkts_in = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t pkts_out = 0;
-  std::uint64_t bytes_out = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint16_t size = sizes[i];
-    if (dirs[i] == kIn) {
-      ++pkts_in;
-      bytes_in += size;
-      size_in_.Add(size);
-    } else {
-      ++pkts_out;
-      bytes_out += size;
-      size_out_.Add(size);
-    }
-    if (kinds[i] >= kReq && kinds[i] <= kReject) [[unlikely]] {
-      switch (kinds[i]) {
-        case kReq:
-          ++attempts_;
-          attempting_clients_.insert(ips[i]);
-          break;
-        case kAccept:
-          ++established_;
-          establishing_clients_.insert(ips[i]);
-          break;
-        default:
-          ++refused_;
-          break;
-      }
-    }
+  Pass pass(*this, batch);
+  for (std::size_t i = 0; i < batch.count; ++i) {
+    pass.Add(batch.directions[i], batch.app_bytes[i], batch.kinds[i], batch.client_ips[i]);
   }
-  packets_in_ += pkts_in;
-  packets_out_ += pkts_out;
-  app_bytes_in_ += bytes_in;
-  app_bytes_out_ += bytes_out;
+  pass.Commit();
+}
+
+void TraceSummary::AddHandshake(std::uint8_t kind, std::uint32_t client_ip) {
+  switch (static_cast<net::PacketKind>(kind)) {
+    case net::PacketKind::kConnectRequest:
+      ++attempts_;
+      attempting_clients_.insert(client_ip);
+      break;
+    case net::PacketKind::kConnectAccept:
+      ++established_;
+      establishing_clients_.insert(client_ip);
+      break;
+    default:
+      ++refused_;
+      break;
+  }
 }
 
 void TraceSummary::Merge(const TraceSummary& other) {

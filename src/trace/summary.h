@@ -18,9 +18,62 @@ class TraceSummary final : public CaptureSink {
  public:
   explicit TraceSummary(std::uint32_t wire_overhead_bytes = net::kWireOverheadBytes);
 
-  // One interleaved pass over the raw direction/size/kind columns. Record
-  // order - all the sequential Welford moments depend on - is preserved, so
-  // the result is independent of how the stream is split into batches.
+  // The per-record update rule, as a per-batch accumulator: the packet and
+  // byte counters and both directions' Welford states live in the pass for
+  // one batch (registers, not memory) and Commit() writes them back.
+  // OnColumns is a loop over Add; core::Characterizer's fused pass calls the
+  // same Add. Records must be added in stream order - the Welford moments
+  // are order-sensitive - and then the result is independent of how the
+  // stream is split into batches.
+  class Pass {
+   public:
+    // Opens a pass over `batch`, widening the time span to cover it.
+    Pass(TraceSummary& summary, const net::PacketBatch& batch) noexcept
+        : summary_(summary), size_in_(summary.size_in_), size_out_(summary.size_out_) {
+      if (batch.count == 0) return;
+      if (summary.first_time_ < 0.0) summary.first_time_ = batch.timestamps[0];
+      summary.last_time_ = batch.timestamps[batch.count - 1];
+    }
+
+    // Keeping both directions' Welford chains in one loop lets the
+    // out-of-order core overlap the two serial divisions - the latency
+    // bound of the update.
+    void Add(std::uint8_t direction, std::uint16_t size, std::uint8_t kind,
+             std::uint32_t client_ip) {
+      if (direction == static_cast<std::uint8_t>(net::Direction::kClientToServer)) {
+        ++packets_in_;
+        app_bytes_in_ += size;
+        size_in_.Add(size);
+      } else {
+        ++packets_out_;
+        app_bytes_out_ += size;
+        size_out_.Add(size);
+      }
+      if (kind >= static_cast<std::uint8_t>(net::PacketKind::kConnectRequest) &&
+          kind <= static_cast<std::uint8_t>(net::PacketKind::kConnectReject)) [[unlikely]] {
+        summary_.AddHandshake(kind, client_ip);
+      }
+    }
+
+    void Commit() noexcept {
+      summary_.packets_in_ += packets_in_;
+      summary_.packets_out_ += packets_out_;
+      summary_.app_bytes_in_ += app_bytes_in_;
+      summary_.app_bytes_out_ += app_bytes_out_;
+      summary_.size_in_ = size_in_;
+      summary_.size_out_ = size_out_;
+    }
+
+   private:
+    TraceSummary& summary_;
+    std::uint64_t packets_in_ = 0;
+    std::uint64_t packets_out_ = 0;
+    std::uint64_t app_bytes_in_ = 0;
+    std::uint64_t app_bytes_out_ = 0;
+    stats::RunningStats size_in_;
+    stats::RunningStats size_out_;
+  };
+
   void OnColumns(const net::PacketBatch& batch) override;
 
   // Combines another summary into this one, as if every packet fed to
@@ -74,6 +127,9 @@ class TraceSummary final : public CaptureSink {
   void set_duration_override(double seconds) noexcept { duration_override_ = seconds; }
 
  private:
+  // Connection-handshake bookkeeping for a request/accept/reject record.
+  void AddHandshake(std::uint8_t kind, std::uint32_t client_ip);
+
   std::uint32_t overhead_;
   std::uint64_t packets_in_ = 0;
   std::uint64_t packets_out_ = 0;

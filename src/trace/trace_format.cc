@@ -3,6 +3,7 @@
 #include <array>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/check.h"
@@ -20,32 +21,38 @@ namespace {
 //   offset 17 : u8      kind
 //   offset 18 : u32     seq (netchannel sequence; 0 = connectionless)
 constexpr std::size_t kRecordBytes = 22;
+// Drain's chunk: one stream read and one OnColumns call per 1024 records.
+constexpr std::size_t kChunkRecords = 1024;
 
-std::array<std::uint8_t, kRecordBytes> Encode(const net::PacketRecord& r) {
-  std::array<std::uint8_t, kRecordBytes> buf{};
-  std::memcpy(buf.data(), &r.timestamp, sizeof(double));
-  const std::uint32_t ip = r.client_ip.value();
-  std::memcpy(buf.data() + 8, &ip, sizeof(ip));
-  std::memcpy(buf.data() + 12, &r.client_port, sizeof(r.client_port));
-  std::memcpy(buf.data() + 14, &r.app_bytes, sizeof(r.app_bytes));
-  buf[16] = static_cast<std::uint8_t>(r.direction);
-  buf[17] = static_cast<std::uint8_t>(r.kind);
-  std::memcpy(buf.data() + 18, &r.seq, sizeof(r.seq));
-  return buf;
+void EncodeRow(const net::PacketBatch& batch, std::size_t i, std::uint8_t* out) noexcept {
+  std::memcpy(out, &batch.timestamps[i], sizeof(double));
+  std::memcpy(out + 8, &batch.client_ips[i], sizeof(std::uint32_t));
+  std::memcpy(out + 12, &batch.client_ports[i], sizeof(std::uint16_t));
+  std::memcpy(out + 14, &batch.app_bytes[i], sizeof(std::uint16_t));
+  out[16] = batch.directions[i];
+  out[17] = batch.kinds[i];
+  std::memcpy(out + 18, &batch.seqs[i], sizeof(std::uint32_t));
 }
 
-net::PacketRecord Decode(const std::array<std::uint8_t, kRecordBytes>& buf) {
-  net::PacketRecord r;
-  std::memcpy(&r.timestamp, buf.data(), sizeof(double));
-  std::uint32_t ip = 0;
-  std::memcpy(&ip, buf.data() + 8, sizeof(ip));
-  r.client_ip = net::Ipv4Address(ip);
-  std::memcpy(&r.client_port, buf.data() + 12, sizeof(r.client_port));
-  std::memcpy(&r.app_bytes, buf.data() + 14, sizeof(r.app_bytes));
-  r.direction = static_cast<net::Direction>(buf[16]);
-  r.kind = static_cast<net::PacketKind>(buf[17]);
-  std::memcpy(&r.seq, buf.data() + 18, sizeof(r.seq));
-  return r;
+// The one read side of the record layout, shared by Next and Drain. Rejects
+// an enum byte outside its range: the analyses index per-direction tables
+// by the direction byte.
+void DecodeRow(const std::uint8_t* in, net::PacketRow& row) {
+  constexpr auto kMaxDirection = static_cast<std::uint8_t>(net::Direction::kServerToClient);
+  constexpr auto kMaxKind = static_cast<std::uint8_t>(net::PacketKind::kWebAck);
+  if (in[16] > kMaxDirection) [[unlikely]] {
+    throw TraceError("TraceReader: bad direction byte " + std::to_string(in[16]));
+  }
+  if (in[17] > kMaxKind) [[unlikely]] {
+    throw TraceError("TraceReader: bad packet kind byte " + std::to_string(in[17]));
+  }
+  std::memcpy(&row.timestamp, in, sizeof(double));
+  std::memcpy(&row.client_ip, in + 8, sizeof(row.client_ip));
+  std::memcpy(&row.client_port, in + 12, sizeof(row.client_port));
+  std::memcpy(&row.app_bytes, in + 14, sizeof(row.app_bytes));
+  row.direction = in[16];
+  row.kind = in[17];
+  std::memcpy(&row.seq, in + 18, sizeof(row.seq));
 }
 
 }  // namespace
@@ -63,10 +70,13 @@ TraceWriter::TraceWriter(const std::string& path, const net::ServerEndpoint& ser
 }
 
 void TraceWriter::OnColumns(const net::PacketBatch& batch) {
+  // Encode the whole batch, then one stream write.
+  buffer_.resize(batch.count * kRecordBytes);
   for (std::size_t i = 0; i < batch.count; ++i) {
-    const auto buf = Encode(batch.RecordAt(i));
-    out_.write(reinterpret_cast<const char*>(buf.data()), buf.size());
+    EncodeRow(batch, i, buffer_.data() + i * kRecordBytes);
   }
+  out_.write(reinterpret_cast<const char*>(buffer_.data()),
+             static_cast<std::streamsize>(buffer_.size()));
   packets_ += batch.count;
 }
 
@@ -100,37 +110,42 @@ void TraceReader::ReadHeader() {
   server_.port = port;
 }
 
+std::size_t TraceReader::ReadRecords(std::uint8_t* out, std::size_t max_records) {
+  in_->read(reinterpret_cast<char*>(out), static_cast<std::streamsize>(max_records * kRecordBytes));
+  const auto got = static_cast<std::size_t>(in_->gcount());
+  if (got % kRecordBytes != 0) throw TraceError("TraceReader: truncated record");
+  return got / kRecordBytes;
+}
+
 std::optional<net::PacketRecord> TraceReader::Next() {
   std::array<std::uint8_t, kRecordBytes> buf{};
-  in_->read(reinterpret_cast<char*>(buf.data()), buf.size());
-  if (in_->gcount() == 0) return std::nullopt;  // clean EOF
-  if (static_cast<std::size_t>(in_->gcount()) != buf.size()) {
-    throw TraceError("TraceReader: truncated record");
-  }
-  return Decode(buf);
+  if (ReadRecords(buf.data(), 1) == 0) return std::nullopt;  // clean EOF
+  net::PacketRow row{};
+  DecodeRow(buf.data(), row);
+  return row.View().RecordAt(0);
 }
 
 std::uint64_t TraceReader::Drain(CaptureSink& sink) {
-  // Decode straight into columnar chunks and deliver via OnColumns: the
-  // per-record virtual dispatch disappears, columnar sinks consume the
-  // columns directly, and memory stays O(1).
-  constexpr std::size_t kBatchRecords = 1024;
+  // One read per 1024-record chunk, decoded straight into the columns and
+  // delivered via OnColumns: memory stays O(1). A torn or invalid record
+  // throws before its chunk is delivered, so the sink has seen exactly the
+  // complete chunks before it.
+  std::vector<std::uint8_t> chunk(kChunkRecords * kRecordBytes);
+  const std::uint8_t* bytes = chunk.data();
   net::ColumnarBatch batch;
-  batch.Reserve(kBatchRecords);
+  batch.Reserve(kChunkRecords);
   std::uint64_t n = 0;
-  while (auto record = Next()) {
-    batch.PushRecord(*record);
-    if (batch.size() == kBatchRecords) {
-      sink.OnColumns(batch.View());
-      n += batch.size();
-      batch.Clear();
-    }
-  }
-  if (!batch.empty()) {
+  for (;;) {
+    const std::size_t records = ReadRecords(chunk.data(), kChunkRecords);
+    if (records == 0) return n;
+    batch.Clear();
+    batch.AppendRows(records, [bytes](std::size_t i, net::PacketRow& row) {
+      DecodeRow(bytes + i * kRecordBytes, row);
+    });
     sink.OnColumns(batch.View());
-    n += batch.size();
+    n += records;
+    if (records < kChunkRecords) return n;
   }
-  return n;
 }
 
 std::vector<net::PacketRecord> TraceReader::ReadAll() {

@@ -20,7 +20,8 @@
 namespace gametrace::trace {
 
 // Corrupt or truncated .gtr input (environmental error, not a contract
-// violation): unknown magic, unsupported version, torn trailing record.
+// violation): unknown magic, unsupported version, torn trailing record,
+// out-of-range direction or packet-kind byte.
 class TraceError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -46,6 +47,7 @@ class TraceWriter final : public CaptureSink {
  private:
   std::ofstream out_;
   std::uint64_t packets_ = 0;
+  std::vector<std::uint8_t> buffer_;  // one batch's encoded records
 };
 
 class TraceReader {
@@ -57,16 +59,24 @@ class TraceReader {
 
   [[nodiscard]] const net::ServerEndpoint& server() const noexcept { return server_; }
 
-  // Next record, or nullopt at EOF. Throws TraceError on a corrupt file.
+  // Next record, or nullopt at EOF. Throws TraceError on a corrupt file: a
+  // torn record, a direction byte other than 0/1 or a kind byte above
+  // PacketKind::kWebAck.
   std::optional<net::PacketRecord> Next();
 
-  // Streams all remaining records into `sink`; returns the count.
+  // Streams all remaining records into `sink` in 1024-record OnColumns
+  // chunks; returns the count. On a corrupt record it throws TraceError
+  // after delivering every complete chunk before the one holding it. An
+  // empty trace delivers nothing, and no batch is ever empty.
   std::uint64_t Drain(CaptureSink& sink);
 
   std::vector<net::PacketRecord> ReadAll();
 
  private:
   void ReadHeader();
+  // Reads up to `max_records` whole records into `out`; returns how many.
+  // Throws TraceError if the stream ends inside a record.
+  std::size_t ReadRecords(std::uint8_t* out, std::size_t max_records);
 
   std::unique_ptr<std::istream> in_;
   net::ServerEndpoint server_;

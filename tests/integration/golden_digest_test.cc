@@ -164,6 +164,39 @@ TEST(GoldenDigest, StandaloneServerReport) {
   ExpectDigest("120 s server report", canon.str(), 0x778fe68871e44a68);
 }
 
+// A per-process scratch path for a .gtr round trip.
+std::string TempGtrPath(const char* tag) {
+  return (std::filesystem::temp_directory_path() /
+          ("gametrace_golden_" + std::string(tag) + "_" + std::to_string(::getpid()) + ".gtr"))
+      .string();
+}
+
+// The same 120 s run written to .gtr and drained back into a Characterizer:
+// the reader's decode and the fused pass over its 1024-record chunks must
+// reproduce the live report's digest exactly.
+TEST(GoldenDigest, ServerReportReplayedFromGtr) {
+  game::GameConfig config = game::GameConfig::ScaledDefaults(120.0);
+  config.seed = 20020101;
+  const std::string path = TempGtrPath("replay");
+  core::ServerTraceResult run;
+  {
+    trace::TraceWriter writer(path, config.server);
+    run = core::RunServerTrace(config, writer);
+    writer.Flush();
+  }
+  core::Characterizer characterizer;
+  {
+    trace::TraceReader reader(path);
+    EXPECT_EQ(reader.Drain(characterizer), run.stats.packets_emitted);
+  }
+  std::filesystem::remove(path);
+  Canon canon;
+  canon.Report(characterizer.Finish(config.trace_duration));
+  canon.ServerStats(run.stats);
+  canon.Series("players", run.players);
+  ExpectDigest("120 s server report replayed from .gtr", canon.str(), 0x778fe68871e44a68);
+}
+
 TEST(GoldenDigest, FleetMergedReportAndMetrics) {
   core::FleetConfig config = core::FleetConfig::Scaled(16, 60.0);
   config.base_seed = 7;
@@ -240,9 +273,7 @@ TEST(GoldenDigest, NatObservabilitySurfaces) {
 TEST(GoldenDigest, TraceWriterBytes) {
   game::GameConfig config = game::GameConfig::ScaledDefaults(60.0);
   config.seed = 99;
-  const std::string path = (std::filesystem::temp_directory_path() /
-                            ("gametrace_golden_" + std::to_string(::getpid()) + ".gtr"))
-                               .string();
+  const std::string path = TempGtrPath("bytes");
   {
     trace::TraceWriter writer(path, config.server);
     (void)core::RunServerTrace(config, writer);

@@ -110,5 +110,18 @@ TEST(VarianceTime, EstimateHurstRegionsHandlesShortTraces) {
   EXPECT_GT(regions.small_scale, 0.0);
 }
 
+TEST(VarianceTime, EstimateHurstRegionsHandlesSubSecondTraces) {
+  // 20 bins of 10 ms: two plot points, both below the 50 ms boundary, so
+  // the mid and large regions cannot be fitted.
+  sim::Rng rng(7);
+  TimeSeries s(0.0, 0.01);
+  for (int i = 0; i < 20; ++i) s.Add(i * 0.01, sim::Normal(rng, 5.0, 1.0));
+  const VarianceTimePlot plot = ComputeVarianceTime(s);
+  ASSERT_EQ(plot.PointsInRegion(0.05, 1800.0), 0u);
+  const HurstRegions regions = EstimateHurstRegions(plot);
+  EXPECT_DOUBLE_EQ(regions.mid_scale, 0.5);
+  EXPECT_DOUBLE_EQ(regions.large_scale, 0.5);
+}
+
 }  // namespace
 }  // namespace gametrace::stats

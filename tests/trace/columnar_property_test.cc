@@ -3,12 +3,15 @@
 // is split into batches. ColumnarProperty delivers a synthetic stream as
 // one-row batches, 50 ms tick batches and 4096-record chunks (Replay);
 // BatchProperty replays CsServer's own stream with the batch boundaries
-// the server emitted against one-row delivery. Doubles are compared with
+// the server emitted against one-row delivery; CharacterizerOracle checks
+// the Characterizer's fused pass against its standalone constituents. Doubles are compared with
 // EXPECT_EQ (exact equality) - the contract is bit-identity, not
 // approximation.
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +22,8 @@
 #include "net/packet_batch.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
+#include "stats/histogram.h"
+#include "stats/time_series.h"
 #include "trace/aggregator.h"
 #include "trace/capture.h"
 #include "trace/filter.h"
@@ -480,6 +485,105 @@ TEST(BatchProperty, LiveServerBatchesMatchScalarReplay) {
   FeedRows(capture.records(), replayed);
   ExpectReportIdentical(live.Finish(cfg.trace_duration), replayed.Finish(cfg.trace_duration));
 }
+
+// ---- The fused Characterizer pass against its definition ----------------
+//
+// Characterizer::OnColumns runs the summary, variance-time and packet-size
+// updates in one fused per-record loop and counts sizes in exact value
+// tables. Its report must equal the standalone constituents (TraceSummary,
+// LoadAggregator, SessionTracker) plus scalar TimeSeries::Add and
+// Histogram::Add per packet, fed the same stream at any batch size.
+
+// RandomStream with every 7th size replaced by an edge value of the size
+// histograms: in range, at and just above each tested size_histogram_max,
+// and the u16 maximum.
+std::vector<net::PacketRecord> SizeEdgeStream(std::uint64_t seed, std::size_t n) {
+  constexpr std::uint16_t kEdges[] = {0, 199, 200, 201, 499, 500, 501, 1000, 1001, 65535};
+  std::vector<net::PacketRecord> records = RandomStream(seed, n);
+  std::size_t e = 0;
+  for (std::size_t i = 0; i < records.size(); i += 7) {
+    records[i].app_bytes = kEdges[e++ % std::size(kEdges)];
+  }
+  return records;
+}
+
+void FeedChunks(const std::vector<net::PacketRecord>& records, std::size_t chunk,
+                CaptureSink& sink) {
+  const std::span<const net::PacketRecord> all(records);
+  net::ColumnarBatch columns;
+  for (std::size_t i = 0; i < all.size(); i += chunk) {
+    columns.Clear();
+    columns.Append(all.subspan(i, std::min(chunk, all.size() - i)));
+    sink.OnColumns(columns.View());
+  }
+}
+
+core::CharacterizationReport OracleReport(const std::vector<net::PacketRecord>& records,
+                                          const core::CharacterizationOptions& o, double end) {
+  TraceSummary summary(o.wire_overhead);
+  LoadAggregator minute(o.minute_interval, 0.0, o.wire_overhead);
+  SessionTracker sessions(o.session_idle_timeout);
+  FeedRows(records, summary);
+  FeedRows(records, minute);
+  FeedRows(records, sessions);
+  constexpr std::size_t kSizeBins = 500;
+  stats::TimeSeries vt(0.0, o.vt_base_interval);
+  stats::Histogram size_total(0.0, o.size_histogram_max, kSizeBins);
+  stats::Histogram size_in(0.0, o.size_histogram_max, kSizeBins);
+  stats::Histogram size_out(0.0, o.size_histogram_max, kSizeBins);
+  for (const net::PacketRecord& r : records) {
+    if (r.timestamp < o.vt_window) vt.Add(r.timestamp);
+    size_total.Add(r.app_bytes);
+    (r.direction == net::Direction::kClientToServer ? size_in : size_out).Add(r.app_bytes);
+  }
+  summary.set_duration_override(end);
+  minute.ExtendTo(end);
+  vt.ExtendTo(std::min(end, o.vt_window));
+  std::vector<Session> closed = sessions.Finish();
+  stats::Histogram bandwidth = SessionTracker::BandwidthHistogram(
+      closed, o.session_min_duration, o.session_bw_histogram_max, o.session_bw_bins);
+  return core::CharacterizationReport{.summary = summary,
+                                      .minute_packets_in = minute.packets_in(),
+                                      .minute_packets_out = minute.packets_out(),
+                                      .minute_bytes_in = minute.wire_bytes_in(),
+                                      .minute_bytes_out = minute.wire_bytes_out(),
+                                      .vt_base_packets = vt,
+                                      .variance_time = {},
+                                      .hurst = {},
+                                      .sessions = std::move(closed),
+                                      .session_bandwidth = std::move(bandwidth),
+                                      .size_total = std::move(size_total),
+                                      .size_in = std::move(size_in),
+                                      .size_out = std::move(size_out)};
+}
+
+void ExpectFusedPassMatchesOracle(double size_histogram_max) {
+  const auto records = SizeEdgeStream(52, kStreamLen);
+  core::CharacterizationOptions options;
+  options.size_histogram_max = size_histogram_max;
+  // The variance-time window closes inside a batch at every tested size.
+  options.vt_window = records[1500].timestamp;
+  const double end = records.back().timestamp;
+  const core::CharacterizationReport oracle = OracleReport(records, options, end);
+  ASSERT_GT(oracle.size_in.overflow(), 0u);
+  ASSERT_GT(oracle.size_out.overflow(), 0u);
+  ASSERT_GT(oracle.vt_base_packets.Sum(), 0.0);
+  ASSERT_LT(oracle.vt_base_packets.Sum(), static_cast<double>(records.size()));
+  for (const std::size_t chunk : {1, 39, 1024}) {
+    SCOPED_TRACE(testing::Message() << "batch size " << chunk);
+    core::Characterizer fused(options);
+    FeedChunks(records, chunk, fused);
+    ExpectReportIdentical(oracle, fused.Finish(end));
+  }
+}
+
+TEST(CharacterizerOracle, DefaultSizeGeometry) { ExpectFusedPassMatchesOracle(500.0); }
+
+TEST(CharacterizerOracle, SizeHistogramMax200) { ExpectFusedPassMatchesOracle(200.0); }
+
+// 1000.5 B over 500 bins: bins 2.001 B wide, and size 1000 is the last
+// value in range.
+TEST(CharacterizerOracle, SizeHistogramMaxNonIntegral) { ExpectFusedPassMatchesOracle(1000.5); }
 
 }  // namespace
 }  // namespace gametrace::trace

@@ -2,8 +2,12 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -98,6 +102,86 @@ TEST_F(TraceFormatTest, DrainStreamsIntoSink) {
   CountingSink counter;
   EXPECT_EQ(reader.Drain(counter), static_cast<std::uint64_t>(kCount));
   EXPECT_EQ(counter.packets(), static_cast<std::uint64_t>(kCount));
+}
+
+// Records the size of every batch Drain delivers.
+class BatchSizeSink final : public CaptureSink {
+ public:
+  void OnColumns(const net::PacketBatch& batch) override { sizes.push_back(batch.count); }
+  std::vector<std::size_t> sizes;
+};
+
+TEST_F(TraceFormatTest, DrainTornRecordDeliversOnlyTheCompleteChunksBefore) {
+  // 1500 and 2048 whole records, then a torn one: the chunk holding the
+  // torn record (records 1024..1500 resp. the empty third chunk) is not
+  // delivered, every complete chunk before it is.
+  for (const auto& [whole, delivered] :
+       {std::pair<int, std::vector<std::size_t>>{1500, {1024}},
+        std::pair<int, std::vector<std::size_t>>{2048, {1024, 1024}}}) {
+    {
+      TraceWriter writer(path_, server_);
+      for (int i = 0; i <= whole; ++i) writer.OnPacket(MakeRecord(i * 0.01, 40));
+      writer.Flush();
+    }
+    std::filesystem::resize_file(path_, std::filesystem::file_size(path_) - 5);
+    TraceReader reader(path_);
+    BatchSizeSink sink;
+    EXPECT_THROW((void)reader.Drain(sink), TraceError);
+    EXPECT_EQ(sink.sizes, delivered) << whole << " whole records";
+  }
+}
+
+TEST_F(TraceFormatTest, DrainWholeChunksDeliversNoEmptyBatch) {
+  {
+    TraceWriter writer(path_, server_);
+    for (int i = 0; i < 2048; ++i) writer.OnPacket(MakeRecord(i * 0.01, 40));
+    writer.Flush();
+  }
+  TraceReader reader(path_);
+  BatchSizeSink sink;
+  EXPECT_EQ(reader.Drain(sink), 2048u);
+  EXPECT_EQ(sink.sizes, (std::vector<std::size_t>{1024, 1024}));
+}
+
+TEST_F(TraceFormatTest, DrainEmptyTraceDeliversNothing) {
+  {
+    TraceWriter writer(path_, server_);
+    writer.Flush();
+  }
+  TraceReader reader(path_);
+  BatchSizeSink sink;
+  EXPECT_EQ(reader.Drain(sink), 0u);
+  EXPECT_TRUE(sink.sizes.empty());
+}
+
+// Overwrites byte `offset` of record `record` (after the 14-byte header).
+void PatchRecordByte(const std::string& path, std::size_t record, std::size_t offset,
+                     std::uint8_t value) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(static_cast<std::streamoff>(14 + 22 * record + offset));
+  f.put(static_cast<char>(value));
+}
+
+TEST_F(TraceFormatTest, OutOfRangeEnumBytesRejected) {
+  // Byte 16 is the direction (0/1), byte 17 the packet kind (<= kWebAck).
+  for (const auto& [offset, value] : {std::pair<std::size_t, std::uint8_t>{16, 2},
+                                      std::pair<std::size_t, std::uint8_t>{16, 255},
+                                      std::pair<std::size_t, std::uint8_t>{17, 9}}) {
+    {
+      TraceWriter writer(path_, server_);
+      for (int i = 0; i < 1100; ++i) writer.OnPacket(MakeRecord(i * 0.01, 40));
+      writer.Flush();
+    }
+    PatchRecordByte(path_, 1050, offset, value);
+    TraceReader reader(path_);
+    BatchSizeSink sink;
+    EXPECT_THROW((void)reader.Drain(sink), TraceError);
+    EXPECT_EQ(sink.sizes, (std::vector<std::size_t>{1024}));
+
+    TraceReader scalar(path_);
+    for (int i = 0; i < 1050; ++i) ASSERT_TRUE(scalar.Next().has_value());
+    EXPECT_THROW((void)scalar.Next(), TraceError);
+  }
 }
 
 TEST_F(TraceFormatTest, BadMagicRejected) {
