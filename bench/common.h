@@ -60,7 +60,7 @@ inline void PrintSeries(std::ostream& out, const stats::TimeSeries& series,
 // observability flags (or the matching environment variables), binds an
 // ambient ObsContext for the bench's lifetime when any output is
 // requested, arms the flight recorder, watchdog and black-box dump guard,
-// and writes every requested file - metrics including a profiling dump -
+// and writes every requested file - metrics including the cost ledger -
 // at destruction. Without outputs it binds nothing, so the bench runs
 // exactly as before.
 using ObsSession = obs::ExportSession;

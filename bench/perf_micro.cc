@@ -24,7 +24,7 @@
 #include "game/config.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/prof.h"
+#include "obs/ledger.h"
 #include "router/route_cache.h"
 #include "router/routing_table.h"
 #include "sim/random.h"
@@ -252,10 +252,10 @@ double MeasureHotpath(const HotpathWorkload& w, int sinks) {
 
 // ---- Observability overhead ------------------------------------------
 
-// A unit of work comparable to one sink dispatch, with and without the
-// profiling scope, kept out-of-line so both compile to the same core loop.
+// A unit of work comparable to one sink dispatch, with and without a
+// ledger scope, kept out-of-line so both compile to the same core loop.
 __attribute__((noinline)) std::uint64_t ProbeWithScope(std::uint64_t x) {
-  GT_PROF_SCOPE("obs.idle_probe");
+  const obs::LayerScope scope(obs::Layer::kRun);
   return x * 2654435761ULL + 1;
 }
 
@@ -282,10 +282,10 @@ double MeasureProbeNs(std::uint64_t (*probe)(std::uint64_t)) {
   return best;
 }
 
-// GT_PROF_SCOPE cost per call while profiling is disabled - the price every
-// build pays on the hot path whether or not anyone is watching.
-void BM_ProfScopeIdle(benchmark::State& state) {
-  obs::EnableProfiling(false);
+// LayerScope cost per call while the ledger is off - the price every run
+// pays on the hot path whether or not anyone is watching.
+void BM_LayerScopeIdle(benchmark::State& state) {
+  obs::EnableLedger(false);
   std::uint64_t x = 1;
   for (auto _ : state) {
     x = ProbeWithScope(x);
@@ -293,39 +293,45 @@ void BM_ProfScopeIdle(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ProfScopeIdle);
+BENCHMARK(BM_LayerScopeIdle);
 
+// Signed: noise can put a difference below zero, and bench_compare fails a
+// fraction below -budget as unmeasured rather than reading it as free.
 struct ObsOverhead {
-  double idle_scope_ns = 0.0;    // per GT_PROF_SCOPE, profiling disabled
-  double active_scope_ns = 0.0;  // per GT_PROF_SCOPE, profiling enabled
+  double idle_scope_ns = 0.0;    // per LayerScope, ledger off
+  double active_scope_ns = 0.0;  // per LayerScope, ledger on
   double scopes_per_record = 0.0;
   double idle_overhead_fraction = 0.0;    // share of hot-path time, idle
   double active_overhead_fraction = 0.0;  // measured end-to-end slowdown
 };
 
-// Quantifies the GT_PROF_SCOPE tax on the four-sink hot-path chain. Idle
+// Quantifies the LayerScope tax on the four-sink hot-path chain. Idle
 // overhead is per-scope cost times scope density against the measured
 // per-record budget (the scopes are compiled in, so they cannot be switched
 // off for a differential run); active overhead is a direct A/B of the
-// four-sink chain with profiling on vs off.
+// four-sink chain with the ledger on vs off. The density is the ledger's
+// own call count over one pass of that chain.
 ObsOverhead MeasureObsOverhead(const HotpathWorkload& w, double idle_pps) {
   ObsOverhead o;
-  obs::EnableProfiling(false);
+  obs::EnableLedger(false);
   const double without_ns = MeasureProbeNs(&ProbeWithoutScope);
-  o.idle_scope_ns = std::max(0.0, MeasureProbeNs(&ProbeWithScope) - without_ns);
-  obs::EnableProfiling(true);
-  o.active_scope_ns = std::max(0.0, MeasureProbeNs(&ProbeWithScope) - without_ns);
+  o.idle_scope_ns = MeasureProbeNs(&ProbeWithScope) - without_ns;
+  obs::EnableLedger(true);
+  o.active_scope_ns = MeasureProbeNs(&ProbeWithScope) - without_ns;
   const double active_pps = MeasureHotpath(w, 4);
-  obs::EnableProfiling(false);
-  obs::ResetProfiling();
+  obs::ResetLedger();
+  SinkChain chain(4);
+  RunHotpathPass(w, chain);
+  std::uint64_t scopes = 0;
+  for (const obs::LayerTally& tally : obs::LedgerSnapshot()) scopes += tally.calls;
+  obs::EnableLedger(false);
+  obs::ResetLedger();
 
-  // tee -> {counting, load_agg, summary, sessions} is 5 scoped OnColumns
-  // calls per 35-record tick.
-  o.scopes_per_record = 5.0 / 35.0;
+  o.scopes_per_record = static_cast<double>(scopes) / static_cast<double>(w.records.size());
   if (idle_pps > 0.0) {
     const double record_ns = 1e9 / idle_pps;
     o.idle_overhead_fraction = o.idle_scope_ns * o.scopes_per_record / record_ns;
-    o.active_overhead_fraction = std::max(0.0, 1.0 - active_pps / idle_pps);
+    o.active_overhead_fraction = 1.0 - active_pps / idle_pps;
   }
   return o;
 }
@@ -405,7 +411,7 @@ struct TelemetryOverhead {
 // one ring walk, with tier folds and the online-Hurst cascade riding
 // base-tier evictions) plus one QuantileSketch::Add per client per minute.
 // Unlike the
-// GT_PROF_SCOPE and flight-sampling taxes - which ride the analysis sinks -
+// ledger-scope and flight-sampling taxes - which ride the analysis sinks -
 // these instruments live in the server's emission path, so the per-record
 // fraction is charged against the measured end-to-end generation cost of
 // one packet (an un-instrumented RunServerTrace, the workload these adds

@@ -225,7 +225,7 @@ void Usage() {
                "  loss      <trace>\n"
                "  fleet     <shards> [seconds] [workers] [seed]\n"
                "options (any command):\n"
-               "  --metrics-out=<json>    write a metrics + profiling snapshot\n"
+               "  --metrics-out=<json>    write a metrics + cost-ledger snapshot\n"
                "  --trace-out=<json>      write sim-time spans (Chrome trace_event)\n"
                "  --flight-out=<jsonl>    write the flight-recorder snapshot stream\n"
                "  --alerts-out=<jsonl>    write watchdog SLO alerts\n"

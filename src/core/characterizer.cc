@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "core/check.h"
-#include "obs/prof.h"
+#include "obs/ledger.h"
 
 namespace gametrace::core {
 
@@ -37,7 +37,8 @@ Characterizer::Characterizer(CharacterizationOptions options)
       size_out_(0.0, options.size_histogram_max, kSizeBins) {}
 
 void Characterizer::OnColumns(const net::PacketBatch& batch) {
-  GT_PROF_SCOPE("core.characterizer.on_columns");
+  // Nested load and session scopes leave this one the fused loop.
+  const obs::LayerScope scope(obs::Layer::kCoreCharacterize);
   minute_agg_.OnColumns(batch);
   sessions_.OnColumns(batch);
   const std::size_t n = batch.count;
@@ -59,7 +60,6 @@ void Characterizer::OnColumns(const net::PacketBatch& batch) {
 }
 
 void Characterizer::Merge(Characterizer&& other) {
-  GT_PROF_SCOPE("core.characterizer.merge");
   GT_CHECK(other.options_ == options_) << "Characterizer::Merge: analysis options differ";
   summary_.Merge(other.summary_);
   minute_agg_.Merge(other.minute_agg_);
@@ -69,6 +69,7 @@ void Characterizer::Merge(Characterizer&& other) {
 }
 
 CharacterizationReport Characterizer::Finish(double trace_duration) {
+  const obs::LayerScope scope(obs::Layer::kCoreFinish);
   if (trace_duration > 0.0) {
     summary_.set_duration_override(trace_duration);
     minute_agg_.ExtendTo(trace_duration);

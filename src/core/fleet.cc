@@ -12,7 +12,7 @@
 #include "core/thread_annotations.h"
 #include "game/client.h"
 #include "obs/obs.h"
-#include "obs/prof.h"
+#include "obs/ledger.h"
 #include "obs/watchdog.h"
 #include "sim/rng.h"
 #include "trace/capture.h"
@@ -208,7 +208,7 @@ class StreamingReduction {
  private:
   // Master fold, strictly in server order.
   void Absorb(UnitResult&& unit) GT_REQUIRES(m_) {
-    GT_PROF_SCOPE("core.fleet.merge");
+    const obs::LayerScope scope(obs::Layer::kFleetMerge);
     int server = unit.first_server;
     for (ServerResult& r : unit.servers) {
       if (!master_.has_value()) {

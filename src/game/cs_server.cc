@@ -5,7 +5,7 @@
 #include "core/check.h"
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
-#include "obs/prof.h"
+#include "obs/ledger.h"
 #include "sim/random.h"
 
 namespace gametrace::game {
@@ -111,7 +111,7 @@ void CsServer::Run() {
 }
 
 void CsServer::OnTick(double t) {
-  GT_PROF_SCOPE("game.tick_emit");
+  const obs::LayerScope scope(obs::Layer::kGameGenerate);
   if (obs_.trace != nullptr) {
     obs_.trace->Complete("tick", "tick", t, t + config_.tick_interval);
   }

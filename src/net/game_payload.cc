@@ -48,6 +48,7 @@ std::optional<ParsedGamePayload> ParseGamePayload(std::span<const std::uint8_t> 
   const std::uint32_t first = GetLe32(payload.data());
   if (first == kConnectionlessMarker) {
     parsed.connectionless = true;
+    parsed.kind_tag = GetLe32(payload.data() + 4);
     return parsed;
   }
   parsed.seq = first;

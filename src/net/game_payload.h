@@ -29,6 +29,9 @@ struct ParsedGamePayload {
   bool connectionless = false;
   std::uint32_t seq = 0;  // 0 for connectionless payloads
   std::uint32_t ack = 0;
+  // Connectionless payloads only: the kind tag after the marker. A
+  // foreign capture may carry any value here, not only a PacketKind.
+  std::uint32_t kind_tag = 0;
 };
 
 // Parses a payload produced by BuildGamePayload. Returns nullopt for

@@ -174,12 +174,18 @@ std::vector<PacketRecord> PcapReader::ReadAllRecords(const ServerEndpoint& serve
     PacketRecord rec;
     rec.timestamp = pkt->timestamp;
     rec.app_bytes = parsed.payload_bytes;
-    // Recover the netchannel sequence when the payload carries one.
+    // Recover the netchannel sequence, or a connectionless packet's kind,
+    // when the payload carries one. A tag that names no PacketKind (a
+    // foreign capture) leaves the record a game update.
     const std::size_t eth_ip_udp = pkt->frame.size() - parsed.payload_bytes;
     if (const auto game = ParseGamePayload(
-            {pkt->frame.data() + eth_ip_udp, parsed.payload_bytes});
-        game && !game->connectionless) {
-      rec.seq = game->seq;
+            {pkt->frame.data() + eth_ip_udp, parsed.payload_bytes})) {
+      constexpr auto kMaxKind = static_cast<std::uint32_t>(PacketKind::kWebAck);
+      if (!game->connectionless) {
+        rec.seq = game->seq;
+      } else if (game->kind_tag <= kMaxKind) {
+        rec.kind = static_cast<PacketKind>(game->kind_tag);
+      }
     }
     if (parsed.flow.dst_ip == server.ip && parsed.flow.dst_port == server.port) {
       rec.direction = Direction::kClientToServer;

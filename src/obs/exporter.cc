@@ -7,7 +7,7 @@
 #include <system_error>
 #include <utility>
 
-#include "obs/prof.h"
+#include "obs/ledger.h"
 #include "obs/prom.h"
 
 namespace gametrace::obs {
@@ -188,8 +188,12 @@ ExportSession::ExportSession(ExportOptions options) : options_(std::move(options
   });
   watchdog_ = WatchdogEngine(WatchdogEngine::BuiltinRules());
   for (const SloRule& rule : options_.extra_rules) watchdog_.AddRule(rule);
-  EnableProfiling(true);
+  // The guard enforces one active session at a time, which the ledger's
+  // single `run` root relies on, so it goes first.
   dump_guard_.emplace(options_.dump_path);
+  ResetLedger();
+  EnableLedger(true);
+  run_scope_.emplace(Layer::kRun);
   binding_.emplace(ObsContext{
       .metrics = &metrics_,
       .trace = &trace_,
@@ -229,14 +233,15 @@ int ExportSession::Finish() {
   if (!binding_.has_value() || finished_) return 0;
   finished_ = true;
   binding_.reset();
-  EnableProfiling(false);
+  run_scope_.reset();
+  EnableLedger(false);
 
   // Alerts for any snapshots the run sampled but never evaluated (the
   // cursor makes this a no-op when live evaluation kept up), then the
-  // export-time folds: profiling and alert counters never enter the
+  // export-time folds: ledger and alert counters never enter the
   // deterministic merge, only the written files.
   watchdog_.CatchUp(recorder_);
-  DumpProfilingInto(metrics_);
+  DumpLedgerInto(metrics_);
   watchdog_.DumpInto(metrics_);
   watchdog_.DumpInto(trace_);
 
@@ -274,7 +279,7 @@ int ExportSession::Finish() {
   write_file(options_.sched_metrics_path, sched_metrics_.ToJson(), "scheduler metrics");
   write_file(options_.sched_report_path, sched_report_.ToJson(), "scheduler report");
   write_file(options_.sched_trace_path, sched_trace_.ToJson(), "scheduler timeline");
-  // Last, so the text includes the profiling and alert counters. The
+  // Last, so the text includes the ledger and alert counters. The
   // scheduler registry joins the exposition here (and only here): its
   // fleet.worker.<w>.* names become gametrace_fleet_* families with a
   // worker label, and the deterministic --metrics-out stays untouched.

@@ -11,7 +11,7 @@
 //   return session.Finish();  // writes every requested file
 //
 // Flags / environment variables (flag wins):
-//   --metrics-out=<json>    GAMETRACE_METRICS_OUT   metrics + profiling
+//   --metrics-out=<json>    GAMETRACE_METRICS_OUT   metrics + cost ledger
 //   --trace-out=<json>      GAMETRACE_TRACE_OUT     Chrome trace_event
 //   --flight-out=<jsonl>    GAMETRACE_FLIGHT_OUT    snapshot stream
 //   --alerts-out=<jsonl>    GAMETRACE_ALERTS_OUT    watchdog alerts
@@ -41,7 +41,9 @@
 // benches without flags run exactly as before. An active session always
 // arms the flight recorder and the black-box guard, so any GT_CHECK
 // violation mid-run leaves flight_dump.json even if only --metrics-out
-// was asked for.
+// was asked for. It also zeroes and enables the cost ledger
+// (obs/ledger.h) and holds its `run` root until Finish(); one active
+// session at a time.
 #pragma once
 
 #include <fstream>
@@ -51,6 +53,7 @@
 #include <vector>
 
 #include "obs/flight_recorder.h"
+#include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/sched_report.h"
@@ -118,10 +121,10 @@ class ExportSession {
   // exit code through an explicit Finish().
   ~ExportSession();
 
-  // Unbinds, evaluates any un-watched snapshots, folds in the profiling
-  // and alert counters plus the trace-drop total, and writes every
-  // requested file. Idempotent; returns 0 on success, 1 if any file could
-  // not be written.
+  // Unbinds, closes the ledger's run scope, evaluates any un-watched
+  // snapshots, folds in the ledger and alert counters plus the trace-drop
+  // total, and writes every requested file. Idempotent; returns 0 on
+  // success, 1 if any file could not be written.
   int Finish();
 
   // Hands a fleet run's diagnostic channel to the session: the scheduler
@@ -154,6 +157,9 @@ class ExportSession {
   TraceLog sched_trace_;
   std::optional<ScopedFlightDump> dump_guard_;
   std::optional<ScopedObsBinding> binding_;
+  // The ledger's root, open from construction to Finish() on an active
+  // session: everything the run does outside a narrower layer lands here.
+  std::optional<LayerScope> run_scope_;
 };
 
 }  // namespace gametrace::obs

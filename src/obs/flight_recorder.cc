@@ -10,7 +10,7 @@
 #include "core/thread_annotations.h"
 #include "obs/exporter.h"
 #include "obs/obs.h"
-#include "obs/prof.h"
+#include "obs/ledger.h"
 #include "obs/trace_log.h"
 
 namespace gametrace::obs {
@@ -152,17 +152,17 @@ void WriteFlightDump(std::ostream& out, std::string_view reason, const FlightRec
   }
   doc += "]";
 
-  doc += ",\n  \"profiling\": [";
-  const std::vector<ProfSample> profiling = ProfilingSnapshot();
-  for (std::size_t i = 0; i < profiling.size(); ++i) {
+  doc += ",\n  \"ledger\": [";
+  const LedgerTallies ledger = LedgerSnapshot();
+  for (std::size_t i = 0; i < kLayerCount; ++i) {
     doc += i == 0 ? "\n    " : ",\n    ";
-    doc += "{\"name\": ";
-    AppendJsonString(doc, profiling[i].name);
-    doc += ", \"calls\": " + std::to_string(profiling[i].calls);
-    doc += ", \"ns\": " + std::to_string(profiling[i].nanos);
+    doc += "{\"layer\": ";
+    AppendJsonString(doc, kLayerNames[i]);
+    doc += ", \"calls\": " + std::to_string(ledger[i].calls);
+    doc += ", \"ns\": " + std::to_string(ledger[i].ns);
     doc += "}";
   }
-  doc += profiling.empty() ? "]\n}\n" : "\n  ]\n}\n";
+  doc += "\n  ]\n}\n";
   out << doc;
 }
 

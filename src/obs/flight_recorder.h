@@ -18,7 +18,7 @@
 //
 // Black box: ScopedFlightDump installs a chaining ContractHandler so any
 // GT_CHECK violation writes flight_dump.json - the last snapshots, the
-// trace tail and the profiling counters - before the previous handler
+// trace tail and the cost ledger - before the previous handler
 // (abort or throw) takes over. CsServer calls DumpFlightNow() when an
 // injected outage begins, so provisioning failures leave the same trail.
 #pragma once
@@ -114,8 +114,8 @@ struct FlightDumpOptions {
 };
 
 // Writes the black-box document: the dump reason, the contract failure (if
-// any), the most recent snapshots, the sim-time trace tail and the current
-// GT_PROF_SCOPE profiling counters. Null recorder/trace are allowed and
+// any), the most recent snapshots, the sim-time trace tail and the cost
+// ledger's current per-layer tallies. Null recorder/trace are allowed and
 // produce empty sections - a dump is best-effort by design.
 void WriteFlightDump(std::ostream& out, std::string_view reason, const FlightRecorder* recorder,
                      const TraceLog* trace, const ContractFailure* failure,

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/check.h"
+#include "obs/ledger.h"
 #include "obs/obs.h"
 #include "obs/trace_log.h"
 #include "sim/random.h"
@@ -119,6 +120,7 @@ void NatDevice::ScheduleNextEpisode() {
   if (config_.episode_mean_interval <= 0.0) return;  // livelock disabled
   const double gap = sim::Exponential(rng_, config_.episode_mean_interval);
   simulator_->After(gap, [this] {
+    const obs::LayerScope scope(obs::Layer::kRouterNat);
     const double now = simulator_->Now();
     AdvanceTo(now, Horizon::kBefore);
     ++episodes_;
@@ -133,6 +135,7 @@ void NatDevice::ScheduleNextEpisode() {
 }
 
 void NatDevice::OnArrival(const net::PacketRecord& record) {
+  const obs::LayerScope scope(obs::Layer::kRouterNat);
   const double now = simulator_->Now();
   AdvanceTo(now, Horizon::kBefore);
   Arrive(AcquireRow(now, record));
@@ -140,6 +143,7 @@ void NatDevice::OnArrival(const net::PacketRecord& record) {
 }
 
 void NatDevice::Inject(const net::PacketBatch& batch) {
+  const obs::LayerScope scope(obs::Layer::kRouterNat);
   const double now = simulator_->Now();
   AdvanceTo(now, Horizon::kBefore);
   pending_.erase(pending_.begin(),
@@ -167,6 +171,7 @@ void NatDevice::Inject(const net::PacketBatch& batch) {
 }
 
 void NatDevice::Touch(Horizon horizon) {
+  const obs::LayerScope scope(obs::Layer::kRouterNat);
   AdvanceTo(simulator_->Now(), horizon);
   Rearm();
 }

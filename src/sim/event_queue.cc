@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "core/check.h"
-#include "obs/prof.h"
+#include "obs/ledger.h"
 
 namespace gametrace::sim {
 
@@ -82,7 +82,7 @@ SimTime EventQueue::NextTime() const {
 }
 
 SimTime EventQueue::RunNext() {
-  GT_PROF_SCOPE("sim.event_queue.run_next");
+  const obs::LayerScope scope(obs::Layer::kSimDispatch);
   SkipStale();
   GT_CHECK(!heap_.empty()) << "EventQueue::RunNext: empty queue";
   const Entry top = heap_.top();

@@ -3,7 +3,7 @@
 #include <stdexcept>
 
 #include "core/check.h"
-#include "obs/prof.h"
+#include "obs/ledger.h"
 
 namespace gametrace::trace {
 
@@ -26,7 +26,7 @@ void LoadAggregator::AddSample(double t, bool inbound, double wire) {
 }
 
 void LoadAggregator::OnColumns(const net::PacketBatch& batch) {
-  GT_PROF_SCOPE("trace.load_agg.on_columns");
+  const obs::LayerScope scope(obs::Layer::kCoreCharacterizeLoad);
   // A tick burst is a long run of same-direction packets whose timestamps
   // land in the same bin; aggregate each run and pay two series updates per
   // run instead of two per packet. Bin membership is decided by the same

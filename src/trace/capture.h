@@ -31,7 +31,6 @@
 
 #include "net/packet.h"
 #include "net/packet_batch.h"
-#include "obs/prof.h"
 
 namespace gametrace::trace {
 
@@ -147,7 +146,6 @@ class TeeSink final : public CaptureSink {
   void Attach(CaptureSink& sink) { sinks_.push_back(&sink); }
 
   void OnColumns(const net::PacketBatch& batch) override {
-    GT_PROF_SCOPE("trace.tee.on_columns");
     for (CaptureSink* sink : sinks_) sink->OnColumns(batch);
   }
 
@@ -163,7 +161,6 @@ class CountingSink final : public CaptureSink {
   // Dense u16 size and u8 direction columns auto-vectorise; integral sums
   // regroup exactly.
   void OnColumns(const net::PacketBatch& batch) override {
-    GT_PROF_SCOPE("trace.counting.on_columns");
     const std::uint16_t* bytes = batch.app_bytes;
     const std::uint8_t* dirs = batch.directions;
     const std::size_t n = batch.count;
@@ -196,7 +193,6 @@ class CountingSink final : public CaptureSink {
 class VectorSink final : public CaptureSink {
  public:
   void OnColumns(const net::PacketBatch& batch) override {
-    GT_PROF_SCOPE("trace.vector.on_columns");
     batch.MaterializeInto(records_);
   }
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/check.h"
-#include "obs/prof.h"
 
 namespace gametrace::trace {
 
@@ -14,7 +13,6 @@ FilterSink::FilterSink(Predicate predicate, CaptureSink& next)
 }
 
 void FilterSink::OnColumns(const net::PacketBatch& batch) {
-  GT_PROF_SCOPE("trace.filter.on_columns");
   // The predicate sees full records (it is an arbitrary std::function over
   // PacketRecord), so each candidate is reconstructed from the columns; the
   // survivors are compacted column-wise.

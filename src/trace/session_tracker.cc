@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "core/check.h"
-#include "obs/prof.h"
+#include "obs/ledger.h"
 
 namespace gametrace::trace {
 
@@ -21,7 +21,7 @@ SessionTracker::SessionTracker(double idle_timeout_seconds) : idle_timeout_(idle
 }
 
 void SessionTracker::OnColumns(const net::PacketBatch& batch) {
-  GT_PROF_SCOPE("trace.sessions.on_columns");
+  const obs::LayerScope scope(obs::Layer::kCoreCharacterizeSessions);
   // Handshake-refusal traffic is not a session: a rejected client exchanged
   // two packets but never played. Counting those would flood the session
   // list with zero-length entries.

@@ -4,14 +4,12 @@
 #include <stdexcept>
 
 #include "core/check.h"
-#include "obs/prof.h"
 
 namespace gametrace::trace {
 
 TraceSummary::TraceSummary(std::uint32_t wire_overhead_bytes) : overhead_(wire_overhead_bytes) {}
 
 void TraceSummary::OnColumns(const net::PacketBatch& batch) {
-  GT_PROF_SCOPE("trace.summary.on_columns");
   Pass pass(*this, batch);
   for (std::size_t i = 0; i < batch.count; ++i) {
     pass.Add(batch.directions[i], batch.app_bytes[i], batch.kinds[i], batch.client_ips[i]);

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/check.h"
+#include "obs/ledger.h"
 
 namespace gametrace::trace {
 
@@ -70,6 +71,7 @@ TraceWriter::TraceWriter(const std::string& path, const net::ServerEndpoint& ser
 }
 
 void TraceWriter::OnColumns(const net::PacketBatch& batch) {
+  const obs::LayerScope scope(obs::Layer::kTraceEncode);
   // Encode the whole batch, then one stream write.
   buffer_.resize(batch.count * kRecordBytes);
   for (std::size_t i = 0; i < batch.count; ++i) {
@@ -136,12 +138,16 @@ std::uint64_t TraceReader::Drain(CaptureSink& sink) {
   batch.Reserve(kChunkRecords);
   std::uint64_t n = 0;
   for (;;) {
-    const std::size_t records = ReadRecords(chunk.data(), kChunkRecords);
+    std::size_t records = 0;
+    {
+      const obs::LayerScope scope(obs::Layer::kTraceDecode);
+      records = ReadRecords(chunk.data(), kChunkRecords);
+      batch.Clear();
+      batch.AppendRows(records, [bytes](std::size_t i, net::PacketRow& row) {
+        DecodeRow(bytes + i * kRecordBytes, row);
+      });
+    }
     if (records == 0) return n;
-    batch.Clear();
-    batch.AppendRows(records, [bytes](std::size_t i, net::PacketRow& row) {
-      DecodeRow(bytes + i * kRecordBytes, row);
-    });
     sink.OnColumns(batch.View());
     n += records;
     if (records < kChunkRecords) return n;

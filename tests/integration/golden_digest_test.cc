@@ -22,12 +22,14 @@
 #include "core/experiment.h"
 #include "core/fleet.h"
 #include "game/config.h"
+#include "net/pcap.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/prom.h"
 #include "obs/trace_log.h"
 #include "obs/watchdog.h"
+#include "trace/capture.h"
 #include "trace/trace_format.h"
 
 namespace gametrace {
@@ -164,11 +166,22 @@ TEST(GoldenDigest, StandaloneServerReport) {
   ExpectDigest("120 s server report", canon.str(), 0x778fe68871e44a68);
 }
 
-// A per-process scratch path for a .gtr round trip.
-std::string TempGtrPath(const char* tag) {
+// A per-process scratch path for a file round trip.
+std::string TempPath(const char* tag, const char* extension) {
   return (std::filesystem::temp_directory_path() /
-          ("gametrace_golden_" + std::string(tag) + "_" + std::to_string(::getpid()) + ".gtr"))
+          ("gametrace_golden_" + std::string(tag) + "_" + std::to_string(::getpid()) + extension))
       .string();
+}
+
+// The whole file, which is then deleted.
+std::string TakeBytes(const std::string& path) {
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  std::filesystem::remove(path);
+  return bytes;
 }
 
 // The same 120 s run written to .gtr and drained back into a Characterizer:
@@ -177,7 +190,7 @@ std::string TempGtrPath(const char* tag) {
 TEST(GoldenDigest, ServerReportReplayedFromGtr) {
   game::GameConfig config = game::GameConfig::ScaledDefaults(120.0);
   config.seed = 20020101;
-  const std::string path = TempGtrPath("replay");
+  const std::string path = TempPath("replay", ".gtr");
   core::ServerTraceResult run;
   {
     trace::TraceWriter writer(path, config.server);
@@ -241,8 +254,8 @@ TEST(GoldenDigest, NatExperimentResult) {
 // The observability surfaces of a run in which a watchdog fires: the 120 s
 // Table IV overload of FlightBlackbox.NatOverloadRaisesTheMeltdownAlert-
 // OnSchedule (meltdown alert at t=60). Flight JSONL, alerts JSONL and the
-// Prometheus text of the ambient registry. Profiling stays off in this
-// binding, so no wall-clock prof.* entries reach any of the three.
+// Prometheus text of the ambient registry. The cost ledger stays off in
+// this binding, so no wall-clock ledger.* entries reach any of the three.
 TEST(GoldenDigest, NatObservabilitySurfaces) {
   obs::MetricsRegistry metrics;
   obs::TraceLog trace;
@@ -266,24 +279,50 @@ TEST(GoldenDigest, NatObservabilitySurfaces) {
   canon.Text("flight", recorder.ToJsonl());
   canon.Text("alerts", watchdog.ToJsonl());
   canon.Text("prometheus", prom.str());
-  EXPECT_EQ(canon.str().find("prof"), std::string::npos);
+  EXPECT_EQ(canon.str().find("ledger"), std::string::npos);
   ExpectDigest("120 s NAT flight/alerts/prom", canon.str(), 0x976eed15c0c30088);
 }
 
 TEST(GoldenDigest, TraceWriterBytes) {
   game::GameConfig config = game::GameConfig::ScaledDefaults(60.0);
   config.seed = 99;
-  const std::string path = TempGtrPath("bytes");
+  const std::string path = TempPath("bytes", ".gtr");
   {
     trace::TraceWriter writer(path, config.server);
     (void)core::RunServerTrace(config, writer);
     writer.Flush();
   }
-  std::ifstream in(path, std::ios::binary);
-  const std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  in.close();
-  std::filesystem::remove(path);
-  ExpectDigest("60 s .gtr bytes", bytes, 0xf837279464a64552);
+  ExpectDigest("60 s .gtr bytes", TakeBytes(path), 0xf837279464a64552);
+}
+
+// A 60 s run written to pcap, read back and written again: every field a
+// record carries, the connectionless kind tag included, survives the
+// frame, so the second file equals the first byte for byte.
+TEST(GoldenDigest, PcapRoundTripBytes) {
+  game::GameConfig config = game::GameConfig::ScaledDefaults(60.0);
+  config.seed = 99;
+  const std::string first = TempPath("first", ".pcap");
+  const std::string second = TempPath("second", ".pcap");
+  {
+    net::PcapWriter writer(first);
+    trace::CallbackSink sink(
+        [&](const net::PacketRecord& r) { writer.WriteRecord(r, config.server); });
+    (void)core::RunServerTrace(config, sink);
+    writer.Flush();
+  }
+  {
+    net::PcapReader reader(first);
+    net::PcapWriter writer(second);
+    std::uint64_t skipped = 0;
+    for (const net::PacketRecord& r : reader.ReadAllRecords(config.server, &skipped)) {
+      writer.WriteRecord(r, config.server);
+    }
+    writer.Flush();
+    EXPECT_EQ(skipped, 0u);
+  }
+  const std::string bytes = TakeBytes(first);
+  EXPECT_TRUE(TakeBytes(second) == bytes) << "pcap write -> read -> write changed the bytes";
+  ExpectDigest("60 s pcap bytes", bytes, 0x7f81a4fe76280ce7);
 }
 
 }  // namespace

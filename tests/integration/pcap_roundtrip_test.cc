@@ -82,6 +82,10 @@ TEST_F(RoundTripTest, PcapRoundTripPreservesSizesAndDirections) {
   EXPECT_EQ(replayed.app_bytes_total(), live.app_bytes_total());
   // Pcap timestamps are quantised to 1 us; sizes must be byte-exact.
   EXPECT_DOUBLE_EQ(replayed.mean_packet_size_out(), live.mean_packet_size_out());
+  // Handshake kinds ride the connectionless payload's tag.
+  EXPECT_GT(live.attempted_connections(), 0u);
+  EXPECT_EQ(replayed.attempted_connections(), live.attempted_connections());
+  EXPECT_EQ(replayed.established_connections(), live.established_connections());
 }
 
 TEST_F(RoundTripTest, PcapFramesCarryValidChecksums) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace_log.h"
@@ -205,7 +206,11 @@ TEST(FlightDump, DocumentCarriesFailureSnapshotsAndTraceTail) {
   EXPECT_EQ(tail[1].at("name").text, "late");
   EXPECT_EQ(tail[1].at("ph").text, "i");
   EXPECT_EQ(doc.at("trace_dropped_events").number, 0.0);
-  EXPECT_TRUE(doc.at("profiling").is_array());
+  // One entry per ledger layer, in layer order.
+  const auto& ledger = doc.at("ledger").items;
+  ASSERT_EQ(ledger.size(), kLayerCount);
+  EXPECT_EQ(ledger[0].at("layer").text, "run");
+  EXPECT_EQ(ledger[kLayerCount - 1].at("layer").text, "fleet.merge");
 }
 
 TEST(FlightDump, NullSectionsProduceAnEmptyButValidDocument) {
