@@ -14,7 +14,6 @@
 #include "router/device_stats.h"
 #include "router/nat_device.h"
 #include "sim/simulator.h"
-#include "trace/filter.h"
 #include "web/web_traffic.h"
 
 namespace {

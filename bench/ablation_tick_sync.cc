@@ -8,7 +8,6 @@
 //    (H_mid falls toward 1/2).
 #include "common.h"
 
-#include "stats/autocorrelation.h"
 #include "trace/aggregator.h"
 
 namespace {

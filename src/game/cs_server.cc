@@ -207,7 +207,6 @@ void CsServer::HandleAttempt(std::size_t identity, bool /*is_retry*/) {
     if (obs_.trace != nullptr) obs_.trace->Instant("refuse", "session", t);
     Emit(reply_at, net::Direction::kServerToClient, net::PacketKind::kConnectReject,
          size_model_.HandshakeSize(net::PacketKind::kConnectReject, rng_), ip, port);
-    for (ServerEventListener* l : listeners_) l->OnRefuse(t, ip, port);
     int& retries = retry_counts_[identity];
     if (session_model_->MaybeScheduleRetry(identity, retries)) ++retries;
     return;
@@ -237,8 +236,6 @@ void CsServer::HandleAttempt(std::size_t identity, bool /*is_retry*/) {
     obs_.active_players->Set(static_cast<double>(clients_.size()));
   }
 
-  for (ServerEventListener* l : listeners_) l->OnConnect(t, clients_.back());
-
   const double duration = session_model_->DrawSessionDuration(rng_);
   const std::uint64_t session_id = client.session_id;
   simulator_->After(duration, [this, session_id] { Depart(session_id, /*orderly=*/true); });
@@ -261,7 +258,6 @@ void CsServer::Depart(std::uint64_t session_id, bool orderly) {
     Emit(simulator_->Now(), net::Direction::kClientToServer, net::PacketKind::kDisconnect,
          size_model_.HandshakeSize(net::PacketKind::kDisconnect, rng_), it->ip, it->port);
   }
-  for (ServerEventListener* l : listeners_) l->OnDisconnect(simulator_->Now(), *it, orderly);
   *it = clients_.back();
   clients_.pop_back();
   if (obs_.active_players != nullptr) {
@@ -280,7 +276,6 @@ bool CsServer::DisconnectByEndpoint(net::Ipv4Address ip, std::uint16_t port, boo
 
 void CsServer::OnOutageBegin(double t) {
   outage_began_at_ = t;
-  for (ServerEventListener* l : listeners_) l->OnOutage(t, /*begin=*/true);
   session_model_->Pause();
   // Everyone times out "at identical points in time". No disconnect packets
   // reach the wire - the network is down.
@@ -298,10 +293,7 @@ void CsServer::OnOutageBegin(double t) {
   }
   outage_disconnects_ += clients_.size();
   if (obs_.outage_disconnects != nullptr) obs_.outage_disconnects->Add(clients_.size());
-  for (const ActiveClient& c : clients_) {
-    live_sessions_.erase(c.session_id);
-    for (ServerEventListener* l : listeners_) l->OnDisconnect(t, c, /*orderly=*/false);
-  }
+  for (const ActiveClient& c : clients_) live_sessions_.erase(c.session_id);
   clients_.clear();
   if (obs_.active_players != nullptr) obs_.active_players->Set(0.0);
   // An injected outage is exactly the kind of event the black box exists
@@ -314,7 +306,6 @@ void CsServer::OnOutageEnd(double t) {
     obs_.trace->Complete("outage", "outage", outage_began_at_, t);
   }
   outage_began_at_ = -1.0;
-  for (ServerEventListener* l : listeners_) l->OnOutage(t, /*begin=*/false);
   session_model_->Resume();
 }
 
@@ -329,7 +320,6 @@ void CsServer::OnMapStart(double t) {
   }
   map_began_at_ = t;
   current_map_ = map_rotation_.maps_played();
-  for (ServerEventListener* l : listeners_) l->OnMapStart(t, map_rotation_.maps_played());
   // Connected clients may need the new map's decals.
   for (const ActiveClient& c : clients_) downloads_->OnMapChange(c.session_id, c.ip, c.port);
 }

@@ -33,18 +33,6 @@
 
 namespace gametrace::game {
 
-// Observer for server-side (game-log) events. Default implementations are
-// no-ops so listeners override only what they need.
-class ServerEventListener {
- public:
-  virtual ~ServerEventListener() = default;
-  virtual void OnConnect(double /*t*/, const ActiveClient& /*client*/) {}
-  virtual void OnRefuse(double /*t*/, net::Ipv4Address /*ip*/, std::uint16_t /*port*/) {}
-  virtual void OnDisconnect(double /*t*/, const ActiveClient& /*client*/, bool /*orderly*/) {}
-  virtual void OnMapStart(double /*t*/, int /*map_number*/) {}
-  virtual void OnOutage(double /*t*/, bool /*begin*/) {}
-};
-
 class CsServer {
  public:
   // Ground truth the packet trace cannot see directly (server-log style).
@@ -96,9 +84,6 @@ class CsServer {
   // is connected.
   bool DisconnectByEndpoint(net::Ipv4Address ip, std::uint16_t port, bool orderly = true);
 
-  // Registers a game-log observer; borrowed, must outlive the server.
-  void AddListener(ServerEventListener& listener) { listeners_.push_back(&listener); }
-
  private:
   void OnTick(double t);
   void HandleAttempt(std::size_t identity, bool is_retry);
@@ -134,7 +119,6 @@ class CsServer {
   // bulk Add at the tick timestamp (see OnTick) - ring bins are sums, so
   // they match per-packet adds while costing one ring walk per tick.
   std::uint64_t tick_ring_count_ = 0;
-  std::vector<ServerEventListener*> listeners_;
   std::unordered_set<std::uint64_t> live_sessions_;
   std::unordered_map<std::size_t, int> retry_counts_;
   std::unordered_set<std::size_t> attempted_ids_;

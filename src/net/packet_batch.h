@@ -128,7 +128,7 @@ struct PacketRow {
 // Owning columnar storage. The column vectors are capacity buffers sized to
 // the high-water batch; a separate logical `size_` tracks the live prefix.
 // Clear() just resets the size, so the fill/flush cycle a producer or a
-// compacting sink (FilterSink) repeats every batch performs zero allocation
+// compacting sink repeats every batch performs zero allocation
 // and zero re-initialisation after warm-up.
 class ColumnarBatch {
  public:

@@ -66,21 +66,6 @@ std::uint64_t Poisson(Rng& rng, double mean) {
   return k;
 }
 
-std::size_t Discrete(Rng& rng, std::span<const double> weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    GT_CHECK_GE(w, 0.0) << "Discrete: negative weight";
-    total += w;
-  }
-  GT_CHECK(total > 0.0) << "Discrete: weights sum to zero";
-  double target = rng.NextDouble() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    target -= weights[i];
-    if (target < 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
 ZipfSampler::ZipfSampler(std::size_t n, double s) {
   GT_CHECK_NE(n, 0) << "ZipfSampler: n must be > 0";
   cdf_.resize(n);

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "sim/rng.h"
@@ -36,10 +35,6 @@ namespace gametrace::sim {
 // Poisson-distributed count with the given mean (Knuth for small means,
 // normal approximation above 64 - fine for workload generation).
 [[nodiscard]] std::uint64_t Poisson(Rng& rng, double mean);
-
-// Draws an index with probability proportional to weights[i].
-// Sum of weights must be > 0.
-[[nodiscard]] std::size_t Discrete(Rng& rng, std::span<const double> weights);
 
 // Zipf-like popularity sampler over [0, n): P(i) proportional to
 // 1/(i+1)^s. Precomputes the CDF once; used for the client-identity pool

@@ -2,6 +2,8 @@
 //
 // Used to verify the 50 ms broadcast periodicity: the autocorrelation of the
 // 10 ms outbound packet-count series peaks at lag 5.
+// gt-lint: allow(orphan-module) a verification check, not dead code: the
+// pipeline test's DominantPeriod pins the paper's 50 ms broadcast period.
 #pragma once
 
 #include <cstddef>

@@ -35,19 +35,32 @@ void EncodeRow(const net::PacketBatch& batch, std::size_t i, std::uint8_t* out) 
   std::memcpy(out + 18, &batch.seqs[i], sizeof(std::uint32_t));
 }
 
-// The one read side of the record layout, shared by Next and Drain. Rejects
-// an enum byte outside its range: the analyses index per-direction tables
-// by the direction byte.
-void DecodeRow(const std::uint8_t* in, net::PacketRow& row) {
-  constexpr auto kMaxDirection = static_cast<std::uint8_t>(net::Direction::kServerToClient);
-  constexpr auto kMaxKind = static_cast<std::uint8_t>(net::PacketKind::kWebAck);
-  if (in[16] > kMaxDirection) [[unlikely]] {
+constexpr auto kMaxDirection = static_cast<std::uint8_t>(net::Direction::kServerToClient);
+constexpr auto kMaxKind = static_cast<std::uint8_t>(net::PacketKind::kWebAck);
+// 2^32 s, the pcap writer's epoch limit: every readable trace converts.
+constexpr double kTimestampLimit = 4294967296.0;
+
+// The cold half of DecodeRow: names the first invalid field of record `in`.
+[[noreturn, gnu::cold, gnu::noinline]] void RejectRow(const std::uint8_t* in, double t) {
+  if (in[16] > kMaxDirection) {
     throw TraceError("TraceReader: bad direction byte " + std::to_string(in[16]));
   }
-  if (in[17] > kMaxKind) [[unlikely]] {
+  if (in[17] > kMaxKind) {
     throw TraceError("TraceReader: bad packet kind byte " + std::to_string(in[17]));
   }
+  throw TraceError("TraceReader: bad timestamp " + std::to_string(t) + " (outside [0, 2^32) s)");
+}
+
+// The one read side of the record layout, shared by Next and Drain. Rejects
+// an enum byte outside its range (the analyses index per-direction tables
+// by the direction byte) and a timestamp outside [0, kTimestampLimit) (NaN
+// fails the comparison too). The message is built off the hot path.
+void DecodeRow(const std::uint8_t* in, net::PacketRow& row) {
   std::memcpy(&row.timestamp, in, sizeof(double));
+  if (in[16] > kMaxDirection || in[17] > kMaxKind ||
+      !(row.timestamp >= 0.0 && row.timestamp < kTimestampLimit)) [[unlikely]] {
+    RejectRow(in, row.timestamp);
+  }
   std::memcpy(&row.client_ip, in + 8, sizeof(row.client_ip));
   std::memcpy(&row.client_port, in + 12, sizeof(row.client_port));
   std::memcpy(&row.app_bytes, in + 14, sizeof(row.app_bytes));

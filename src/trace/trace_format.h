@@ -21,7 +21,8 @@ namespace gametrace::trace {
 
 // Corrupt or truncated .gtr input (environmental error, not a contract
 // violation): unknown magic, unsupported version, torn trailing record,
-// out-of-range direction or packet-kind byte.
+// out-of-range direction or packet-kind byte, or a timestamp outside
+// [0, 2^32) s - the pcap epoch range, so every readable trace converts.
 class TraceError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

@@ -14,12 +14,33 @@
 #include <string>
 
 #include "core/characterizer.h"
-#include "trace/filter.h"
+#include "net/packet_batch.h"
+#include "trace/capture.h"
 #include "trace/trace_format.h"
 
 namespace {
 
 using gametrace::trace::TraceReader;
+
+// Forwards only the rows stamped in [0, 600) s, compacted into one batch.
+// The Characterizer sizes its minute series by the trace's time span, so an
+// unwindowed trace spanning up to 2^32 s would allocate gigabytes.
+class TenMinuteWindow final : public gametrace::trace::CaptureSink {
+ public:
+  explicit TenMinuteWindow(gametrace::trace::CaptureSink& next) : next_(&next) {}
+
+  void OnColumns(const gametrace::net::PacketBatch& batch) override {
+    kept_.Clear();
+    for (std::size_t i = 0; i < batch.count; ++i) {
+      if (batch.timestamps[i] < 600.0) kept_.PushFrom(batch, i);
+    }
+    if (!kept_.empty()) next_->OnColumns(kept_.View());
+  }
+
+ private:
+  gametrace::trace::CaptureSink* next_;
+  gametrace::net::ColumnarBatch kept_;
+};
 
 std::unique_ptr<std::istringstream> Stream(const std::uint8_t* data, std::size_t size) {
   return std::make_unique<std::istringstream>(
@@ -38,13 +59,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   }
   try {
     TraceReader reader(Stream(data, size));
-    // The analysis sizes its time series by the trace's time span, so
-    // arbitrary timestamps are windowed to ten minutes first (this also
-    // drops NaN); sizes, directions, kinds and endpoints pass unfiltered.
+    // Timestamps are windowed to ten minutes (the reader already rejects
+    // any outside [0, 2^32)); sizes, directions, kinds and endpoints pass
+    // unfiltered.
     gametrace::core::CharacterizationOptions options;
     options.vt_window = 60.0;
     gametrace::core::Characterizer characterizer(options);
-    gametrace::trace::FilterSink window(gametrace::trace::TimeWindow(0.0, 600.0), characterizer);
+    TenMinuteWindow window(characterizer);
     (void)reader.Drain(window);
     (void)characterizer.Finish();
   } catch (const gametrace::trace::TraceError&) {

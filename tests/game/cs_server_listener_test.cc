@@ -1,7 +1,8 @@
-// Coverage for the server's observer surface: event listeners, endpoint
-// disconnects (the QoE quit path) and netchannel sequence numbering.
+// Coverage for the server's observer surface: endpoint disconnects (the
+// QoE quit path) and netchannel sequence numbering.
+#include <algorithm>
 #include <map>
-#include <vector>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -17,55 +18,29 @@ GameConfig ShortConfig() {
   return cfg;
 }
 
-class RecordingListener final : public ServerEventListener {
- public:
-  std::vector<ActiveClient> connects;
-  std::vector<std::pair<double, bool>> disconnects;  // (t, orderly)
-  int refusals = 0;
-  std::vector<int> maps;
-
-  void OnConnect(double, const ActiveClient& client) override { connects.push_back(client); }
-  void OnRefuse(double, net::Ipv4Address, std::uint16_t) override { ++refusals; }
-  void OnDisconnect(double t, const ActiveClient&, bool orderly) override {
-    disconnects.emplace_back(t, orderly);
-  }
-  void OnMapStart(double, int map_number) override { maps.push_back(map_number); }
-};
-
-TEST(CsServerListener, EventsMatchStats) {
-  sim::Simulator s;
-  trace::CountingSink sink;
-  RecordingListener listener;
-  CsServer server(s, ShortConfig(), sink);
-  server.AddListener(listener);
-  server.Run();
-  const auto stats = server.stats();
-  EXPECT_EQ(listener.connects.size(), stats.established);
-  EXPECT_EQ(static_cast<std::uint64_t>(listener.refusals), stats.refused);
-  EXPECT_EQ(listener.disconnects.size(),
-            stats.orderly_disconnects + stats.outage_disconnects);
-  ASSERT_FALSE(listener.maps.empty());
-  EXPECT_EQ(listener.maps.front(), 1);
-}
-
 TEST(CsServerListener, DisconnectByEndpointQuitsExactlyThatPlayer) {
   sim::Simulator s;
-  trace::CountingSink sink;
-  RecordingListener listener;
+  trace::VectorSink sink;
   CsServer server(s, ShortConfig(), sink);
-  server.AddListener(listener);
   server.Start();
   s.RunUntil(30.0);
-  ASSERT_FALSE(listener.connects.empty());
-  const ActiveClient victim = listener.connects.front();
+  // The last broadcast before t = 30 s went to a connected player.
+  const auto& records = sink.records();
+  const auto update = std::find_if(records.rbegin(), records.rend(), [](const auto& r) {
+    return r.direction == net::Direction::kServerToClient &&
+           r.kind == net::PacketKind::kGameUpdate;
+  });
+  ASSERT_NE(update, records.rend());
+  const net::Ipv4Address victim_ip = update->client_ip;
+  const std::uint16_t victim_port = update->client_port;
   const int before = server.active_players();
-  EXPECT_TRUE(server.DisconnectByEndpoint(victim.ip, victim.port));
+  EXPECT_TRUE(server.DisconnectByEndpoint(victim_ip, victim_port));
   EXPECT_EQ(server.active_players(), before - 1);
   // Unknown endpoint: no effect.
   EXPECT_FALSE(server.DisconnectByEndpoint(net::Ipv4Address(1, 2, 3, 4), 1));
   EXPECT_EQ(server.active_players(), before - 1);
   // Same endpoint twice: second call fails.
-  EXPECT_FALSE(server.DisconnectByEndpoint(victim.ip, victim.port));
+  EXPECT_FALSE(server.DisconnectByEndpoint(victim_ip, victim_port));
 }
 
 TEST(CsServerListener, SequenceNumbersMonotonePerFlow) {

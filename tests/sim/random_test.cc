@@ -139,24 +139,6 @@ TEST(Random, PoissonZeroMean) {
   EXPECT_EQ(Poisson(rng, 0.0), 0u);
 }
 
-TEST(Random, DiscreteProportions) {
-  Rng rng(14);
-  const std::vector<double> weights{1.0, 3.0, 6.0};
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < kDraws; ++i) ++counts[Discrete(rng, weights)];
-  EXPECT_NEAR(counts[0] / static_cast<double>(kDraws), 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(kDraws), 0.3, 0.01);
-  EXPECT_NEAR(counts[2] / static_cast<double>(kDraws), 0.6, 0.01);
-}
-
-TEST(Random, DiscreteValidation) {
-  Rng rng(15);
-  const std::vector<double> zero{0.0, 0.0};
-  const std::vector<double> negative{1.0, -1.0};
-  EXPECT_THROW((void)Discrete(rng, zero), gametrace::ContractViolation);
-  EXPECT_THROW((void)Discrete(rng, negative), gametrace::ContractViolation);
-}
-
 TEST(ZipfSampler, Validation) { EXPECT_THROW(ZipfSampler(0, 1.0), gametrace::ContractViolation); }
 
 TEST(ZipfSampler, PopularHeadsDominarte) {

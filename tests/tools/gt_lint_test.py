@@ -335,10 +335,66 @@ class RuleTests(unittest.TestCase):
         self.assertNotIn("raw-mutex", rules_of(kept))
 
 
+class OrphanModuleTests(unittest.TestCase):
+    """A src/ header only tests include is dead code."""
+
+    HEADER = "// A module nothing runs.\n#pragma once\nint Lonely();\n"
+
+    def setUp(self):
+        self.tree = MiniTree()
+        self.addCleanup(self.tree.cleanup)
+        self.rel = self.tree.write("src/stats/lonely.h", self.HEADER)
+        self.tree.write("src/stats/lonely.cc", '#include "stats/lonely.h"\n')
+        self.tree.write("tests/stats/lonely_test.cc", '#include "stats/lonely.h"\n')
+
+    def test_header_included_only_from_tests_fires(self):
+        kept, _ = self.tree.lint(self.rel)
+        self.assertEqual(rules_of(kept), ["orphan-module"])
+        self.assertEqual(kept[0].line, 2)  # anchored on `#pragma once`
+
+    def test_bench_include_keeps_header_alive(self):
+        self.tree.write("bench/fig.cc", '#include "common.h"\n#include "stats/lonely.h"\n')
+        kept, _ = self.tree.lint(self.rel)
+        self.assertEqual(kept, [])
+
+    def test_own_cc_include_does_not_count(self):
+        # lonely.cc (setUp) includes the header; an unrelated src/ file
+        # that mentions it only in a comment does not count either.
+        self.tree.write("src/core/other.cc", '// #include "stats/lonely.h"\n')
+        kept, _ = self.tree.lint(self.rel)
+        self.assertEqual(rules_of(kept), ["orphan-module"])
+
+    def test_include_from_another_orphan_does_not_count(self):
+        self.tree.write("src/core/user.h", '#pragma once\n#include "stats/lonely.h"\n')
+        kept, _ = self.tree.lint(self.rel)
+        self.assertEqual(rules_of(kept), ["orphan-module"])
+        self.tree.write("examples/tool.cpp", '#include "core/user.h"\n')
+        kept, _ = self.tree.lint(self.rel)
+        self.assertEqual(kept, [])
+
+    def test_justified_allow_suppresses(self):
+        self.tree.write(
+            self.rel,
+            "// gt-lint: allow(orphan-module) verification helper for a paper check\n"
+            + self.HEADER)
+        kept, bad = self.tree.lint(self.rel)
+        self.assertEqual(kept, [])
+        self.assertEqual(bad, [])
+
+    def test_unjustified_allow_is_a_bad_suppression(self):
+        self.tree.write(self.rel, "#pragma once  // gt-lint: allow(orphan-module)\n")
+        kept, bad = self.tree.lint(self.rel)
+        self.assertEqual(kept, [])
+        self.assertEqual(rules_of(bad), ["orphan-module"])
+        self.assertIn("justification", bad[0].message)
+
+
 class SuppressionTests(unittest.TestCase):
     def setUp(self):
         self.tree = MiniTree()
         self.addCleanup(self.tree.cleanup)
+        # Keeps the fixture headers out of orphan-module's way.
+        self.tree.write("bench/main.cc", '#include "core/cache.h"\n')
 
     def test_trailing_allow_suppresses(self):
         rel = self.tree.write(
@@ -399,6 +455,7 @@ class BaselineTests(unittest.TestCase):
         self.rel = self.tree.write(
             "src/core/cache.h",
             "struct C {\n  std::mutex m_;\n};\n")
+        self.tree.write("bench/main.cc", '#include "core/cache.h"\n')
 
     def run_lint(self, update=False):
         return gt_lint.run(self.tree.root, self.baseline, [self.rel],

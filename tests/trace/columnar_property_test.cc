@@ -26,7 +26,6 @@
 #include "stats/time_series.h"
 #include "trace/aggregator.h"
 #include "trace/capture.h"
-#include "trace/filter.h"
 #include "trace/loss_estimator.h"
 #include "trace/session_tracker.h"
 #include "trace/summary.h"
@@ -297,20 +296,6 @@ TEST(ColumnarProperty, SessionTrackerIdentical) {
   ExpectSessionsIdentical(reference, chunks.Finish());
 }
 
-TEST(ColumnarProperty, FilterSinkIdentical) {
-  VectorSink out[3];
-  FilterSink rows(DirectionIs(net::Direction::kClientToServer), out[0]);
-  FilterSink ticks(DirectionIs(net::Direction::kClientToServer), out[1]);
-  FilterSink chunks(DirectionIs(net::Direction::kClientToServer), out[2]);
-  FeedThreeWays(RandomStream(48, kStreamLen), rows, ticks, chunks);
-  for (const FilterSink* batched : {&ticks, &chunks}) {
-    EXPECT_EQ(rows.passed(), batched->passed());
-    EXPECT_EQ(rows.dropped(), batched->dropped());
-  }
-  EXPECT_EQ(out[0].records(), out[1].records());
-  EXPECT_EQ(out[0].records(), out[2].records());
-}
-
 // Sinks that consume one record at a time iterate PacketBatch::RecordAt:
 // batching must not change what they see.
 TEST(ColumnarProperty, RecordAtATimeSinksIdentical) {
@@ -441,17 +426,6 @@ TEST(BatchProperty, SessionTrackerIdentical) {
   FeedLiveAndRows(live, rows);
   EXPECT_EQ(live.unique_clients(), rows.unique_clients());
   ExpectSessionsIdentical(live.Finish(), rows.Finish());
-}
-
-TEST(BatchProperty, FilterSinkIdentical) {
-  VectorSink live_out, rows_out;
-  FilterSink live(KindIs(net::PacketKind::kGameUpdate), live_out);
-  FilterSink rows(KindIs(net::PacketKind::kGameUpdate), rows_out);
-  FeedLiveAndRows(live, rows);
-  EXPECT_GT(live.dropped(), 0u);
-  EXPECT_EQ(live.passed(), rows.passed());
-  EXPECT_EQ(live.dropped(), rows.dropped());
-  EXPECT_EQ(live_out.records(), rows_out.records());
 }
 
 TEST(BatchProperty, CharacterizerReportIdentical) {

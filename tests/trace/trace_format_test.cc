@@ -2,9 +2,11 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -182,6 +184,52 @@ TEST_F(TraceFormatTest, OutOfRangeEnumBytesRejected) {
     for (int i = 0; i < 1050; ++i) ASSERT_TRUE(scalar.Next().has_value());
     EXPECT_THROW((void)scalar.Next(), TraceError);
   }
+}
+
+// Overwrites the 8-byte timestamp of record `record`.
+void PatchRecordTimestamp(const std::string& path, std::size_t record, double t) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(static_cast<std::streamoff>(14 + 22 * record));
+  f.write(reinterpret_cast<const char*>(&t), sizeof(t));
+}
+
+TEST_F(TraceFormatTest, OutOfRangeTimestampsRejected) {
+  // A timestamp must lie in [0, 2^32) s, the pcap epoch range.
+  for (const double t : {std::numeric_limits<double>::quiet_NaN(), -1.0, 0x1p32}) {
+    {
+      TraceWriter writer(path_, server_);
+      for (int i = 0; i < 1100; ++i) writer.OnPacket(MakeRecord(i * 0.01, 40));
+      writer.Flush();
+    }
+    PatchRecordTimestamp(path_, 1050, t);
+    TraceReader reader(path_);
+    BatchSizeSink sink;
+    try {
+      (void)reader.Drain(sink);
+      ADD_FAILURE() << "Drain accepted timestamp " << t;
+    } catch (const TraceError& e) {
+      EXPECT_NE(std::string(e.what()).find("bad timestamp"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(sink.sizes, (std::vector<std::size_t>{1024})) << t;
+
+    TraceReader scalar(path_);
+    for (int i = 0; i < 1050; ++i) ASSERT_TRUE(scalar.Next().has_value());
+    EXPECT_THROW((void)scalar.Next(), TraceError) << t;
+  }
+}
+
+TEST_F(TraceFormatTest, TimestampRangeEndsAreAccepted) {
+  const double last = std::nextafter(0x1p32, 0.0);
+  {
+    TraceWriter writer(path_, server_);
+    writer.OnPacket(MakeRecord(0.0, 40));
+    writer.OnPacket(MakeRecord(last, 40));
+    writer.Flush();
+  }
+  TraceReader reader(path_);
+  EXPECT_EQ(reader.Next()->timestamp, 0.0);
+  EXPECT_EQ(reader.Next()->timestamp, last);
+  EXPECT_FALSE(reader.Next().has_value());
 }
 
 TEST_F(TraceFormatTest, BadMagicRejected) {

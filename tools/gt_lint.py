@@ -33,6 +33,13 @@ determinism and locking contracts stay compile-time artifacts:
                     std primitives are invisible to Clang's Thread Safety
                     Analysis, so a raw std::mutex rots the annotation
                     layer.
+  orphan-module     Every src/ header must be #included by production
+                    code: another src/ file (not its own .cc), bench/,
+                    examples/ or perfbench/. Files under a tests/
+                    directory do not count, nor do the files of another
+                    orphan module - a module that only tests reach is
+                    dead code. The finding sits on the header's
+                    `#pragma once` line.
 
 The rules run on comment/string-stripped source (a built-in lexer), so
 the tool needs nothing beyond Python and runs everywhere.
@@ -58,7 +65,8 @@ from dataclasses import dataclass, field
 # Shared rule tables
 # ---------------------------------------------------------------------------
 
-RULES = ("nondet-call", "nondet-iteration", "sink-tier", "raw-contract", "raw-mutex")
+RULES = ("nondet-call", "nondet-iteration", "sink-tier", "raw-contract", "raw-mutex",
+         "orphan-module")
 
 # Directories whose merge/emit paths must be deterministic.
 DETERMINISM_DIRS = ("src/core", "src/stats", "src/trace", "src/obs")
@@ -98,6 +106,12 @@ RAW_SYNC_TYPES = (
 )
 # The annotated wrappers themselves are the one place std primitives live.
 RAW_SYNC_EXEMPT_FILES = ("src/core/thread_annotations.h",)
+
+# Trees whose #includes keep a src/ header alive (orphan-module). Files
+# under a `tests` directory are skipped wherever they sit.
+PRODUCTION_DIRS = ("src", "bench", "examples", "perfbench")
+CXX_SUFFIXES = (".h", ".cc", ".cpp")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 
 SUPPRESS_RE = re.compile(r"gt-lint:\s*allow\(([\w,\- ]+)\)\s*(\S.*)?")
 
@@ -370,6 +384,8 @@ class LexEngine:
     def __init__(self, root: str):
         self.root = root
         self._member_cache: dict[str, set[str]] = {}
+        self._includers: dict[str, set[str]] | None = None
+        self._orphans: set[str] | None = None
 
     # -- helpers ----------------------------------------------------------
 
@@ -419,6 +435,39 @@ class LexEngine:
             names |= found
         return names
 
+    def _production_includers(self) -> dict[str, set[str]]:
+        """Maps each src/ header to the production files that #include it.
+
+        A quoted include resolves against src/ (every target's include
+        root) or the including file's own directory. Includes inside
+        comments are ignored.
+        """
+        if self._includers is not None:
+            return self._includers
+        includers: dict[str, set[str]] = {}
+        for top in PRODUCTION_DIRS:
+            for dirpath, dirnames, filenames in os.walk(os.path.join(self.root, top)):
+                dirnames[:] = sorted(d for d in dirnames if d != "tests")
+                for name in sorted(filenames):
+                    if not name.endswith(CXX_SUFFIXES):
+                        continue
+                    rel = os.path.relpath(os.path.join(dirpath, name), self.root)
+                    rel = rel.replace(os.sep, "/")
+                    got = self._read_clean(rel)
+                    if got is None:
+                        continue
+                    raw, clean = got
+                    for raw_line, clean_line in zip(raw.splitlines(), clean.splitlines()):
+                        m = INCLUDE_RE.match(raw_line)
+                        if not m or not clean_line.lstrip().startswith("#"):
+                            continue
+                        for target in ("src/" + m.group(1),
+                                       os.path.dirname(rel) + "/" + m.group(1)):
+                            target = os.path.normpath(target).replace(os.sep, "/")
+                            includers.setdefault(target, set()).add(rel)
+        self._includers = includers
+        return includers
+
     # -- rules ------------------------------------------------------------
 
     def lint_file(self, relpath: str) -> list[Finding]:
@@ -439,6 +488,7 @@ class LexEngine:
         findings += self._rule_sink_tier(relpath, raw, clean)
         findings += self._rule_raw_contract(relpath, raw, clean)
         findings += self._rule_raw_mutex(relpath, raw, clean)
+        findings += self._rule_orphan_module(relpath, raw)
         return findings
 
     def _emit_spans(self, spans: list[FunctionSpan]) -> list[FunctionSpan]:
@@ -595,6 +645,37 @@ class LexEngine:
                     "core/thread_annotations.h",
                     normalize_anchor(line_text(raw, m.start()))))
         return findings
+
+    def _orphan_headers(self) -> set[str]:
+        """src/ headers no live production file includes. An include from an
+        orphan module (its header or .cc) does not count either, so a chain
+        of modules only tests reach is flagged whole."""
+        if self._orphans is not None:
+            return self._orphans
+        includers = self._production_includers()
+        headers = [f for f in discover_files(self.root) if f.endswith(".h")]
+        orphans: set[str] = set()
+        while True:
+            dead = orphans | {h[:-2] + ".cc" for h in orphans}
+            found = {h for h in headers
+                     if not includers.get(h, set()) - dead - {h[:-2] + ".cc"}}
+            if found == orphans:
+                break
+            orphans = found
+        self._orphans = orphans
+        return orphans
+
+    def _rule_orphan_module(self, relpath, raw) -> list[Finding]:
+        if relpath not in self._orphan_headers():
+            return []
+        m = re.search(r"^[ \t]*#[ \t]*pragma[ \t]+once\b.*$", raw, re.MULTILINE)
+        at = m.start() if m else 0
+        return [Finding(
+            "orphan-module", relpath, line_of(raw, at),
+            "no production file (src/ outside its own .cc and other orphan "
+            "modules, bench/, examples/, perfbench/) includes this header - "
+            "code only tests reach is dead; delete the module or give it a caller",
+            normalize_anchor(line_text(raw, at)))]
 
 
 # ---------------------------------------------------------------------------
