@@ -16,7 +16,10 @@
 // --flight-dump=<json>.
 //
 // Works on traces produced by this toolkit or any UDP/IPv4 pcap whose
-// server endpoint matches the default (192.168.0.10:27015).
+// server endpoint matches the default (192.168.0.10:27015). The analysis
+// commands move a pcap's wall-clock timestamps to start in the capture's
+// first second (convert keeps them); a trace may span at most 2^26 s
+// (about two years) for summarize and hurst.
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -44,14 +47,18 @@ bool HasSuffix(std::string_view text, std::string_view suffix) {
          text.substr(text.size() - suffix.size()) == suffix;
 }
 
-// Streams every record of either container format into a sink.
+// Streams every record of either container format into a sink; with
+// `rebase_pcap`, a pcap's clock is first moved to its first second
+// (net::RebaseToCaptureStart).
 std::uint64_t DrainFile(const std::string& path, trace::CaptureSink& sink,
-                        const net::ServerEndpoint& server) {
+                        const net::ServerEndpoint& server, bool rebase_pcap) {
   if (HasSuffix(path, ".pcap")) {
     net::PcapReader reader(path);
     std::uint64_t skipped = 0;
     std::uint64_t n = 0;
-    for (const auto& record : reader.ReadAllRecords(server, &skipped)) {
+    std::vector<net::PacketRecord> records = reader.ReadAllRecords(server, &skipped);
+    if (rebase_pcap) net::RebaseToCaptureStart(records);
+    for (const auto& record : records) {
       sink.OnPacket(record);
       ++n;
     }
@@ -88,7 +95,7 @@ int Generate(const std::vector<std::string>& args) {
 
 int Summarize(const std::vector<std::string>& args) {
   core::Characterizer characterizer;
-  const auto n = DrainFile(args.at(0), characterizer, net::ServerEndpoint{});
+  const auto n = DrainFile(args.at(0), characterizer, net::ServerEndpoint{}, /*rebase_pcap=*/true);
   auto report = characterizer.Finish();
   const auto& s = report.summary;
   core::TableReport table("Summary of " + args.at(0));
@@ -114,11 +121,11 @@ int Convert(const std::vector<std::string>& args) {
     trace::CallbackSink sink([&](const net::PacketRecord& r) {
       writer.WriteRecord(r, server);
     });
-    n = DrainFile(in, sink, server);
+    n = DrainFile(in, sink, server, /*rebase_pcap=*/false);
     writer.Flush();
   } else {
     trace::TraceWriter writer(out, server);
-    n = DrainFile(in, writer, server);
+    n = DrainFile(in, writer, server, /*rebase_pcap=*/false);
     writer.Flush();
   }
   std::cout << "converted " << core::FormatCount(n) << " packets: " << in << " -> " << out
@@ -128,7 +135,7 @@ int Convert(const std::vector<std::string>& args) {
 
 int Sessions(const std::vector<std::string>& args) {
   trace::SessionTracker tracker;
-  DrainFile(args.at(0), tracker, net::ServerEndpoint{});
+  DrainFile(args.at(0), tracker, net::ServerEndpoint{}, /*rebase_pcap=*/true);
   auto sessions = tracker.Finish();
   const std::size_t top = args.size() > 1 ? std::stoul(args[1]) : 10;
   std::sort(sessions.begin(), sessions.end(),
@@ -150,7 +157,7 @@ int Sessions(const std::vector<std::string>& args) {
 int Hurst(const std::vector<std::string>& args) {
   core::CharacterizationOptions options;
   core::Characterizer characterizer(options);
-  DrainFile(args.at(0), characterizer, net::ServerEndpoint{});
+  DrainFile(args.at(0), characterizer, net::ServerEndpoint{}, /*rebase_pcap=*/true);
   auto report = characterizer.Finish();
   std::cout << "Aggregated-variance Hurst estimates:\n"
             << "  < 50 ms       : " << core::FormatDouble(report.hurst.small_scale, 2) << "\n"
@@ -169,7 +176,7 @@ int Hurst(const std::vector<std::string>& args) {
 
 int Loss(const std::vector<std::string>& args) {
   trace::SeqGapLossEstimator estimator;
-  DrainFile(args.at(0), estimator, net::ServerEndpoint{});
+  DrainFile(args.at(0), estimator, net::ServerEndpoint{}, /*rebase_pcap=*/true);
   const auto in = estimator.Estimate(net::Direction::kClientToServer);
   const auto out = estimator.Estimate(net::Direction::kServerToClient);
   std::cout << "Sequence-gap loss estimate (what never reached this capture point):\n"

@@ -85,6 +85,10 @@ class Characterizer final : public trace::CaptureSink {
   // Completes the analysis. `trace_duration` pins the rate denominators
   // (pass the configured capture window; <= 0 uses the observed span).
   // The characterizer is spent afterwards.
+  //
+  // The per-minute series span at most trace::LoadAggregator::
+  // kMaxSpanSeconds: a packet stamped later makes OnColumns throw
+  // trace::TraceError, and so does a trace_duration beyond the cap here.
   [[nodiscard]] CharacterizationReport Finish(double trace_duration = -1.0);
 
   [[nodiscard]] const CharacterizationOptions& options() const noexcept { return options_; }

@@ -179,6 +179,7 @@ NatExperimentConfig NatExperimentConfig::Defaults() {
 }
 
 NatExperimentResult RunNatExperiment(const NatExperimentConfig& config) {
+  config.game.Validate();
   const obs::ObsContext& ctx = obs::Current();
   sim::Simulator simulator;
   if (ctx.trace != nullptr) {

@@ -284,6 +284,7 @@ void ParallelFor(int n, int threads, FunctionRef<void(int)> fn) {
 }
 
 FleetResult RunFleet(const FleetConfig& config) {
+  config.server.Validate();
   GT_CHECK_GT(config.shards, 0) << "RunFleet: shards must be positive";
   GT_CHECK_GE(config.threads, 0) << "RunFleet: worker count must be >= 0 (0 = one per core)";
   const std::size_t population = config.server.sessions.population;

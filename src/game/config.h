@@ -163,6 +163,13 @@ struct GameConfig {
   OutageConfig outages;
   sim::DiurnalCurve diurnal;
 
+  // Checks every numeric tunable against its rule (finite, positive, a
+  // probability, min <= max, ...); the first field that breaks one fails a
+  // GT_CHECK whose message names it. CsServer, RunFleet and
+  // RunNatExperiment call it before any work starts. seed,
+  // client_ip_shift and the handshake sizes take any value of their type.
+  void Validate() const;
+
   // The full-week configuration reproducing the paper's trace.
   [[nodiscard]] static GameConfig PaperDefaults();
 

@@ -10,9 +10,18 @@
 
 namespace gametrace::game {
 
+namespace {
+
+GameConfig Validated(GameConfig config) {
+  config.Validate();
+  return config;
+}
+
+}  // namespace
+
 CsServer::CsServer(sim::Simulator& simulator, GameConfig config, trace::CaptureSink& sink)
     : simulator_(&simulator),
-      config_(std::move(config)),
+      config_(Validated(std::move(config))),
       sink_(&sink),
       rng_(config_.seed),
       size_model_(config_.sizes),
@@ -115,15 +124,33 @@ void CsServer::OnTick(double t) {
   if (obs_.trace != nullptr) {
     obs_.trace->Complete("tick", "tick", t, t + config_.tick_interval);
   }
-  batching_ = true;
+  // Each packet is sized as it is drawn, so rng_ is consumed in emission
+  // order, and its row goes straight into tick_batch_'s columns; the
+  // counters are bumped once for the whole tick.
   const bool frozen = outages_.active() || t < stall_until_;
   const bool map_stalled = map_rotation_.stalled();
   const double tick = config_.tick_interval;
+  std::uint64_t wire_total = 0;
+  const auto push = [&](double when, net::Direction direction, bool chat, std::uint16_t bytes,
+                        const ActiveClient& c, std::uint32_t seq) {
+    net::PacketRow row;
+    row.timestamp = when;
+    row.client_ip = c.ip.value() + config_.client_ip_shift;
+    row.seq = seq;
+    row.client_port = c.port;
+    row.app_bytes = bytes;
+    row.direction = static_cast<std::uint8_t>(direction);
+    row.kind = static_cast<std::uint8_t>(chat ? net::PacketKind::kChat
+                                              : net::PacketKind::kGameUpdate);
+    tick_batch_.Push(row);
+    wire_total += net::WireBytes(bytes);
+  };
 
   // Outbound: the synchronous broadcast burst. Packets within the burst are
   // spaced by their serialisation time on the server's link, so a burst of
   // ~18 snapshots occupies only a few hundred microseconds - the pattern
   // that melts per-packet lookup devices (paper section IV-A).
+  std::uint64_t wire_down = 0;
   if (!frozen && !map_stalled && !clients_.empty()) {
     const int n = static_cast<int>(clients_.size());
     double offset = 0.0;
@@ -132,22 +159,22 @@ void CsServer::OnTick(double t) {
         const bool chat = size_model_.DrawChatSubstitution(rng_);
         const std::uint16_t bytes =
             chat ? size_model_.ChatPayload(rng_) : size_model_.OutboundUpdate(rng_, n);
+        const std::uint64_t wire = net::WireBytes(bytes);
         double when;
         if (config_.broadcast_spread > 0.0) {
           when = t + config_.broadcast_spread * rng_.NextDouble() * tick;
         } else if (s == 0) {
           when = t + offset;
-          offset += net::SerializationDelay(net::WireBytes(bytes), config_.server_link_bps);
+          offset += net::SerializationDelay(wire, config_.server_link_bps);
         } else {
           // Extra "l337" snapshots land between main bursts.
           when = t + static_cast<double>(s) * tick /
                          static_cast<double>(c.profile.snapshots_per_tick) +
                  sim::Uniform(rng_, 0.0, 3e-4);
         }
-        Emit(when, net::Direction::kServerToClient,
-             chat ? net::PacketKind::kChat : net::PacketKind::kGameUpdate, bytes, c.ip, c.port,
-             c.seq_out++);
-        c.window_bytes_down += net::WireBytes(bytes);
+        push(when, net::Direction::kServerToClient, chat, bytes, c, c.seq_out++);
+        c.window_bytes_down += wire;
+        wire_down += wire;
       }
     }
   }
@@ -166,27 +193,29 @@ void CsServer::OnTick(double t) {
       const bool chat = size_model_.DrawChatSubstitution(rng_);
       const std::uint16_t bytes =
           chat ? size_model_.ChatPayload(rng_) : size_model_.InboundUpdate(rng_);
-      Emit(when, net::Direction::kClientToServer,
-           chat ? net::PacketKind::kChat : net::PacketKind::kGameUpdate, bytes, c.ip, c.port,
-           c.seq_in++);
+      push(when, net::Direction::kClientToServer, chat, bytes, c, c.seq_in++);
     }
   }
+
+  const std::size_t count = tick_batch_.size();
+  if (count == 0) return;
+  packets_emitted_ += count;
+  wire_bytes_emitted_ += wire_total;
+  if (obs_.packets_emitted != nullptr) obs_.packets_emitted->Add(count);
+  if (obs_.bytes_emitted != nullptr) obs_.bytes_emitted->Add(wire_total);
+  if (obs_.bytes_to_clients != nullptr) obs_.bytes_to_clients->Add(wire_down);
 
   // The whole tick - broadcast burst plus client sends - leaves as one
   // columnar batch: one virtual call per sink instead of one per packet,
   // and columnar consumers read the arrays the tick built directly.
-  batching_ = false;
-  if (!tick_batch_.empty()) {
-    const net::PacketBatch batch = tick_batch_.View();
-    GT_DCHECK(trace::internal::ColumnsPreservePerFlowOrder(batch))
-        << "CsServer: tick batch violates per-flow emission-order contract";
-    sink_->OnColumns(batch);
-    tick_batch_.Clear();
-  }
-  if (obs_.load_ring != nullptr && tick_ring_count_ > 0) {
-    obs_.load_ring->Add(t, static_cast<double>(tick_ring_count_));
-    tick_ring_count_ = 0;
-  }
+  const net::PacketBatch batch = tick_batch_.View();
+  GT_DCHECK(trace::internal::ColumnsPreservePerFlowOrder(batch))
+      << "CsServer: tick batch violates per-flow emission-order contract";
+  sink_->OnColumns(batch);
+  tick_batch_.Clear();
+  // One bulk ring Add at the tick timestamp: ring bins are sums, so this
+  // matches per-packet adds at one ring walk per tick.
+  if (obs_.load_ring != nullptr) obs_.load_ring->Add(t, static_cast<double>(count));
 }
 
 void CsServer::HandleAttempt(std::size_t identity, bool /*is_retry*/) {
@@ -347,22 +376,8 @@ void CsServer::Emit(double t, net::Direction direction, net::PacketKind kind,
   if (obs_.bytes_to_clients != nullptr && direction == net::Direction::kServerToClient) {
     obs_.bytes_to_clients->Add(wire_bytes);
   }
-  if (obs_.load_ring != nullptr) {
-    if (batching_) {
-      // Tick-batched packets are counted and folded into the ring as one
-      // bulk Add at the tick timestamp (OnTick's flush): one ring walk per
-      // tick, same bin sums under kSum since every batched packet lands in
-      // the tick's base bin.
-      ++tick_ring_count_;
-    } else {
-      obs_.load_ring->Add(t);
-    }
-  }
-  if (batching_) {
-    tick_batch_.PushRecord(record);
-  } else {
-    sink_->OnColumns(net::PacketRow(record).View());
-  }
+  if (obs_.load_ring != nullptr) obs_.load_ring->Add(t);
+  sink_->OnColumns(net::PacketRow(record).View());
 }
 
 CsServer::Stats CsServer::stats() const {

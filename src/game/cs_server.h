@@ -56,6 +56,7 @@ class CsServer {
   };
 
   // `sink` receives every emitted packet and must outlive the server.
+  // `config` must pass GameConfig::Validate.
   CsServer(sim::Simulator& simulator, GameConfig config, trace::CaptureSink& sink);
 
   CsServer(const CsServer&) = delete;
@@ -107,18 +108,13 @@ class CsServer {
   OutageSchedule outages_;
 
   std::vector<ActiveClient> clients_;
-  // All packets emitted within one tick are buffered here column-wise and
-  // handed to the sink as a single OnColumns call (see the delivery-tier
-  // contract in trace/capture.h): the stream is born columnar, so sinks
-  // with columnar kernels never see an AoS record at all. Handshake and
-  // download traffic outside the tick handler leaves as one-row batches.
-  // Capacity is reused across ticks.
+  // Each tick's packets, written column-wise as they are drawn and handed
+  // to the sink as a single OnColumns call (see the delivery-tier contract
+  // in trace/capture.h): the stream is born columnar, so sinks with
+  // columnar kernels never see an AoS record at all. Handshake and download
+  // traffic outside the tick handler leaves as one-row batches. Capacity is
+  // reused across ticks.
   net::ColumnarBatch tick_batch_;
-  bool batching_ = false;
-  // Packets emitted by the current tick, flushed into the load ring as one
-  // bulk Add at the tick timestamp (see OnTick) - ring bins are sums, so
-  // they match per-packet adds while costing one ring walk per tick.
-  std::uint64_t tick_ring_count_ = 0;
   std::unordered_set<std::uint64_t> live_sessions_;
   std::unordered_map<std::size_t, int> retry_counts_;
   std::unordered_set<std::size_t> attempted_ids_;

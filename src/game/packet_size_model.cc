@@ -1,51 +1,10 @@
 #include "game/packet_size_model.h"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
-
-#include "sim/random.h"
 
 #include "core/check.h"
 
 namespace gametrace::game {
-
-namespace {
-
-std::uint16_t ClampRound(double x, std::uint16_t lo, std::uint16_t hi) noexcept {
-  const double rounded = std::round(x);
-  if (rounded <= static_cast<double>(lo)) return lo;
-  if (rounded >= static_cast<double>(hi)) return hi;
-  return static_cast<std::uint16_t>(rounded);
-}
-
-}  // namespace
-
-PacketSizeModel::PacketSizeModel(const SizeConfig& config) : config_(config) {
-  GT_CHECK(config.inbound_min <= config.inbound_max && config.outbound_min <= config.outbound_max)
-      << "PacketSizeModel: min exceeds max";
-}
-
-std::uint16_t PacketSizeModel::InboundUpdate(sim::Rng& rng) const {
-  const double draw = sim::Normal(rng, config_.inbound_mean, config_.inbound_stddev);
-  return ClampRound(draw, config_.inbound_min, config_.inbound_max);
-}
-
-std::uint16_t PacketSizeModel::OutboundUpdate(sim::Rng& rng, int connected_players) const {
-  const double mean =
-      config_.outbound_base + config_.outbound_per_player * static_cast<double>(connected_players);
-  const double draw = sim::Normal(rng, mean, config_.outbound_stddev);
-  return ClampRound(draw, config_.outbound_min, config_.outbound_max);
-}
-
-std::uint16_t PacketSizeModel::ChatPayload(sim::Rng& rng) const {
-  const double draw = sim::Normal(rng, config_.chat_mean, config_.chat_stddev);
-  return ClampRound(draw, config_.outbound_min, config_.chat_max);
-}
-
-bool PacketSizeModel::DrawChatSubstitution(sim::Rng& rng) const {
-  return sim::Bernoulli(rng, config_.chat_probability);
-}
 
 std::uint16_t PacketSizeModel::HandshakeSize(net::PacketKind kind, sim::Rng& rng) const {
   std::uint16_t base = 0;

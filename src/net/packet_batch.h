@@ -11,9 +11,10 @@
 //  * PacketBatch      - a non-owning view: one pointer per column + a count.
 //                       Cheap to copy and to slice.
 //  * ColumnarBatch    - owning storage, reusable across ticks (capacity is
-//                       kept by Clear), built either record-by-record by a
-//                       producer (CsServer::Emit) or in bulk (Replay's AoS
-//                       span, TraceReader::Drain's decoded chunk).
+//                       kept by Clear), built row by row (CsServer's tick,
+//                       Push; another batch's rows, PushFrom) or in bulk
+//                       (Replay's AoS span, TraceReader::Drain's decoded
+//                       chunk).
 //
 // Invariant: RecordAt(i) reconstructs record i bit-for-bit, so a
 // record-at-a-time sink sees exactly the records the producer emitted.
@@ -138,19 +139,6 @@ class ColumnarBatch {
     if (n > timestamps_.size()) GrowTo(n);
   }
 
-  void PushRecord(const PacketRecord& r) {
-    const std::size_t i = size_;
-    if (i == timestamps_.size()) GrowTo(i + 1);
-    timestamps_[i] = r.timestamp;
-    client_ips_[i] = r.client_ip.value();
-    seqs_[i] = r.seq;
-    client_ports_[i] = r.client_port;
-    app_bytes_[i] = r.app_bytes;
-    directions_[i] = static_cast<std::uint8_t>(r.direction);
-    kinds_[i] = static_cast<std::uint8_t>(r.kind);
-    size_ = i + 1;
-  }
-
   // Bulk AoS -> SoA transpose (Replay). Appends.
   void Append(std::span<const PacketRecord> records) {
     AppendRows(records.size(),
@@ -184,6 +172,20 @@ class ColumnarBatch {
       kinds[i] = row.kind;
     }
     size_ = old + n;
+  }
+
+  // Appends one row.
+  void Push(const PacketRow& row) {
+    const std::size_t j = size_;
+    if (j == timestamps_.size()) GrowTo(j + 1);
+    timestamps_[j] = row.timestamp;
+    client_ips_[j] = row.client_ip;
+    seqs_[j] = row.seq;
+    client_ports_[j] = row.client_port;
+    app_bytes_[j] = row.app_bytes;
+    directions_[j] = row.direction;
+    kinds_[j] = row.kind;
+    size_ = j + 1;
   }
 
   // Appends record i of `batch`, copying column-wise (no AoS round trip).

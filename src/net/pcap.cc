@@ -205,4 +205,14 @@ std::vector<PacketRecord> PcapReader::ReadAllRecords(const ServerEndpoint& serve
   return records;
 }
 
+double RebaseToCaptureStart(std::span<PacketRecord> records) noexcept {
+  if (records.empty()) return 0.0;
+  const auto earliest = std::min_element(
+      records.begin(), records.end(),
+      [](const PacketRecord& a, const PacketRecord& b) { return a.timestamp < b.timestamp; });
+  const double shift = std::floor(earliest->timestamp);
+  for (PacketRecord& r : records) r.timestamp -= shift;
+  return shift;
+}
+
 }  // namespace gametrace::net

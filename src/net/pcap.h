@@ -111,4 +111,12 @@ class PcapReader {
   std::uint32_t link_type_ = 0;
 };
 
+// Moves a capture's clock to start in its first second: subtracts the
+// whole seconds before the earliest timestamp from every record, and
+// returns them. A real capture is stamped in Unix time (~1.7e9 s), while
+// the analyses bin from t = 0 (core::Characterizer's minute series refuse
+// a span past trace::LoadAggregator::kMaxSpanSeconds, 2^26 s). Exact:
+// each timestamp loses a whole number of seconds at or below it.
+double RebaseToCaptureStart(std::span<PacketRecord> records) noexcept;
+
 }  // namespace gametrace::net

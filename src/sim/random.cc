@@ -9,25 +9,29 @@
 
 namespace gametrace::sim {
 
-double Uniform(Rng& rng, double lo, double hi) noexcept {
-  return lo + (hi - lo) * rng.NextDouble();
-}
-
 double Exponential(Rng& rng, double mean) {
   GT_CHECK(mean > 0.0) << "Exponential: mean must be > 0";
   // 1 - u is in (0, 1], so the log is finite.
   return -mean * std::log(1.0 - rng.NextDouble());
 }
 
+double BoxMuller(double u1, double u2) noexcept {
+  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
+}
+
 double StandardNormal(Rng& rng) noexcept {
-  // Box-Muller; u1 in (0,1] to keep log finite.
+  // u1 in (0,1] to keep log finite.
   const double u1 = 1.0 - rng.NextDouble();
   const double u2 = rng.NextDouble();
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
+  return BoxMuller(u1, u2);
 }
 
 double Normal(Rng& rng, double mean, double stddev) noexcept {
   return mean + stddev * StandardNormal(rng);
+}
+
+std::uint16_t ClampedNormalReference(double u1, double u2, const ClampedNormal& p) noexcept {
+  return ClampRound(p.mean + p.stddev * BoxMuller(u1, u2), p.lo, p.hi);
 }
 
 double LognormalFromMoments(Rng& rng, double mean, double stddev) {
@@ -45,8 +49,6 @@ double Pareto(Rng& rng, double x_m, double alpha) {
   const double u = 1.0 - rng.NextDouble();  // (0, 1]
   return x_m / std::pow(u, 1.0 / alpha);
 }
-
-bool Bernoulli(Rng& rng, double p) noexcept { return rng.NextDouble() < p; }
 
 std::uint64_t Poisson(Rng& rng, double mean) {
   GT_CHECK(mean >= 0.0) << "Poisson: mean must be >= 0";

@@ -34,22 +34,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   for (auto& word : state_) word = SplitMix64(s);
 }
 
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = RotL(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = RotL(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() noexcept {
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
 std::uint64_t Rng::NextBelow(std::uint64_t bound) noexcept {
   if (bound == 0) return 0;
   // Lemire's nearly-divisionless method.

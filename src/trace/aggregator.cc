@@ -1,9 +1,10 @@
 #include "trace/aggregator.h"
 
-#include <stdexcept>
+#include <sstream>
 
 #include "core/check.h"
 #include "obs/ledger.h"
+#include "trace/trace_format.h"
 
 namespace gametrace::trace {
 
@@ -14,6 +15,17 @@ LoadAggregator::LoadAggregator(double interval, double start_time,
       pkts_out_(start_time, interval),
       bytes_in_(start_time, interval),
       bytes_out_(start_time, interval) {}
+
+void LoadAggregator::CheckSpan(double t) const {
+  const double start = pkts_in_.start_time();
+  if (t - start <= kMaxSpanSeconds) return;
+  std::ostringstream msg;
+  msg.precision(17);
+  msg << "LoadAggregator: timestamp " << t << " s is beyond the span cap of "
+      << kMaxSpanSeconds << " s past the series start " << start
+      << " s (rebase wall-clock timestamps to the capture start)";
+  throw TraceError(msg.str());
+}
 
 void LoadAggregator::AddSample(double t, bool inbound, double wire) {
   if (inbound) {
@@ -46,7 +58,8 @@ void LoadAggregator::OnColumns(const net::PacketBatch& batch) {
       continue;
     }
     const std::uint8_t dir = dirs[i];
-    const std::size_t bin = pkts_in_.BinIndex(ts[i]);
+    const double t = ts[i];
+    const std::size_t bin = pkts_in_.BinIndex(t);
     double count = 1.0;
     double wire = static_cast<double>(net::WireBytes(sizes[i], overhead_));
     ++i;
@@ -57,17 +70,16 @@ void LoadAggregator::OnColumns(const net::PacketBatch& batch) {
       wire += static_cast<double>(net::WireBytes(sizes[i], overhead_));
       ++i;
     }
-    if (dir == kIn) {
-      pkts_in_.AddAtBin(bin, count);
-      bytes_in_.AddAtBin(bin, wire);
-    } else {
-      pkts_out_.AddAtBin(bin, count);
-      bytes_out_.AddAtBin(bin, wire);
-    }
+    stats::TimeSeries& pkts = dir == kIn ? pkts_in_ : pkts_out_;
+    stats::TimeSeries& bytes = dir == kIn ? bytes_in_ : bytes_out_;
+    if (bin >= pkts.size()) CheckSpan(t);  // the series grow to `bin`
+    pkts.AddAtBin(bin, count);
+    bytes.AddAtBin(bin, wire);
   }
 }
 
 void LoadAggregator::ExtendTo(double t_end) {
+  CheckSpan(t_end);
   pkts_in_.ExtendTo(t_end);
   pkts_out_.ExtendTo(t_end);
   bytes_in_.ExtendTo(t_end);

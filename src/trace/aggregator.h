@@ -13,6 +13,14 @@ namespace gametrace::trace {
 
 class LoadAggregator final : public CaptureSink {
  public:
+  // Longest span past the start time that the series may cover: 2^26 s,
+  // about two years (the paper's week is 626,477 s). A later timestamp, or
+  // an ExtendTo beyond it, throws trace::TraceError naming the timestamp
+  // and the cap instead of growing the series without bound (a .gtr stamped
+  // near 2^32 s would otherwise need ~2.3 GB for the Characterizer's four
+  // per-minute series).
+  static constexpr double kMaxSpanSeconds = 0x1p26;
+
   // Bins of `interval` seconds starting at `start_time`.
   LoadAggregator(double interval, double start_time = 0.0,
                  std::uint32_t wire_overhead_bytes = net::kWireOverheadBytes);
@@ -51,6 +59,9 @@ class LoadAggregator final : public CaptureSink {
   // One sample through the scalar TimeSeries::Add path (before-start
   // samples only bump the series' dropped_before_start counters).
   void AddSample(double t, bool inbound, double wire);
+  // Throws TraceError when `t` lies beyond kMaxSpanSeconds past the start.
+  // Called only where the series grow.
+  void CheckSpan(double t) const;
 
   std::uint32_t overhead_;
   stats::TimeSeries pkts_in_;

@@ -1,9 +1,12 @@
 #include "core/characterizer.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
 #include "game/config.h"
+#include "trace/trace_format.h"
 
 namespace gametrace::core {
 namespace {
@@ -122,6 +125,33 @@ TEST(Characterizer, CustomOverheadPropagates) {
   const auto report = characterizer.Finish(1.0);
   EXPECT_EQ(report.summary.wire_bytes_total(), 100u);
   EXPECT_DOUBLE_EQ(report.minute_bytes_in[0], 100.0);
+}
+
+TEST(Characterizer, MinuteSpanIsCapped) {
+  // A week of minutes bins normally; a timestamp near the .gtr format's
+  // 2^32 s ceiling is refused before any series grows towards it.
+  Characterizer characterizer;
+  net::PacketRecord r;
+  r.app_bytes = 40;
+  r.timestamp = 626477.0;  // the paper's trace span
+  characterizer.OnPacket(r);
+  r.timestamp = 4294967295.0;
+  try {
+    characterizer.OnPacket(r);
+    ADD_FAILURE() << "a timestamp past the span cap was binned";
+  } catch (const trace::TraceError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("4294967295"), std::string::npos) << what;
+    EXPECT_NE(what.find("67108864"), std::string::npos) << what;
+  }
+  Characterizer week;
+  r.timestamp = 626400.0;  // the last minute of the paper's week
+  week.OnPacket(r);
+  const auto report = week.Finish(626477.0);
+  EXPECT_EQ(report.minute_packets_in.size(), 10442u);
+  EXPECT_DOUBLE_EQ(report.minute_packets_in[10440], 1.0);
+  EXPECT_THROW((void)Characterizer().Finish(trace::LoadAggregator::kMaxSpanSeconds * 2.0),
+               trace::TraceError);
 }
 
 }  // namespace

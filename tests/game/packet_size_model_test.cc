@@ -11,13 +11,6 @@ namespace {
 
 constexpr int kDraws = 100000;
 
-TEST(PacketSizeModel, Validation) {
-  SizeConfig bad;
-  bad.inbound_min = 100;
-  bad.inbound_max = 50;
-  EXPECT_THROW(PacketSizeModel model(bad), gametrace::ContractViolation);
-}
-
 TEST(PacketSizeModel, InboundMatchesPaperMean) {
   PacketSizeModel model{SizeConfig{}};
   sim::Rng rng(1);

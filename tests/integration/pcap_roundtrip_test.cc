@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/characterizer.h"
 #include "core/experiment.h"
 #include "game/config.h"
 #include "net/pcap.h"
+#include "trace/aggregator.h"
 #include "trace/summary.h"
 #include "trace/trace_format.h"
 
@@ -106,6 +108,47 @@ TEST_F(RoundTripTest, PcapFramesCarryValidChecksums) {
     ++checked;
   }
   EXPECT_GT(checked, 3000u);  // ~800 pps for 5 simulated seconds
+}
+
+TEST_F(RoundTripTest, EpochStampedPcapSummarizesAfterRebase) {
+  // A real capture is stamped in Unix time. Unrebased, its timestamps lie
+  // far past the minute series' span cap; rebased to the capture's first
+  // second, it characterizes like the same traffic stamped from zero.
+  constexpr double kEpoch = 1.7e9;
+  auto cfg = game::GameConfig::ScaledDefaults(20.0);
+  core::Characterizer live;
+  net::PcapWriter writer(pcap_path_);
+  trace::CallbackSink pcap_sink([&](const net::PacketRecord& r) {
+    net::PacketRecord stamped = r;
+    stamped.timestamp += kEpoch;
+    writer.WriteRecord(stamped, cfg.server);
+  });
+  {
+    trace::CaptureSink* sinks[] = {&live, &pcap_sink};
+    core::RunServerTrace(cfg, sinks);
+    writer.Flush();
+  }
+  const core::CharacterizationReport expected = live.Finish();
+
+  net::PcapReader reader(pcap_path_);
+  std::vector<net::PacketRecord> records = reader.ReadAllRecords(cfg.server);
+  ASSERT_FALSE(records.empty());
+  {
+    core::Characterizer unrebased;
+    EXPECT_THROW(
+        for (const auto& r : records) unrebased.OnPacket(r), trace::TraceError);
+  }
+  EXPECT_EQ(net::RebaseToCaptureStart(records), kEpoch);
+  core::Characterizer characterizer;
+  for (const auto& r : records) characterizer.OnPacket(r);
+  const core::CharacterizationReport report = characterizer.Finish();
+  EXPECT_EQ(report.summary.total_packets(), expected.summary.total_packets());
+  EXPECT_EQ(report.summary.app_bytes_total(), expected.summary.app_bytes_total());
+  EXPECT_NEAR(report.summary.duration(), expected.summary.duration(), 1e-5);
+  EXPECT_EQ(report.sessions.size(), expected.sessions.size());
+  ASSERT_EQ(report.minute_packets_in.size(), expected.minute_packets_in.size());
+  EXPECT_EQ(report.minute_packets_in.Sum(), expected.minute_packets_in.Sum());
+  EXPECT_EQ(report.minute_packets_out.Sum(), expected.minute_packets_out.Sum());
 }
 
 }  // namespace

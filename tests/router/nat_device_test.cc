@@ -26,7 +26,7 @@ net::PacketRecord MakeRecord(double t, net::Direction dir, std::uint16_t bytes =
 // CsServer delivers a tick.
 void InjectBatch(NatDevice& nat, const std::vector<net::PacketRecord>& records) {
   net::ColumnarBatch batch;
-  for (const net::PacketRecord& r : records) batch.PushRecord(r);
+  batch.Append(records);
   nat.injector().OnColumns(batch.View());
 }
 
