@@ -281,6 +281,39 @@ TEST(GoldenDigest, NatObservabilitySurfaces) {
   canon.Text("prometheus", prom.str());
   EXPECT_EQ(canon.str().find("ledger"), std::string::npos);
   ExpectDigest("120 s NAT flight/alerts/prom", canon.str(), 0x976eed15c0c30088);
+  ExpectDigest("120 s NAT trace", trace.ToJson(), 0x1e041bee35346b7a);
+}
+
+// The same surfaces of a plain server run, where every server count reaches
+// the registry without a NAT device: a 300 s calibrated run bound to
+// metrics, trace, recorder and watchdog. The ambient metrics JSON, flight
+// JSONL, alerts JSONL, Prometheus text and trace JSON are digested together.
+TEST(GoldenDigest, ServerObservabilitySurfaces) {
+  obs::MetricsRegistry metrics;
+  obs::TraceLog trace;
+  obs::FlightRecorder recorder(obs::FlightRecorder::Options{.sample_period_seconds = 60.0});
+  obs::WatchdogEngine watchdog(obs::WatchdogEngine::BuiltinRules());
+  {
+    const obs::ScopedObsBinding bind({.metrics = &metrics,
+                                      .trace = &trace,
+                                      .recorder = &recorder,
+                                      .watchdog = &watchdog,
+                                      .heartbeat = false});
+    game::GameConfig config = game::GameConfig::ScaledDefaults(300.0);
+    config.seed = 20020101;
+    trace::CountingSink sink;
+    (void)core::RunServerTrace(config, sink);
+  }
+  std::ostringstream prom;
+  obs::WritePrometheusText(metrics, prom);
+  Canon canon;
+  canon.Text("metrics", metrics.ToJson());
+  canon.Text("flight", recorder.ToJsonl());
+  canon.Text("alerts", watchdog.ToJsonl());
+  canon.Text("prometheus", prom.str());
+  canon.Text("trace", trace.ToJson());
+  EXPECT_EQ(canon.str().find("ledger"), std::string::npos);
+  ExpectDigest("300 s server metrics/flight/alerts/prom/trace", canon.str(), 0x982f40d831e11001);
 }
 
 TEST(GoldenDigest, TraceWriterBytes) {
