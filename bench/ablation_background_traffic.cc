@@ -11,6 +11,8 @@
 #include "common.h"
 
 #include "game/qoe.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "router/device_stats.h"
 #include "router/nat_device.h"
 #include "sim/simulator.h"
@@ -77,6 +79,10 @@ Outcome RunMix(double web_flow_rate, bool qoe_enabled, double duration) {
   nat.Start();
   server.Start();
   simulator.RunUntil(duration);
+  if (obs::MetricsRegistry* metrics = obs::Current().metrics; metrics != nullptr) {
+    server.PublishCounts(*metrics);
+    nat.PublishCounts(*metrics);
+  }
 
   Outcome out;
   const auto in_offered = nat.stats().packets(router::Segment::kClientsToNat);

@@ -10,6 +10,8 @@
 // delay at *every* hop.
 #include "common.h"
 
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "router/topology.h"
 #include "sim/simulator.h"
 
@@ -41,6 +43,10 @@ Outcome RunChain(int hops, double capacity_pps, std::size_t buffers, double dura
   chain.Start();
   server.Start();
   simulator.RunUntil(duration);
+  if (obs::MetricsRegistry* metrics = obs::Current().metrics; metrics != nullptr) {
+    server.PublishCounts(*metrics);
+    for (std::size_t i = 0; i < chain.hop_count(); ++i) chain.hop(i).PublishCounts(*metrics);
+  }
 
   Outcome out;
   out.loss_out = chain.end_to_end().loss_rate_out();

@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "common.h"
+#include "obs/obs.h"
 #include "router/device_stats.h"
 #include "router/nat_device.h"
 #include "sim/simulator.h"
@@ -31,8 +32,11 @@ int main(int argc, char** argv) {
   // Independent cross-check: re-run and estimate the loss purely from the
   // netchannel sequence gaps in the *delivered* stream (what a tcpdump on
   // the far side of the device would see), as a measurement study would.
+  // The re-run is unbound, so none of it reaches the observability exports,
+  // which describe the Table IV run alone.
   trace::SeqGapLossEstimator estimator;
   {
+    const obs::ScopedObsBinding unbound({});
     sim::Simulator simulator;
     router::NatDevice nat(simulator, config.device);
     game::CsServer server(simulator, config.game, nat.injector());

@@ -32,35 +32,54 @@ double ResolveHeartbeatInterval(double trace_duration) {
   return trace_duration >= 3600.0 ? 10.0 : 0.0;
 }
 
-// Refreshes the --prom-out file with the ambient registry's current
-// contents; called from the wall-clock heartbeat so a scrape pipeline sees
-// a live view during long runs. Quiet on write failure by design - the
-// final ExportSession write reports loudly.
+// Refreshes the --prom-out file with `metrics`; called from the
+// wall-clock heartbeat so a scrape pipeline sees a live view during long
+// runs. Quiet on write failure by design - the final ExportSession write
+// reports loudly.
 void FlushPrometheus(const char* prom_path, const obs::MetricsRegistry& metrics) {
   std::ofstream out(prom_path);
   if (out) obs::WritePrometheusText(metrics, out);
 }
 
-// Installs the stderr progress printer on `simulator`. `server` is
+// The components of one run: the server and, in the NAT experiment, the
+// device in front of it. Their counts live in their own fields; the
+// harness copies them into a registry only when one is read.
+struct RunParts {
+  game::CsServer* server;
+  router::NatDevice* nat;  // null outside the NAT experiment
+
+  // Reads fields only, so the wall-clock heartbeat may call it without
+  // moving the device's lazy clock.
+  void PublishCounts(obs::MetricsRegistry& metrics) const {
+    server->PublishCounts(metrics);
+    if (nat != nullptr) nat->PublishCounts(metrics);
+  }
+};
+
+// Installs the stderr progress printer on `simulator`. The parts are
 // borrowed; the heartbeat dies with the simulator at the end of the run.
-void InstallHeartbeat(sim::Simulator& simulator, const game::CsServer& server,
-                      double duration, double interval) {
+void InstallHeartbeat(sim::Simulator& simulator, RunParts parts, double duration,
+                      double interval) {
   const obs::ObsContext& ctx = obs::Current();
   const char* prom_path = ctx.metrics != nullptr ? ctx.prom_path : nullptr;
   const obs::MetricsRegistry* metrics = ctx.metrics;
   simulator.SetHeartbeat(
       interval,
-      [&server, duration, prom_path, metrics](const sim::Simulator::HeartbeatStatus& s) {
-        if (prom_path != nullptr) FlushPrometheus(prom_path, *metrics);
+      [parts, duration, prom_path, metrics](const sim::Simulator::HeartbeatStatus& s) {
+        if (prom_path != nullptr) {
+          obs::MetricsRegistry view = *metrics;
+          parts.PublishCounts(view);
+          FlushPrometheus(prom_path, view);
+        }
         const double rate = s.sim_seconds_per_second;
         const double remaining = duration - s.sim_now;
-        const std::uint64_t packets = server.stats().packets_emitted;
+        const std::uint64_t packets = parts.server->stats().packets_emitted;
         const double pps = s.sim_now > 0.0 ? static_cast<double>(packets) / s.sim_now : 0.0;
         std::fprintf(stderr,
                      "[gametrace] sim %.0fs/%.0fs (%.1f%%)  players %d  pps %.0f  "
                      "events/s %.2e  queue hw %zu  eta %s\n",
                      s.sim_now, duration, 100.0 * s.sim_now / duration,
-                     server.active_players(), pps, s.events_per_second,
+                     parts.server->active_players(), pps, s.events_per_second,
                      s.queue_high_water,
                      rate > 0.0
                          ? (std::to_string(static_cast<long>(remaining / rate)) + "s").c_str()
@@ -70,19 +89,18 @@ void InstallHeartbeat(sim::Simulator& simulator, const game::CsServer& server,
 
 // Schedules the flight-recorder sampling pulse: every sampling period the
 // ambient registry (refreshed with the simulator's queue high-water mark)
-// is snapshotted into the recorder and the watchdog catches up on the new
-// snapshot. The registry of `nat` (may be null) is merged on top of the
-// ambient registry first - the NAT experiment's device registry only
-// reaches the ambient export at the end of the run, but its packet
-// counters drive the meltdown rule and must be visible per snapshot.
-// Reading it brings the device up to the sampling instant.
+// is copied, the NAT device's registry is merged into the copy (reading it
+// brings the device up to the sampling instant; its packet counters drive
+// the meltdown rule), the parts' counts are published into it, and the
+// copy is snapshotted into the recorder. The watchdog then catches up on
+// the new snapshot.
 void InstallFlightSampling(sim::Simulator& simulator, const obs::ObsContext& ctx,
-                           router::NatDevice* nat) {
+                           RunParts parts) {
   if (ctx.recorder == nullptr || ctx.metrics == nullptr) return;
   const double period = ctx.recorder->options().sample_period_seconds;
   simulator.Every(period, period,
                   [&simulator, metrics = ctx.metrics, recorder = ctx.recorder,
-                   watchdog = ctx.watchdog, nat](double t) {
+                   watchdog = ctx.watchdog, parts](double t) {
                     metrics->gauge("sim.queue.high_water", obs::Gauge::MergeMode::kMax)
                         .SetMax(static_cast<double>(simulator.queue_high_water()));
                     // Align ring instruments on the sampling grid so shard
@@ -91,10 +109,45 @@ void InstallFlightSampling(sim::Simulator& simulator, const obs::ObsContext& ctx
                     // period a multiple of the server tick for this.
                     metrics->AdvanceRingsTo(t);
                     obs::MetricsRegistry view = *metrics;
-                    if (nat != nullptr) view.Merge(nat->stats().metrics());
+                    if (parts.nat != nullptr) view.Merge(parts.nat->stats().metrics());
+                    parts.PublishCounts(view);
                     recorder->Sample(t, std::move(view));
                     if (watchdog != nullptr) watchdog->CatchUp(*recorder);
                   });
+}
+
+// The run harness of RunServerTrace and RunNatExperiment. Schedules the
+// heartbeat and the flight sampling, starts the server and runs the
+// simulator to `duration` under one "run" span. Afterwards the device's
+// registry, the parts' counts and the simulator's own accounting go into
+// the ambient registry.
+void RunHarnessed(sim::Simulator& simulator, RunParts parts, const char* span_name,
+                  double duration, double tick_interval) {
+  const obs::ObsContext& ctx = obs::Current();
+  if (ctx.heartbeat) {
+    const double interval = ResolveHeartbeatInterval(duration);
+    if (interval > 0.0) InstallHeartbeat(simulator, parts, duration, interval);
+  }
+  InstallFlightSampling(simulator, ctx, parts);
+  // A no-op when the caller has started the server already: the NAT
+  // experiment starts its parts before the pulses are scheduled.
+  parts.server->Start();
+  const double t0 = simulator.Now();
+  simulator.RunUntil(duration);
+  if (ctx.trace != nullptr) ctx.trace->Complete(span_name, "run", t0, simulator.Now());
+
+  if (ctx.metrics == nullptr) return;
+  obs::MetricsRegistry& metrics = *ctx.metrics;
+  if (parts.nat != nullptr) metrics.Merge(parts.nat->stats().metrics());
+  parts.PublishCounts(metrics);
+  metrics.counter("sim.events_executed").Add(simulator.events_executed());
+  metrics.gauge("sim.queue.high_water", obs::Gauge::MergeMode::kMax)
+      .SetMax(static_cast<double>(simulator.queue_high_water()));
+  // Canonical end-of-run grid position for every ring: the last tick fires
+  // at exactly `duration` and may stamp packets up to one tick later, so
+  // advance one tick past the end. Identical across shards, which is what
+  // the fleet's registry merge requires.
+  metrics.AdvanceRingsTo(duration + tick_interval);
 }
 
 }  // namespace
@@ -120,38 +173,10 @@ ExperimentScale ExperimentScale::FromEnv(double default_duration) {
 }
 
 ServerTraceResult RunServerTrace(const game::GameConfig& config, trace::CaptureSink& sink) {
-  const obs::ObsContext& ctx = obs::Current();
   sim::Simulator simulator;
-
-  // Give the trace log a sim clock for the duration of the run, so RAII
-  // spans (and anything else that asks for "now") read simulator time.
-  if (ctx.trace != nullptr) {
-    ctx.trace->SetClock([&simulator] { return simulator.Now(); });
-  }
-
   game::CsServer server(simulator, config, sink);
-  if (ctx.heartbeat) {
-    const double interval = ResolveHeartbeatInterval(config.trace_duration);
-    if (interval > 0.0) InstallHeartbeat(simulator, server, config.trace_duration, interval);
-  }
-  InstallFlightSampling(simulator, ctx, /*nat=*/nullptr);
-  {
-    const obs::ScopedSpan run_span(ctx.trace, "server_trace", "run");
-    server.Run();
-  }
-  if (ctx.trace != nullptr) ctx.trace->SetClock(nullptr);
-
-  // Simulator-level accounting for the metrics export.
-  if (ctx.metrics != nullptr) {
-    ctx.metrics->counter("sim.events_executed").Add(simulator.events_executed());
-    ctx.metrics->gauge("sim.queue.high_water", obs::Gauge::MergeMode::kMax)
-        .SetMax(static_cast<double>(simulator.queue_high_water()));
-    // Canonical end-of-run grid position for every ring: the last tick
-    // fires at exactly trace_duration and may stamp packets up to one tick
-    // later, so advance one tick past the end. Identical across shards,
-    // which is what the fleet's registry merge requires.
-    ctx.metrics->AdvanceRingsTo(config.trace_duration + config.tick_interval);
-  }
+  RunHarnessed(simulator, {.server = &server, .nat = nullptr}, "server_trace",
+               config.trace_duration, config.tick_interval);
 
   ServerTraceResult result;
   result.stats = server.stats();
@@ -180,11 +205,7 @@ NatExperimentConfig NatExperimentConfig::Defaults() {
 
 NatExperimentResult RunNatExperiment(const NatExperimentConfig& config) {
   config.game.Validate();
-  const obs::ObsContext& ctx = obs::Current();
   sim::Simulator simulator;
-  if (ctx.trace != nullptr) {
-    ctx.trace->SetClock([&simulator] { return simulator.Now(); });
-  }
   router::NatDevice nat(simulator, config.device);
   game::CsServer server(simulator, config.game, nat.injector());
 
@@ -225,26 +246,8 @@ NatExperimentResult RunNatExperiment(const NatExperimentConfig& config) {
   nat.Start();
   server.Start();
   if (qoe) qoe->Start();
-  if (ctx.heartbeat) {
-    const double interval = ResolveHeartbeatInterval(config.duration);
-    if (interval > 0.0) InstallHeartbeat(simulator, server, config.duration, interval);
-  }
-  InstallFlightSampling(simulator, ctx, &nat);
-  {
-    const obs::ScopedSpan run_span(ctx.trace, "nat_experiment", "run");
-    simulator.RunUntil(config.duration);
-  }
-  if (ctx.trace != nullptr) ctx.trace->SetClock(nullptr);
-
-  if (ctx.metrics != nullptr) {
-    // The device's embedded registry (segment + queue accounting) joins
-    // the ambient export alongside the simulator-level counters.
-    ctx.metrics->Merge(nat.stats().metrics());
-    ctx.metrics->counter("sim.events_executed").Add(simulator.events_executed());
-    ctx.metrics->gauge("sim.queue.high_water", obs::Gauge::MergeMode::kMax)
-        .SetMax(static_cast<double>(simulator.queue_high_water()));
-    ctx.metrics->AdvanceRingsTo(config.duration + config.game.tick_interval);
-  }
+  RunHarnessed(simulator, {.server = &server, .nat = &nat}, "nat_experiment", config.duration,
+               config.game.tick_interval);
 
   NatExperimentResult result{.device = nat.stats(),
                              .server = server.stats(),

@@ -68,28 +68,17 @@ CsServer::CsServer(sim::Simulator& simulator, GameConfig config, trace::CaptureS
   map_rotation_.SetCallbacks({.on_stall_begin = nullptr,
                               .on_map_start = [this](double t) { OnMapStart(t); },
                               .on_round_start = [this](double t) {
-                                if (obs_.rounds_started != nullptr) obs_.rounds_started->Add();
-                                if (obs_.trace != nullptr) obs_.trace->Instant("round_start", "map", t);
+                                if (obs_.trace != nullptr) {
+                                  obs_.trace->Instant("round_start", "map", t);
+                                }
                               }});
 
   // Bind to the ambient observability context (no-op outside a binding).
-  // Counters are registered once here so the per-event cost is one add.
+  // Counts are not bound: PublishCounts copies them out on demand.
   const obs::ObsContext& ctx = obs::Current();
   obs_.trace = ctx.trace;
   if (ctx.metrics != nullptr) {
     obs::MetricsRegistry& m = *ctx.metrics;
-    obs_.packets_emitted = &m.counter("server.packets_emitted");
-    obs_.bytes_emitted = &m.counter("server.bytes_emitted");
-    obs_.bytes_to_clients = &m.counter("server.bytes_to_clients");
-    obs_.active_players = &m.gauge("server.active_players", obs::Gauge::MergeMode::kSum);
-    obs_.attempts = &m.counter("server.connections.attempted");
-    obs_.established = &m.counter("server.connections.established");
-    obs_.refused = &m.counter("server.connections.refused");
-    obs_.orderly_disconnects = &m.counter("server.disconnects.orderly");
-    obs_.outage_disconnects = &m.counter("server.disconnects.outage");
-    obs_.maps_started = &m.counter("server.maps_started");
-    obs_.rounds_started = &m.counter("server.rounds_started");
-    obs_.peak_players = &m.gauge("server.peak_players", obs::Gauge::MergeMode::kMax);
     obs_.client_kbps = &m.sketch("client.bandwidth.kbps");
     stats::TieredRing::Options ring_options =
         stats::TieredRing::Options::PaperSchedule(config_.tick_interval);
@@ -126,7 +115,7 @@ void CsServer::OnTick(double t) {
   }
   // Each packet is sized as it is drawn, so rng_ is consumed in emission
   // order, and its row goes straight into tick_batch_'s columns; the
-  // counters are bumped once for the whole tick.
+  // counts are bumped once for the whole tick.
   const bool frozen = outages_.active() || t < stall_until_;
   const bool map_stalled = map_rotation_.stalled();
   const double tick = config_.tick_interval;
@@ -201,9 +190,7 @@ void CsServer::OnTick(double t) {
   if (count == 0) return;
   packets_emitted_ += count;
   wire_bytes_emitted_ += wire_total;
-  if (obs_.packets_emitted != nullptr) obs_.packets_emitted->Add(count);
-  if (obs_.bytes_emitted != nullptr) obs_.bytes_emitted->Add(wire_total);
-  if (obs_.bytes_to_clients != nullptr) obs_.bytes_to_clients->Add(wire_down);
+  bytes_to_clients_ += wire_down;
 
   // The whole tick - broadcast burst plus client sends - leaves as one
   // columnar batch: one virtual call per sink instead of one per packet,
@@ -222,7 +209,6 @@ void CsServer::HandleAttempt(std::size_t identity, bool /*is_retry*/) {
   if (outages_.active()) return;  // the server is unreachable
   const double t = simulator_->Now();
   ++attempts_;
-  if (obs_.attempts != nullptr) obs_.attempts->Add();
   attempted_ids_.insert(identity);
   const net::Ipv4Address ip = IdentityIp(identity);
   const std::uint16_t port = DrawEphemeralPort(rng_);
@@ -232,7 +218,6 @@ void CsServer::HandleAttempt(std::size_t identity, bool /*is_retry*/) {
 
   if (static_cast<int>(clients_.size()) >= config_.max_players) {
     ++refused_;
-    if (obs_.refused != nullptr) obs_.refused->Add();
     if (obs_.trace != nullptr) obs_.trace->Instant("refuse", "session", t);
     Emit(reply_at, net::Direction::kServerToClient, net::PacketKind::kConnectReject,
          size_model_.HandshakeSize(net::PacketKind::kConnectReject, rng_), ip, port);
@@ -243,7 +228,6 @@ void CsServer::HandleAttempt(std::size_t identity, bool /*is_retry*/) {
 
   retry_counts_.erase(identity);
   ++established_count_;
-  if (obs_.established != nullptr) obs_.established->Add();
   if (obs_.trace != nullptr) obs_.trace->Instant("connect", "session", t);
   established_ids_.insert(identity);
   Emit(reply_at, net::Direction::kServerToClient, net::PacketKind::kConnectAccept,
@@ -260,10 +244,6 @@ void CsServer::HandleAttempt(std::size_t identity, bool /*is_retry*/) {
   clients_.push_back(client);
   live_sessions_.insert(client.session_id);
   peak_players_ = std::max(peak_players_, static_cast<int>(clients_.size()));
-  if (obs_.peak_players != nullptr) obs_.peak_players->SetMax(peak_players_);
-  if (obs_.active_players != nullptr) {
-    obs_.active_players->Set(static_cast<double>(clients_.size()));
-  }
 
   const double duration = session_model_->DrawSessionDuration(rng_);
   const std::uint64_t session_id = client.session_id;
@@ -280,7 +260,6 @@ void CsServer::Depart(std::uint64_t session_id, bool orderly) {
   if (it == clients_.end()) return;
   if (orderly) {
     ++orderly_disconnects_;
-    if (obs_.orderly_disconnects != nullptr) obs_.orderly_disconnects->Add();
     if (obs_.trace != nullptr) {
       obs_.trace->Instant("disconnect", "session", simulator_->Now());
     }
@@ -289,9 +268,6 @@ void CsServer::Depart(std::uint64_t session_id, bool orderly) {
   }
   *it = clients_.back();
   clients_.pop_back();
-  if (obs_.active_players != nullptr) {
-    obs_.active_players->Set(static_cast<double>(clients_.size()));
-  }
 }
 
 bool CsServer::DisconnectByEndpoint(net::Ipv4Address ip, std::uint16_t port, bool orderly) {
@@ -321,10 +297,8 @@ void CsServer::OnOutageBegin(double t) {
     }
   }
   outage_disconnects_ += clients_.size();
-  if (obs_.outage_disconnects != nullptr) obs_.outage_disconnects->Add(clients_.size());
   for (const ActiveClient& c : clients_) live_sessions_.erase(c.session_id);
   clients_.clear();
-  if (obs_.active_players != nullptr) obs_.active_players->Set(0.0);
   // An injected outage is exactly the kind of event the black box exists
   // for; leave a post-mortem when a dump guard is armed (no-op otherwise).
   obs::DumpFlightNow("outage");
@@ -339,7 +313,6 @@ void CsServer::OnOutageEnd(double t) {
 }
 
 void CsServer::OnMapStart(double t) {
-  if (obs_.maps_started != nullptr) obs_.maps_started->Add();
   if (obs_.trace != nullptr) {
     // Close the previous map's span; its end is this map's load time.
     if (map_began_at_ >= 0.0) {
@@ -371,11 +344,7 @@ void CsServer::Emit(double t, net::Direction direction, net::PacketKind kind,
   ++packets_emitted_;
   const std::uint64_t wire_bytes = net::WireBytes(bytes);
   wire_bytes_emitted_ += wire_bytes;
-  if (obs_.packets_emitted != nullptr) obs_.packets_emitted->Add();
-  if (obs_.bytes_emitted != nullptr) obs_.bytes_emitted->Add(wire_bytes);
-  if (obs_.bytes_to_clients != nullptr && direction == net::Direction::kServerToClient) {
-    obs_.bytes_to_clients->Add(wire_bytes);
-  }
+  if (direction == net::Direction::kServerToClient) bytes_to_clients_ += wire_bytes;
   if (obs_.load_ring != nullptr) obs_.load_ring->Add(t);
   sink_->OnColumns(net::PacketRow(record).View());
 }
@@ -397,6 +366,27 @@ CsServer::Stats CsServer::stats() const {
   s.wire_bytes_emitted = wire_bytes_emitted_;
   s.downloads_started = downloads_->transfers_started();
   return s;
+}
+
+void CsServer::PublishCounts(obs::MetricsRegistry& metrics) const {
+  const Stats s = stats();
+  metrics.counter("server.packets_emitted").Add(s.packets_emitted);
+  metrics.counter("server.bytes_emitted").Add(s.wire_bytes_emitted);
+  metrics.counter("server.bytes_to_clients").Add(bytes_to_clients_);
+  metrics.counter("server.connections.attempted").Add(s.attempts);
+  metrics.counter("server.connections.established").Add(s.established);
+  metrics.counter("server.connections.refused").Add(s.refused);
+  metrics.counter("server.disconnects.orderly").Add(s.orderly_disconnects);
+  metrics.counter("server.disconnects.outage").Add(s.outage_disconnects);
+  metrics.counter("server.maps_started").Add(static_cast<std::uint64_t>(s.maps_played));
+  metrics.counter("server.rounds_started").Add(s.rounds_played);
+  // Levels, not counts: kSum so fleet shards add up to the fleet-wide
+  // population the per-client bandwidth SLO rule divides by; kMax for the
+  // peak.
+  metrics.gauge("server.active_players", obs::Gauge::MergeMode::kSum)
+      .Set(static_cast<double>(clients_.size()));
+  metrics.gauge("server.peak_players", obs::Gauge::MergeMode::kMax)
+      .SetMax(static_cast<double>(s.peak_players));
 }
 
 }  // namespace gametrace::game

@@ -72,6 +72,13 @@ class CsServer {
   [[nodiscard]] int active_players() const noexcept { return static_cast<int>(clients_.size()); }
   [[nodiscard]] Stats stats() const;
 
+  // Copies the server's counts and levels into `metrics` under their
+  // server.* names: counters add, server.active_players is set and
+  // server.peak_players raised. The fields above are the only place the
+  // counts live; the run harness (core/experiment.cc) publishes them at
+  // each flight sample and at the end of a run.
+  void PublishCounts(obs::MetricsRegistry& metrics) const;
+
   // Player count sampled once per minute (paper Figure 3).
   [[nodiscard]] const stats::TimeSeries& player_series() const noexcept { return players_; }
 
@@ -132,31 +139,18 @@ class CsServer {
   int peak_players_ = 0;
   std::uint64_t packets_emitted_ = 0;
   std::uint64_t wire_bytes_emitted_ = 0;
+  // Downstream (server->client) wire bytes only: the last-mile traffic the
+  // per-client saturation SLO rule compares against a modem.
+  std::uint64_t bytes_to_clients_ = 0;
 
-  // Ambient observability, captured from obs::Current() at construction.
-  // All-null outside a binding; counters mirror the Stats fields above
-  // (sim-derived, so they participate in the deterministic shard merge),
-  // the trace log receives the map/outage/session span taxonomy.
+  // Ambient observability, captured from obs::Current() at construction;
+  // all-null outside a binding. Only what cannot be rebuilt from a final
+  // count is bound here: the trace log receives the map/outage/session
+  // span taxonomy, and the sketch and ring record distributions over time.
   struct Observability {
     obs::TraceLog* trace = nullptr;
-    obs::Counter* packets_emitted = nullptr;
-    obs::Counter* bytes_emitted = nullptr;
-    // Downstream (server->client) wire bytes only: the last-mile traffic
-    // the per-client saturation SLO rule compares against a modem.
-    obs::Counter* bytes_to_clients = nullptr;
-    // Current connected-player level (kSum: fleet shards add up to the
-    // fleet-wide population). Feeds the per-client bandwidth SLO rule.
-    obs::Gauge* active_players = nullptr;
-    obs::Counter* attempts = nullptr;
-    obs::Counter* established = nullptr;
-    obs::Counter* refused = nullptr;
-    obs::Counter* orderly_disconnects = nullptr;
-    obs::Counter* outage_disconnects = nullptr;
-    obs::Counter* maps_started = nullptr;
-    obs::Counter* rounds_started = nullptr;
-    obs::Gauge* peak_players = nullptr;
     // Per-client downstream kbps, one observation per client per minute -
-    // the tail (p99 vs the 56k modem) companion to bytes_to_clients.
+    // the tail (p99 vs the 56k modem) companion to server.bytes_to_clients.
     stats::QuantileSketch* client_kbps = nullptr;
     // Emitted packets per tick bin at tiered resolutions, with an online
     // Hurst estimator riding the base tier - the streaming, bounded-memory

@@ -1,5 +1,6 @@
 #include "net/headers.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace gametrace::net {
@@ -64,8 +65,8 @@ std::vector<std::uint8_t> BuildUdpFrame(const FrameSpec& spec,
   std::uint8_t* udp = ip + kIpLen;
 
   // Ethernet II.
-  std::memcpy(eth, spec.dst_mac.data(), 6);
-  std::memcpy(eth + 6, spec.src_mac.data(), 6);
+  std::copy(spec.dst_mac.begin(), spec.dst_mac.end(), eth);
+  std::copy(spec.src_mac.begin(), spec.src_mac.end(), eth + 6);
   Put16(eth + 12, kEtherTypeIpv4);
 
   // IPv4.

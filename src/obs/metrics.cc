@@ -281,63 +281,69 @@ void AppendRingJson(std::string& out, const stats::TieredRing& ring, bool full) 
   out += "]}";
 }
 
+// The separators that tell the indented ToJson form from the single-line
+// flight form; `full` selects the sketch and ring detail.
+struct JsonLayout {
+  const char* open;           // before the first section
+  const char* first_entry;    // before a section's first entry
+  const char* next_entry;     // before each later entry
+  const char* section_close;  // closes a non-empty section
+  const char* section_sep;    // between two sections
+  const char* close;          // after the last section
+  bool full;
+};
+
+constexpr JsonLayout kPrettyLayout{"{\n  ", "\n    ", ",\n    ", "\n  }", ",\n  ", "\n}\n", true};
+constexpr JsonLayout kCompactLayout{"{", "", ", ", "}", ", ", "}", false};
+
 }  // namespace
 
-std::string MetricsRegistry::ToJson() const {
-  std::string out;
-  out += "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    AppendJsonString(out, name);
-    out += ": " + std::to_string(counter.value());
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    AppendJsonString(out, name);
-    out += ": {\"value\": ";
+void MetricsRegistry::AppendJson(std::string& out, bool compact) const {
+  const JsonLayout& layout = compact ? kCompactLayout : kPrettyLayout;
+  const auto section = [&](const char* title, const auto& instruments, const auto& append) {
+    AppendJsonString(out, title);
+    out += ": {";
+    bool first = true;
+    for (const auto& [name, instrument] : instruments) {
+      out += first ? layout.first_entry : layout.next_entry;
+      first = false;
+      AppendJsonString(out, name);
+      out += ": ";
+      append(instrument);
+    }
+    out += first ? "}" : layout.section_close;
+  };
+  out += layout.open;
+  section("counters", counters_,
+          [&](const Counter& counter) { out += std::to_string(counter.value()); });
+  out += layout.section_sep;
+  section("gauges", gauges_, [&](const Gauge& gauge) {
+    out += "{\"value\": ";
     AppendJsonNumber(out, gauge.value());
     out += ", \"merge\": ";
     out += gauge.merge_mode() == Gauge::MergeMode::kSum ? "\"sum\"" : "\"max\"";
     out += "}";
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, hist] : histograms_) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    AppendJsonString(out, name);
-    out += ": ";
-    AppendHistogramJson(out, hist);
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"sketches\": {";
-  first = true;
-  for (const auto& [name, sk] : sketches_) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    AppendJsonString(out, name);
-    out += ": ";
-    AppendSketchJson(out, sk, /*full=*/true);
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"rings\": {";
-  first = true;
-  for (const auto& [name, rg] : rings_) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    AppendJsonString(out, name);
-    out += ": ";
-    AppendRingJson(out, rg, /*full=*/true);
-  }
-  out += first ? "}\n}\n" : "\n  }\n}\n";
+  });
+  out += layout.section_sep;
+  section("histograms", histograms_,
+          [&](const stats::Histogram& hist) { AppendHistogramJson(out, hist); });
+  out += layout.section_sep;
+  section("sketches", sketches_,
+          [&](const stats::QuantileSketch& sk) { AppendSketchJson(out, sk, layout.full); });
+  out += layout.section_sep;
+  section("rings", rings_,
+          [&](const stats::TieredRing& rg) { AppendRingJson(out, rg, layout.full); });
+  out += layout.close;
+}
+
+std::string MetricsRegistry::ToJson() const {
+  std::string out;
+  AppendJson(out, /*compact=*/false);
   return out;
+}
+
+void MetricsRegistry::AppendCompactJson(std::string& out) const {
+  AppendJson(out, /*compact=*/true);
 }
 
 void MetricsRegistry::WriteJson(std::ostream& out) const { out << ToJson(); }
@@ -365,57 +371,6 @@ void MetricsRegistry::ForEachSketch(
 void MetricsRegistry::ForEachRing(
     const std::function<void(std::string_view, const stats::TieredRing&)>& fn) const {
   for (const auto& [name, rg] : rings_) fn(name, rg);
-}
-
-void MetricsRegistry::AppendCompactJson(std::string& out) const {
-  out += "{\"counters\": {";
-  bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    if (!first) out += ", ";
-    first = false;
-    AppendJsonString(out, name);
-    out += ": " + std::to_string(counter.value());
-  }
-  out += "}, \"gauges\": {";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    if (!first) out += ", ";
-    first = false;
-    AppendJsonString(out, name);
-    out += ": {\"value\": ";
-    AppendJsonNumber(out, gauge.value());
-    out += ", \"merge\": ";
-    out += gauge.merge_mode() == Gauge::MergeMode::kSum ? "\"sum\"" : "\"max\"";
-    out += "}";
-  }
-  out += "}, \"histograms\": {";
-  first = true;
-  for (const auto& [name, hist] : histograms_) {
-    if (!first) out += ", ";
-    first = false;
-    AppendJsonString(out, name);
-    out += ": ";
-    AppendHistogramJson(out, hist);
-  }
-  out += "}, \"sketches\": {";
-  first = true;
-  for (const auto& [name, sk] : sketches_) {
-    if (!first) out += ", ";
-    first = false;
-    AppendJsonString(out, name);
-    out += ": ";
-    AppendSketchJson(out, sk, /*full=*/false);
-  }
-  out += "}, \"rings\": {";
-  first = true;
-  for (const auto& [name, rg] : rings_) {
-    if (!first) out += ", ";
-    first = false;
-    AppendJsonString(out, name);
-    out += ": ";
-    AppendRingJson(out, rg, /*full=*/false);
-  }
-  out += "}}";
 }
 
 }  // namespace gametrace::obs

@@ -139,6 +139,10 @@ class MetricsRegistry {
   void AppendCompactJson(std::string& out) const;
 
  private:
+  // The one walk behind ToJson and AppendCompactJson; they differ only in
+  // separators and in how much sketch and ring detail they carry.
+  void AppendJson(std::string& out, bool compact) const;
+
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, stats::Histogram, std::less<>> histograms_;

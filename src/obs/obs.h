@@ -1,8 +1,11 @@
 // Ambient observability context.
 //
 // Front-ends (gtrace_tool, benches) and the fleet runner decide *where*
-// metrics and trace events go; deep components (CsServer, NatDevice,
-// DeviceStats) just ask "what is the current context?" at construction.
+// metrics and trace events go; deep components (CsServer, NatDevice)
+// just ask "what is the current context?" at construction, for the trace
+// log and for the sketch and ring instruments they feed. Their counts stay
+// in their own fields until the run harness (core/experiment.cc)
+// publishes them into the registry.
 // The binding is thread-local so that fleet shards - one worker thread per
 // shard slot at any moment - each observe their own registry and trace
 // log, and the per-shard results reduce deterministically afterwards.
@@ -11,7 +14,7 @@
 //   obs::TraceLog trace(/*pid=*/shard_id);
 //   obs::ScopedObsBinding bind({.metrics = &metrics, .trace = &trace,
 //                               .shard_id = shard_id, .heartbeat = false});
-//   ... build simulator + server; they capture the instruments ...
+//   ... core::RunServerTrace(config, sink); publishes into `metrics` ...
 //
 // A default-constructed context (all null) is always valid: components
 // fall back to registering into nothing, which costs a null check at

@@ -34,20 +34,6 @@ void AppendStragglerJson(std::string& out, const SchedUnitSample& unit) {
   out += '}';
 }
 
-void AppendAlertJson(std::string& out, const Alert& alert) {
-  out += "{\"t\": ";
-  AppendJsonNumber(out, alert.t_seconds);
-  out += ", \"rule\": ";
-  AppendJsonString(out, alert.rule);
-  out += ", \"value\": ";
-  AppendJsonNumber(out, alert.value);
-  out += ", \"threshold\": ";
-  AppendJsonNumber(out, alert.threshold);
-  out += ", \"description\": ";
-  AppendJsonString(out, alert.description);
-  out += '}';
-}
-
 }  // namespace
 
 void SchedReport::DumpInto(MetricsRegistry& registry) const {

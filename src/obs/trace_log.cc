@@ -80,10 +80,6 @@ void TraceLog::SetCategoryEnabled(std::string_view cat, bool enabled) {
   }
 }
 
-void TraceLog::SetClock(std::function<double()> now_seconds) {
-  clock_ = std::move(now_seconds);
-}
-
 void TraceLog::Merge(TraceLog&& other) {
   dropped_ += other.dropped_;
   for (Event& event : other.events_) {

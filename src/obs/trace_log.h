@@ -60,14 +60,6 @@ class TraceLog {
   [[nodiscard]] bool CategoryEnabled(std::string_view cat) const noexcept;
   void SetCategoryEnabled(std::string_view cat, bool enabled);
 
-  // Optional clock for ScopedSpan; producers that know their own sim time
-  // (event handlers receive it) pass explicit times instead. The callable
-  // must outlive its use - RunServerTrace installs the simulator clock on
-  // entry and removes it before returning.
-  void SetClock(std::function<double()> now_seconds);
-  [[nodiscard]] bool has_clock() const noexcept { return static_cast<bool>(clock_); }
-  [[nodiscard]] double NowSeconds() const { return clock_ ? clock_() : 0.0; }
-
   // Appends another log's events (fleet shard reduction; each event keeps
   // the pid it was recorded under). `other` is spent.
   void Merge(TraceLog&& other);
@@ -90,32 +82,6 @@ class TraceLog {
   std::uint64_t dropped_ = 0;
   std::vector<Event> events_;
   std::map<std::string, bool, std::less<>> category_enabled_;
-  std::function<double()> clock_;
-};
-
-// RAII span against the log's installed clock: records a Complete event
-// from construction to destruction in sim time. A null log (or a log with
-// no clock) makes the guard a no-op.
-class ScopedSpan {
- public:
-  ScopedSpan(TraceLog* log, const char* name, const char* cat) noexcept
-      : log_(log != nullptr && log->has_clock() && log->CategoryEnabled(cat) ? log : nullptr),
-        name_(name),
-        cat_(cat),
-        t0_(log_ != nullptr ? log_->NowSeconds() : 0.0) {}
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  ~ScopedSpan() {
-    if (log_ != nullptr) log_->Complete(name_, cat_, t0_, log_->NowSeconds());
-  }
-
- private:
-  TraceLog* log_;
-  const char* name_;
-  const char* cat_;
-  double t0_;
 };
 
 }  // namespace gametrace::obs

@@ -195,20 +195,25 @@ void WatchdogEngine::DumpInto(TraceLog& trace) const {
   }
 }
 
+void AppendAlertJson(std::string& out, const Alert& alert) {
+  out += "{\"t\": ";
+  AppendJsonNumber(out, alert.t_seconds);
+  out += ", \"rule\": ";
+  AppendJsonString(out, alert.rule);
+  out += ", \"value\": ";
+  AppendJsonNumber(out, alert.value);
+  out += ", \"threshold\": ";
+  AppendJsonNumber(out, alert.threshold);
+  out += ", \"description\": ";
+  AppendJsonString(out, alert.description);
+  out += '}';
+}
+
 std::string WatchdogEngine::ToJsonl() const {
   std::string out;
   for (const Alert& alert : alerts_) {
-    out += "{\"t\": ";
-    AppendJsonNumber(out, alert.t_seconds);
-    out += ", \"rule\": ";
-    AppendJsonString(out, alert.rule);
-    out += ", \"value\": ";
-    AppendJsonNumber(out, alert.value);
-    out += ", \"threshold\": ";
-    AppendJsonNumber(out, alert.threshold);
-    out += ", \"description\": ";
-    AppendJsonString(out, alert.description);
-    out += "}\n";
+    AppendAlertJson(out, alert);
+    out += '\n';
   }
   return out;
 }

@@ -64,7 +64,7 @@ struct SloRule {
   // When non-empty, the scaled signal divides by this gauge's current
   // value (e.g. per-client normalization by "server.active_players"). A
   // zero or negative denominator skips the rule for that snapshot.
-  std::string divide_by_gauge;
+  std::string divide_by_gauge = {};
   std::string description;
 };
 
@@ -75,6 +75,11 @@ struct Alert {
   double threshold = 0.0;  // copied from the rule for self-contained logs
   std::string description;
 };
+
+// Appends `alert` as one JSON object (no trailing newline):
+//   {"t": ..., "rule": ..., "value": ..., "threshold": ..., "description": ...}
+// The alerts JSONL and the scheduler report share this writer.
+void AppendAlertJson(std::string& out, const Alert& alert);
 
 class WatchdogEngine {
  public:
@@ -121,8 +126,7 @@ class WatchdogEngine {
   void DumpInto(MetricsRegistry& registry) const;
   void DumpInto(TraceLog& trace) const;
 
-  // One JSON object per alert:
-  //   {"t": ..., "rule": ..., "value": ..., "threshold": ..., "description": ...}
+  // One AppendAlertJson object per line.
   void WriteJsonl(std::ostream& out) const;
   [[nodiscard]] std::string ToJsonl() const;
 

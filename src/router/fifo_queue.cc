@@ -8,7 +8,7 @@
 namespace gametrace::router {
 
 FifoQueue::FifoQueue(std::size_t capacity) : capacity_(capacity) {
-  GT_CHECK_NE(capacity, 0) << "FifoQueue: capacity must be positive";
+  GT_CHECK_NE(capacity, 0u) << "FifoQueue: capacity must be positive";
 }
 
 void FifoQueue::BindMetrics(obs::MetricsRegistry& registry, std::string_view prefix) {

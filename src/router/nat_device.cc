@@ -77,9 +77,10 @@ NatDevice::NatDevice(sim::Simulator& simulator, const Config& config)
   // metrics export describes the whole device.
   lan_q_.BindMetrics(stats_.metrics(), "nat.lan_q");
   wan_q_.BindMetrics(stats_.metrics(), "nat.wan_q");
-  if (obs::MetricsRegistry* ambient = obs::Current().metrics; ambient != nullptr) {
-    episodes_counter_ = &ambient->counter("nat.livelock_episodes");
-  }
+}
+
+void NatDevice::PublishCounts(obs::MetricsRegistry& metrics) const {
+  metrics.counter("nat.livelock_episodes").Add(static_cast<std::uint64_t>(episodes_));
 }
 
 void NatDevice::SetDeliverCallback(DeliverFn fn) {
@@ -124,7 +125,6 @@ void NatDevice::ScheduleNextEpisode() {
     const double now = simulator_->Now();
     AdvanceTo(now, Horizon::kBefore);
     ++episodes_;
-    if (episodes_counter_ != nullptr) episodes_counter_->Add();
     if (trace_ != nullptr) trace_->Instant("livelock_episode", "nat", now);
     wan_starved_until_ = now + sim::Uniform(rng_, config_.episode_min_duration,
                                             config_.episode_max_duration);

@@ -109,6 +109,10 @@ class NatDevice {
   [[nodiscard]] std::size_t nat_table_size();
   [[nodiscard]] int livelock_episodes() const noexcept { return episodes_; }
 
+  // Adds the episode count to `metrics` as nat.livelock_episodes; the
+  // segment and queue accounting lives in stats().metrics().
+  void PublishCounts(obs::MetricsRegistry& metrics) const;
+
  private:
   class InjectorSink final : public trace::CaptureSink {
    public:
@@ -223,11 +227,9 @@ class NatDevice {
   // state of the event that called it.
   bool committing_ = false;
 
-  // Ambient observability captured at construction: drop/livelock instants
-  // go to the trace log ("nat" category), episode counts to the ambient
-  // registry. Both null outside a binding.
+  // The ambient trace log captured at construction (null outside a
+  // binding): drop/livelock instants go there ("nat" category).
   obs::TraceLog* trace_ = nullptr;
-  obs::Counter* episodes_counter_ = nullptr;
 };
 
 }  // namespace gametrace::router

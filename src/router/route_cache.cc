@@ -33,7 +33,7 @@ std::string_view PolicyName(CachePolicy policy) noexcept {
 
 RouteCache::RouteCache(std::size_t capacity, CachePolicy policy)
     : capacity_(capacity), policy_(policy) {
-  GT_CHECK_NE(capacity, 0) << "RouteCache: capacity must be positive";
+  GT_CHECK_NE(capacity, 0u) << "RouteCache: capacity must be positive";
 }
 
 double RouteCache::hit_rate() const noexcept {

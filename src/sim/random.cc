@@ -69,7 +69,7 @@ std::uint64_t Poisson(Rng& rng, double mean) {
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) {
-  GT_CHECK_NE(n, 0) << "ZipfSampler: n must be > 0";
+  GT_CHECK_NE(n, 0u) << "ZipfSampler: n must be > 0";
   cdf_.resize(n);
   double running = 0.0;
   for (std::size_t i = 0; i < n; ++i) {

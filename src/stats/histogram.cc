@@ -13,7 +13,7 @@ Histogram::Histogram(double lo, double hi, std::size_t bins)
   GT_CHECK(std::isfinite(lo) && std::isfinite(hi))
       << "Histogram: bin edges must be finite (lo=" << lo << ", hi=" << hi << ")";
   GT_CHECK(hi > lo) << "Histogram: hi must exceed lo";
-  GT_CHECK_NE(bins, 0) << "Histogram: need at least one bin";
+  GT_CHECK_NE(bins, 0u) << "Histogram: need at least one bin";
 }
 
 double Histogram::bin_center(std::size_t bin) const {
@@ -66,7 +66,7 @@ double Histogram::Quantile(double q) const {
 }
 
 std::size_t Histogram::ModeBin() const {
-  GT_CHECK_NE(total_in_range(), 0) << "Histogram::ModeBin: empty histogram";
+  GT_CHECK_NE(total_in_range(), 0u) << "Histogram::ModeBin: empty histogram";
   return static_cast<std::size_t>(
       std::max_element(counts_.begin(), counts_.end()) - counts_.begin());
 }

@@ -10,7 +10,7 @@ namespace gametrace::stats {
 LineFit FitLine(std::span<const double> xs, std::span<const double> ys) {
   GT_CHECK_EQ(xs.size(), ys.size()) << "FitLine: size mismatch";
   const std::size_t n = xs.size();
-  GT_CHECK_GE(n, 2) << "FitLine: need at least two points";
+  GT_CHECK_GE(n, 2u) << "FitLine: need at least two points";
 
   double sx = 0.0;
   double sy = 0.0;

@@ -69,7 +69,7 @@ RsPlot ComputeRescaledRange(const TimeSeries& series, const RsOptions& options) 
     const auto next = static_cast<std::size_t>(std::ceil(static_cast<double>(n) * options.ratio));
     n = next > n ? next : n + 1;
   }
-  GT_CHECK_GE(plot.points.size(), 2) << "ComputeRescaledRange: not enough block sizes";
+  GT_CHECK_GE(plot.points.size(), 2u) << "ComputeRescaledRange: not enough block sizes";
   return plot;
 }
 

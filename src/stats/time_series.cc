@@ -34,7 +34,7 @@ void TimeSeries::ExtendTo(double t_end) {
 }
 
 TimeSeries TimeSeries::Aggregate(std::size_t factor) const {
-  GT_CHECK_NE(factor, 0) << "TimeSeries::Aggregate: factor must be >= 1";
+  GT_CHECK_NE(factor, 0u) << "TimeSeries::Aggregate: factor must be >= 1";
   TimeSeries out(start_, interval_ * static_cast<double>(factor));
   const std::size_t whole = bins_.size() / factor;
   out.bins_.resize(whole, 0.0);

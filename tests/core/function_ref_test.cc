@@ -107,7 +107,12 @@ TEST(FunctionRef, InvokesStaticMemberFunction) {
 
 TEST(FunctionRef, NullFunctionPointerViolatesContract) {
   int (*fn)(int) = nullptr;
-  EXPECT_THROW(IntIntRef ref = fn, ContractViolation);
+  EXPECT_THROW(
+      {
+        IntIntRef ref = fn;
+        (void)ref;
+      },
+      ContractViolation);
 }
 
 TEST(FunctionRef, IsTwoWordsAndTriviallyCopyable) {

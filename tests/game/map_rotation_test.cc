@@ -45,7 +45,8 @@ TEST(MapRotation, StallWindowObserved) {
   std::vector<double> map_starts;
   rotation.SetCallbacks(
       {.on_stall_begin = [&](double t) { stall_begins.push_back(t); },
-       .on_map_start = [&](double t) { map_starts.push_back(t); }});
+       .on_map_start = [&](double t) { map_starts.push_back(t); },
+       .on_round_start = nullptr});
   rotation.Start();
   s.RunUntil(350.0);
   ASSERT_GE(stall_begins.size(), 2u);

@@ -1,6 +1,7 @@
 // End-to-end observability: run the calibrated server under a bound
 // ObsContext and check that (a) the sim-derived counters agree exactly
-// with the server's own Stats bookkeeping, and (b) the exported trace is
+// with the server's own Stats bookkeeping, even when bare components run
+// under the same binding, and (b) the exported trace is
 // valid Chrome trace_event JSON whose spans tell the same story.
 #include <gtest/gtest.h>
 
@@ -12,6 +13,8 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace_log.h"
+#include "router/nat_device.h"
+#include "sim/simulator.h"
 #include "trace/capture.h"
 
 #include "../obs/json_reader.h"
@@ -54,6 +57,31 @@ TEST(ObsExport, CountersAgreeWithServerStats) {
   EXPECT_EQ(m.gauge_value("server.peak_players"), static_cast<double>(stats.peak_players));
   EXPECT_GT(m.counter_value("sim.events_executed"), 0u);
   EXPECT_GT(m.gauge_value("sim.queue.high_water"), 0.0);
+}
+
+// A count reaches the registry only through the run harness. A bare
+// server and device built under the same binding afterwards (as Table IV's
+// sequence-gap cross-check once did) add nothing to it.
+TEST(ObsExport, BareComponentsUnderABindingCountNothing) {
+  obs::MetricsRegistry metrics;
+  const obs::ScopedObsBinding bind({.metrics = &metrics, .heartbeat = false});
+  auto config = core::NatExperimentConfig::Defaults();
+  config.duration = 120.0;
+  config.game.trace_duration = config.duration;
+  config.game.maps.map_duration = config.duration + 60.0;
+  const core::NatExperimentResult result = core::RunNatExperiment(config);
+  ASSERT_GT(result.livelock_episodes, 0);
+  {
+    sim::Simulator simulator;
+    router::NatDevice nat(simulator, config.device);
+    game::CsServer server(simulator, config.game, nat.injector());
+    nat.Start();
+    server.Start();
+    simulator.RunUntil(config.duration);
+  }
+  EXPECT_EQ(metrics.counter_value("server.packets_emitted"), result.server.packets_emitted);
+  EXPECT_EQ(metrics.counter_value("nat.livelock_episodes"),
+            static_cast<std::uint64_t>(result.livelock_episodes));
 }
 
 TEST(ObsExport, TraceJsonRoundTripsThroughAParser) {

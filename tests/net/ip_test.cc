@@ -51,7 +51,9 @@ TEST_P(Ipv4ParseTest, Parse) {
   const auto& c = GetParam();
   const auto parsed = Ipv4Address::Parse(c.text);
   EXPECT_EQ(parsed.has_value(), c.ok) << c.text;
-  if (c.ok && parsed) EXPECT_EQ(parsed->value(), c.value) << c.text;
+  if (c.ok && parsed) {
+    EXPECT_EQ(parsed->value(), c.value) << c.text;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

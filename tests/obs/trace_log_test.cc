@@ -90,29 +90,5 @@ TEST(TraceLog, JsonRoundTripHasChromeShape) {
   EXPECT_EQ(counter.at("args").at("value").number, 21.0);
 }
 
-TEST(TraceLog, ScopedSpanUsesInstalledClock) {
-  TraceLog log;
-  double now = 4.0;
-  log.SetClock([&now] { return now; });
-  {
-    const ScopedSpan span(&log, "run", "run");
-    now = 9.0;
-  }
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_DOUBLE_EQ(log.events()[0].ts_us, 4e6);
-  EXPECT_DOUBLE_EQ(log.events()[0].dur_us, 5e6);
-}
-
-TEST(TraceLog, ScopedSpanIsNoOpWithoutLogOrClock) {
-  {
-    const ScopedSpan null_span(nullptr, "a", "run");
-  }
-  TraceLog clockless;
-  {
-    const ScopedSpan span(&clockless, "a", "run");
-  }
-  EXPECT_EQ(clockless.size(), 0u);
-}
-
 }  // namespace
 }  // namespace gametrace::obs
