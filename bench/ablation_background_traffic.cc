@@ -11,8 +11,6 @@
 #include "common.h"
 
 #include "game/qoe.h"
-#include "obs/metrics.h"
-#include "obs/obs.h"
 #include "router/device_stats.h"
 #include "router/nat_device.h"
 #include "sim/simulator.h"
@@ -29,6 +27,7 @@ struct Outcome {
 
 Outcome RunMix(double web_flow_rate, bool qoe_enabled, double duration) {
   using namespace gametrace;
+  bench::SweepPoint point;
   sim::Simulator simulator;
 
   router::NatDevice::Config device;
@@ -79,10 +78,12 @@ Outcome RunMix(double web_flow_rate, bool qoe_enabled, double duration) {
   nat.Start();
   server.Start();
   simulator.RunUntil(duration);
-  if (obs::MetricsRegistry* metrics = obs::Current().metrics; metrics != nullptr) {
+  if (obs::MetricsRegistry* metrics = point.metrics(); metrics != nullptr) {
+    nat.CatchUp();
     server.PublishCounts(*metrics);
     nat.PublishCounts(*metrics);
   }
+  point.Fold(duration + game_cfg.tick_interval);
 
   Outcome out;
   const auto in_offered = nat.stats().packets(router::Segment::kClientsToNat);

@@ -10,8 +10,6 @@
 // delay at *every* hop.
 #include "common.h"
 
-#include "obs/metrics.h"
-#include "obs/obs.h"
 #include "router/topology.h"
 #include "sim/simulator.h"
 
@@ -26,6 +24,7 @@ struct Outcome {
 
 Outcome RunChain(int hops, double capacity_pps, std::size_t buffers, double duration) {
   using namespace gametrace;
+  bench::SweepPoint point;
   sim::Simulator simulator;
   router::DeviceChain::Config cfg;
   for (int i = 0; i < hops; ++i) {
@@ -43,10 +42,14 @@ Outcome RunChain(int hops, double capacity_pps, std::size_t buffers, double dura
   chain.Start();
   server.Start();
   simulator.RunUntil(duration);
-  if (obs::MetricsRegistry* metrics = obs::Current().metrics; metrics != nullptr) {
+  if (obs::MetricsRegistry* metrics = point.metrics(); metrics != nullptr) {
     server.PublishCounts(*metrics);
-    for (std::size_t i = 0; i < chain.hop_count(); ++i) chain.hop(i).PublishCounts(*metrics);
+    for (std::size_t i = 0; i < chain.hop_count(); ++i) {
+      chain.hop(i).CatchUp();
+      chain.hop(i).PublishCounts(*metrics);
+    }
   }
+  point.Fold(duration + game.tick_interval);
 
   Outcome out;
   out.loss_out = chain.end_to_end().loss_rate_out();

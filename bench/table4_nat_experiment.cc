@@ -7,10 +7,7 @@
 #include <cstdlib>
 
 #include "common.h"
-#include "obs/obs.h"
 #include "router/device_stats.h"
-#include "router/nat_device.h"
-#include "sim/simulator.h"
 #include "trace/loss_estimator.h"
 
 int main(int argc, char** argv) {
@@ -26,26 +23,13 @@ int main(int argc, char** argv) {
   bench::PrintScaleBanner("Table IV - NAT experiment (one 30-min map)", config.duration,
                           /*full=*/true);
 
-  const auto result = core::RunNatExperiment(config);
-  const auto& d = result.device;
-
-  // Independent cross-check: re-run and estimate the loss purely from the
-  // netchannel sequence gaps in the *delivered* stream (what a tcpdump on
-  // the far side of the device would see), as a measurement study would.
-  // The re-run is unbound, so none of it reaches the observability exports,
-  // which describe the Table IV run alone.
+  // Independent cross-check: estimate the loss purely from the netchannel
+  // sequence gaps in the *delivered* stream of this same run (what a
+  // tcpdump on the far side of the device would see), as a measurement
+  // study would.
   trace::SeqGapLossEstimator estimator;
-  {
-    const obs::ScopedObsBinding unbound({});
-    sim::Simulator simulator;
-    router::NatDevice nat(simulator, config.device);
-    game::CsServer server(simulator, config.game, nat.injector());
-    nat.SetDeliverCallback(
-        [&](const net::PacketRecord& record, router::Segment) { estimator.OnPacket(record); });
-    nat.Start();
-    server.Start();
-    simulator.RunUntil(config.duration);
-  }
+  const auto result = core::RunNatExperiment(config, &estimator);
+  const auto& d = result.device;
 
   core::TableReport table("TABLE IV: NAT EXPERIMENT");
   table.AddRow("-- Outgoing Traffic --", "");

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "net/packet_batch.h"
 #include "obs/exporter.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -54,6 +55,12 @@ struct RunParts {
     server->PublishCounts(metrics);
     if (nat != nullptr) nat->PublishCounts(metrics);
   }
+
+  // Brings the device's counts up to the current instant, so a flight
+  // sample or the end of a run publishes them at Now().
+  void CatchUp() const {
+    if (nat != nullptr) nat->CatchUp();
+  }
 };
 
 // Installs the stderr progress printer on `simulator`. The parts are
@@ -89,11 +96,10 @@ void InstallHeartbeat(sim::Simulator& simulator, RunParts parts, double duration
 
 // Schedules the flight-recorder sampling pulse: every sampling period the
 // ambient registry (refreshed with the simulator's queue high-water mark)
-// is copied, the NAT device's registry is merged into the copy (reading it
-// brings the device up to the sampling instant; its packet counters drive
-// the meltdown rule), the parts' counts are published into it, and the
-// copy is snapshotted into the recorder. The watchdog then catches up on
-// the new snapshot.
+// is copied, the parts are brought up to the sampling instant and their
+// counts published into the copy (the NAT device's packet counts drive
+// the meltdown rule), and the copy is snapshotted into the recorder. The
+// watchdog then catches up on the new snapshot.
 void InstallFlightSampling(sim::Simulator& simulator, const obs::ObsContext& ctx,
                            RunParts parts) {
   if (ctx.recorder == nullptr || ctx.metrics == nullptr) return;
@@ -109,7 +115,7 @@ void InstallFlightSampling(sim::Simulator& simulator, const obs::ObsContext& ctx
                     // period a multiple of the server tick for this.
                     metrics->AdvanceRingsTo(t);
                     obs::MetricsRegistry view = *metrics;
-                    if (parts.nat != nullptr) view.Merge(parts.nat->stats().metrics());
+                    parts.CatchUp();
                     parts.PublishCounts(view);
                     recorder->Sample(t, std::move(view));
                     if (watchdog != nullptr) watchdog->CatchUp(*recorder);
@@ -118,8 +124,8 @@ void InstallFlightSampling(sim::Simulator& simulator, const obs::ObsContext& ctx
 
 // The run harness of RunServerTrace and RunNatExperiment. Schedules the
 // heartbeat and the flight sampling, starts the server and runs the
-// simulator to `duration` under one "run" span. Afterwards the device's
-// registry, the parts' counts and the simulator's own accounting go into
+// simulator to `duration` under one "run" span. Afterwards the parts'
+// counts (at the end instant) and the simulator's own accounting go into
 // the ambient registry.
 void RunHarnessed(sim::Simulator& simulator, RunParts parts, const char* span_name,
                   double duration, double tick_interval) {
@@ -138,7 +144,7 @@ void RunHarnessed(sim::Simulator& simulator, RunParts parts, const char* span_na
 
   if (ctx.metrics == nullptr) return;
   obs::MetricsRegistry& metrics = *ctx.metrics;
-  if (parts.nat != nullptr) metrics.Merge(parts.nat->stats().metrics());
+  parts.CatchUp();
   parts.PublishCounts(metrics);
   metrics.counter("sim.events_executed").Add(simulator.events_executed());
   metrics.gauge("sim.queue.high_water", obs::Gauge::MergeMode::kMax)
@@ -203,7 +209,8 @@ NatExperimentConfig NatExperimentConfig::Defaults() {
   return cfg;
 }
 
-NatExperimentResult RunNatExperiment(const NatExperimentConfig& config) {
+NatExperimentResult RunNatExperiment(const NatExperimentConfig& config,
+                                     trace::CaptureSink* delivered) {
   config.game.Validate();
   sim::Simulator simulator;
   router::NatDevice nat(simulator, config.device);
@@ -218,8 +225,11 @@ NatExperimentResult RunNatExperiment(const NatExperimentConfig& config) {
         [&server](net::Ipv4Address ip, std::uint16_t port) {
           server.DisconnectByEndpoint(ip, port, /*orderly=*/true);
         });
+  }
+  if (qoe || delivered != nullptr) {
     nat.SetDeliverCallback([&](const net::PacketRecord& record, router::Segment) {
-      qoe->OnDelivered(record);
+      if (qoe) qoe->OnDelivered(record);
+      if (delivered != nullptr) delivered->OnColumns(net::PacketRow(record).View());
     });
   }
 

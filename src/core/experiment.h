@@ -78,6 +78,10 @@ struct NatExperimentResult {
   stats::TimeSeries players{0.0, 60.0};
 };
 
-[[nodiscard]] NatExperimentResult RunNatExperiment(const NatExperimentConfig& config);
+// Runs the experiment. A non-null `delivered` sees every packet the device
+// forwards, in both directions, at its delivery instant: the stream a
+// capture on the far side of the device would record.
+[[nodiscard]] NatExperimentResult RunNatExperiment(const NatExperimentConfig& config,
+                                                   trace::CaptureSink* delivered = nullptr);
 
 }  // namespace gametrace::core

@@ -1,6 +1,5 @@
 #include "obs/exporter.h"
 
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
@@ -40,70 +39,6 @@ void EnvDefault(const char* name, std::string& value) {
   if (const char* env = std::getenv(name)) value = env;  // NOLINT(concurrency-mt-unsafe)
 }
 
-bool ParseFiniteDouble(std::string_view text, double& value) {
-  const std::string copy(text);
-  char* end = nullptr;
-  const double parsed = std::strtod(copy.c_str(), &end);
-  if (end == nullptr || end == copy.c_str() || *end != '\0' || !std::isfinite(parsed)) {
-    return false;
-  }
-  value = parsed;
-  return true;
-}
-
-// "<metric>,<quantile>,<limit>" -> a kSketchQuantile rule named
-// "slo.quantile.<metric>". Malformed specs are rejected whole.
-bool ParseQuantileSlo(std::string_view spec, std::vector<SloRule>& rules) {
-  const std::size_t first = spec.find(',');
-  if (first == std::string_view::npos) return false;
-  const std::size_t second = spec.find(',', first + 1);
-  if (second == std::string_view::npos) return false;
-  const std::string_view metric = spec.substr(0, first);
-  double quantile = 0.0;
-  double threshold = 0.0;
-  if (metric.empty() ||
-      !ParseFiniteDouble(spec.substr(first + 1, second - first - 1), quantile) ||
-      !ParseFiniteDouble(spec.substr(second + 1), threshold) || quantile <= 0.0 ||
-      quantile >= 1.0) {
-    return false;
-  }
-  rules.push_back(SloRule{
-      .name = "slo.quantile." + std::string(metric),
-      .metric = std::string(metric),
-      .signal = SloRule::Signal::kSketchQuantile,
-      .direction = SloRule::Direction::kAbove,
-      .threshold = threshold,
-      .quantile = quantile,
-      .description = "user quantile SLO (--quantile-slo / GAMETRACE_QUANTILE_SLO)",
-  });
-  return true;
-}
-
-// "<metric>,<limit>" -> a kRingHurstMid rule named "slo.hurst.<metric>".
-bool ParseHurstSlo(std::string_view spec, std::vector<SloRule>& rules) {
-  const std::size_t comma = spec.find(',');
-  if (comma == std::string_view::npos) return false;
-  const std::string_view metric = spec.substr(0, comma);
-  double threshold = 0.0;
-  if (metric.empty() || !ParseFiniteDouble(spec.substr(comma + 1), threshold)) return false;
-  rules.push_back(SloRule{
-      .name = "slo.hurst." + std::string(metric),
-      .metric = std::string(metric),
-      .signal = SloRule::Signal::kRingHurstMid,
-      .direction = SloRule::Direction::kAbove,
-      .threshold = threshold,
-      .description = "user Hurst SLO (--hurst-slo / GAMETRACE_HURST_SLO)",
-  });
-  return true;
-}
-
-bool HasSignal(const std::vector<SloRule>& rules, SloRule::Signal signal) {
-  for (const SloRule& rule : rules) {
-    if (rule.signal == signal) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 bool ExportOptions::TryParseFlag(std::string_view arg) {
@@ -118,12 +53,6 @@ bool ExportOptions::TryParseFlag(std::string_view arg) {
   if (ParseStringFlag(arg, "--flight-dump=", dump_path)) return true;
   if (arg.starts_with("--flight-sample=")) {
     return ParsePositiveSeconds(arg.substr(16), sample_period_seconds);
-  }
-  if (arg.starts_with("--quantile-slo=")) {
-    return ParseQuantileSlo(arg.substr(15), extra_rules);
-  }
-  if (arg.starts_with("--hurst-slo=")) {
-    return ParseHurstSlo(arg.substr(12), extra_rules);
   }
   return false;
 }
@@ -144,20 +73,6 @@ void ExportOptions::ApplyEnvDefaults() {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): startup-only, single-threaded
   if (const char* env = std::getenv("GAMETRACE_FLIGHT_SAMPLE")) {
     ParsePositiveSeconds(env, sample_period_seconds);
-  }
-  // Environment SLOs fill in only when no flag already added a rule of the
-  // same kind, mirroring the path flags above.
-  if (!HasSignal(extra_rules, SloRule::Signal::kSketchQuantile)) {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): startup-only, single-threaded
-    if (const char* env = std::getenv("GAMETRACE_QUANTILE_SLO")) {
-      ParseQuantileSlo(env, extra_rules);
-    }
-  }
-  if (!HasSignal(extra_rules, SloRule::Signal::kRingHurstMid)) {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): startup-only, single-threaded
-    if (const char* env = std::getenv("GAMETRACE_HURST_SLO")) {
-      ParseHurstSlo(env, extra_rules);
-    }
   }
 }
 
@@ -187,7 +102,6 @@ ExportSession::ExportSession(ExportOptions options) : options_(std::move(options
       .sample_period_seconds = options_.sample_period_seconds,
   });
   watchdog_ = WatchdogEngine(WatchdogEngine::BuiltinRules());
-  for (const SloRule& rule : options_.extra_rules) watchdog_.AddRule(rule);
   // The guard enforces one active session at a time, which the ledger's
   // single `run` root relies on, so it goes first.
   dump_guard_.emplace(options_.dump_path);

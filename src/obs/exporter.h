@@ -27,15 +27,6 @@
 //   --sched-trace-out=<json>
 //                           GAMETRACE_SCHED_TRACE_OUT
 //                           fleet worker timeline (Chrome trace_event)
-//   --quantile-slo=<metric>,<q>,<limit>
-//                           GAMETRACE_QUANTILE_SLO  extra watchdog rule:
-//                           alert when quantile q of sketch <metric>
-//                           exceeds <limit> (e.g. client.bandwidth.kbps,
-//                           0.99,56)
-//   --hurst-slo=<metric>,<limit>
-//                           GAMETRACE_HURST_SLO     extra watchdog rule:
-//                           alert when the mid-scale Hurst of ring
-//                           <metric> exceeds <limit>
 //
 // A session with no output requested binds nothing and costs nothing -
 // benches without flags run exactly as before. An active session always
@@ -50,7 +41,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/flight_recorder.h"
 #include "obs/ledger.h"
@@ -79,9 +69,6 @@ struct ExportOptions {
   // the session is active.
   std::string dump_path = "flight_dump.json";
   double sample_period_seconds = 60.0;
-  // Extra watchdog rules parsed from --quantile-slo= / --hurst-slo= (or
-  // their environment fallbacks); appended after the builtin rule set.
-  std::vector<SloRule> extra_rules;
 
   // Consumes one "--<name>=<value>" observability flag; returns false (and
   // leaves the options untouched) for anything else, so front-ends can

@@ -4,8 +4,10 @@
 // metrics and trace events go; deep components (CsServer, NatDevice)
 // just ask "what is the current context?" at construction, for the trace
 // log and for the sketch and ring instruments they feed. Their counts stay
-// in their own fields until the run harness (core/experiment.cc)
-// publishes them into the registry.
+// in their own fields (CsServer's Stats, NatDevice's DeviceStats) until
+// the run harness (core/experiment.cc) publishes them into the registry;
+// no component outside src/obs caches a counter or gauge (gt_lint
+// mirrored-count).
 // The binding is thread-local so that fleet shards - one worker thread per
 // shard slot at any moment - each observe their own registry and trace
 // log, and the per-shard results reduce deterministically afterwards.

@@ -87,7 +87,6 @@ class WatchdogEngine {
   WatchdogEngine() = default;
   explicit WatchdogEngine(std::vector<SloRule> rules) : rules_(std::move(rules)) {}
 
-  void AddRule(SloRule rule) { rules_.push_back(std::move(rule)); }
   [[nodiscard]] const std::vector<SloRule>& rules() const noexcept { return rules_; }
 
   // The paper-threshold rule set described in the header comment.

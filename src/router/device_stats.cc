@@ -1,6 +1,7 @@
 #include "router/device_stats.h"
 
 #include <string>
+#include <utility>
 
 namespace gametrace::router {
 
@@ -34,49 +35,16 @@ const char* SegmentSlug(Segment s) noexcept {
 
 DeviceStats::DeviceStats(double interval)
     : series_{stats::TimeSeries(0.0, interval), stats::TimeSeries(0.0, interval),
-              stats::TimeSeries(0.0, interval), stats::TimeSeries(0.0, interval)} {
-  BindCounters();
-}
-
-DeviceStats::DeviceStats(const DeviceStats& other)
-    : metrics_(other.metrics_),
-      series_{other.series_[0], other.series_[1], other.series_[2], other.series_[3]},
-      delay_(other.delay_),
-      delay_quantiles_(other.delay_quantiles_) {
-  BindCounters();
-}
-
-DeviceStats& DeviceStats::operator=(const DeviceStats& other) {
-  if (this == &other) return *this;
-  metrics_ = other.metrics_;
-  for (int i = 0; i < kSegmentCount; ++i) series_[i] = other.series_[i];
-  delay_ = other.delay_;
-  delay_quantiles_ = other.delay_quantiles_;
-  BindCounters();
-  return *this;
-}
-
-void DeviceStats::BindCounters() {
-  for (int i = 0; i < kSegmentCount; ++i) {
-    const std::string base = std::string("nat.") + SegmentSlug(static_cast<Segment>(i));
-    packets_[i] = &metrics_.counter(base + ".packets");
-    drops_[i] = &metrics_.counter(base + ".drops");
-  }
-  offered_ = &metrics_.counter("nat.device.packets");
-  dropped_ = &metrics_.counter("nat.device.drops");
-}
+              stats::TimeSeries(0.0, interval), stats::TimeSeries(0.0, interval)} {}
 
 void DeviceStats::Count(Segment segment, double t) {
   const auto i = static_cast<int>(segment);
-  packets_[i]->Add();
-  if (segment == Segment::kServerToNat || segment == Segment::kClientsToNat) offered_->Add();
+  ++packets_[i];
   series_[i].Add(t, 1.0);
 }
 
-void DeviceStats::CountDrop(Segment arrival_segment, double t) {
-  drops_[static_cast<int>(arrival_segment)]->Add();
-  dropped_->Add();
-  (void)t;
+void DeviceStats::CountDrop(Segment arrival_segment) noexcept {
+  ++drops_[static_cast<int>(arrival_segment)];
 }
 
 void DeviceStats::RecordDelay(double seconds) {
@@ -85,11 +53,42 @@ void DeviceStats::RecordDelay(double seconds) {
 }
 
 std::uint64_t DeviceStats::packets(Segment s) const noexcept {
-  return packets_[static_cast<int>(s)]->value();
+  return packets_[static_cast<int>(s)];
 }
 
 std::uint64_t DeviceStats::drops(Segment arrival_segment) const noexcept {
-  return drops_[static_cast<int>(arrival_segment)]->value();
+  return drops_[static_cast<int>(arrival_segment)];
+}
+
+std::size_t DeviceStats::high_water(Segment entry_segment) const noexcept {
+  return high_water_[static_cast<int>(entry_segment)];
+}
+
+void DeviceStats::PublishCounts(obs::MetricsRegistry& metrics) const {
+  std::uint64_t dropped = 0;
+  for (int i = 0; i < kSegmentCount; ++i) {
+    const std::string base = std::string("nat.") + SegmentSlug(static_cast<Segment>(i));
+    metrics.counter(base + ".packets").Add(packets_[i]);
+    metrics.counter(base + ".drops").Add(drops_[i]);
+    dropped += drops_[i];
+  }
+  constexpr int lan = static_cast<int>(Segment::kServerToNat);
+  constexpr int wan = static_cast<int>(Segment::kClientsToNat);
+  metrics.counter("nat.device.packets").Add(packets_[lan] + packets_[wan]);
+  metrics.counter("nat.device.drops").Add(dropped);
+  for (const auto& [prefix, i] : {std::pair{"nat.lan_q", lan}, std::pair{"nat.wan_q", wan}}) {
+    const std::string base(prefix);
+    metrics.counter(base + ".pushes").Add(packets_[i] - drops_[i]);
+    metrics.counter(base + ".drops").Add(drops_[i]);
+    metrics.gauge(base + ".high_water", obs::Gauge::MergeMode::kMax)
+        .SetMax(static_cast<double>(high_water_[i]));
+  }
+}
+
+obs::MetricsRegistry DeviceStats::metrics() const {
+  obs::MetricsRegistry metrics;
+  PublishCounts(metrics);
+  return metrics;
 }
 
 const stats::TimeSeries& DeviceStats::load_series(Segment s) const noexcept {

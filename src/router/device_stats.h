@@ -3,13 +3,13 @@
 // around the device, plus queueing-delay statistics (moments and a
 // relative-error quantile sketch for the p50/p99 tail).
 //
-// Counts are stored in an embedded obs::MetricsRegistry (counters
-// "nat.<segment>.packets" / "nat.<segment>.drops"), so a NAT run's device
-// accounting shows up in --metrics-out exports and merges like any other
-// registry; the packets()/drops() accessors below are thin reads over
-// cached counter references.
+// Each fact is a plain field, counted once: packets and drops per segment,
+// and the high-water mark of each entry segment's queue. Everything else a
+// metrics export shows is derived from them when PublishCounts writes the
+// "nat.*" names into a registry (DESIGN.md section 9, "Wiring").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "obs/metrics.h"
@@ -40,17 +40,19 @@ class DeviceStats {
   // plots per-second loads in Figs 14-15).
   explicit DeviceStats(double interval = 1.0);
 
-  // Result structs copy DeviceStats by value; the cached counter pointers
-  // must re-bind into the copied registry, hence the custom copies.
-  DeviceStats(const DeviceStats& other);
-  DeviceStats& operator=(const DeviceStats& other);
-
   void Count(Segment segment, double t);
-  void CountDrop(Segment arrival_segment, double t);
+  void CountDrop(Segment arrival_segment) noexcept;
+  // A packet joined the queue of `entry_segment`, which now holds
+  // `occupancy` packets.
+  void RecordOccupancy(Segment entry_segment, std::size_t occupancy) noexcept {
+    std::size_t& high_water = high_water_[static_cast<int>(entry_segment)];
+    if (occupancy > high_water) high_water = occupancy;
+  }
   void RecordDelay(double seconds);
 
   [[nodiscard]] std::uint64_t packets(Segment s) const noexcept;
   [[nodiscard]] std::uint64_t drops(Segment arrival_segment) const noexcept;
+  [[nodiscard]] std::size_t high_water(Segment entry_segment) const noexcept;
   [[nodiscard]] const stats::TimeSeries& load_series(Segment s) const noexcept;
 
   // Table IV loss rates: fraction of packets entering on a segment that
@@ -63,28 +65,24 @@ class DeviceStats {
   [[nodiscard]] double delay_p50() const { return delay_quantiles_.Quantile(0.50); }
   [[nodiscard]] double delay_p99() const { return delay_quantiles_.Quantile(0.99); }
 
-  // The backing registry (segment counters plus anything bound into it,
-  // e.g. the NAT device's queue instruments). Mutable access exists so
-  // NatDevice can register its queues alongside the segment counters.
-  [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
-  [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
+  // Writes every device name into `metrics`: counters
+  // "nat.<segment>.{packets,drops}", "nat.device.packets" (what entered the
+  // device, the pps axis of Table IV and of the meltdown SLO rule),
+  // "nat.device.drops", "nat.{lan,wan}_q.{pushes,drops}" (a queue's pushes
+  // are its entry segment's arrivals minus its drops) and the kMax gauges
+  // "nat.{lan,wan}_q.high_water". Counters Add, gauges SetMax, so devices
+  // published into one registry accumulate.
+  void PublishCounts(obs::MetricsRegistry& metrics) const;
+  // A registry holding exactly what PublishCounts writes.
+  [[nodiscard]] obs::MetricsRegistry metrics() const;
 
  private:
-  void BindCounters();
-
-  obs::MetricsRegistry metrics_;
-  obs::Counter* packets_[kSegmentCount] = {};
-  obs::Counter* drops_[kSegmentCount] = {};
-  // Device-wide totals: "nat.device.packets" counts everything *offered*
-  // to the device (the two entry segments - the pps axis of Table IV, and
-  // what the meltdown SLO rule watches); "nat.device.drops" counts every
-  // drop regardless of arrival segment.
-  obs::Counter* offered_ = nullptr;
-  obs::Counter* dropped_ = nullptr;
+  std::uint64_t packets_[kSegmentCount] = {};
+  std::uint64_t drops_[kSegmentCount] = {};
+  // Indexed by segment; only the two entry segments have a queue.
+  std::size_t high_water_[kSegmentCount] = {};
   stats::TimeSeries series_[kSegmentCount];
   stats::RunningStats delay_;
-  // Plain member, not registered in metrics_: device_metrics JSON carries
-  // only the segment counters and the device's queue instruments.
   stats::QuantileSketch delay_quantiles_;
 };
 

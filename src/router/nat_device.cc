@@ -72,14 +72,10 @@ NatDevice::NatDevice(sim::Simulator& simulator, const Config& config)
       wan_q_(config.wan_buffer),
       stats_(config.stats_interval),
       injector_(*this),
-      trace_(obs::Current().trace) {
-  // The queue instruments live next to the segment counters, so one
-  // metrics export describes the whole device.
-  lan_q_.BindMetrics(stats_.metrics(), "nat.lan_q");
-  wan_q_.BindMetrics(stats_.metrics(), "nat.wan_q");
-}
+      trace_(obs::Current().trace) {}
 
 void NatDevice::PublishCounts(obs::MetricsRegistry& metrics) const {
+  stats_.PublishCounts(metrics);
   metrics.counter("nat.livelock_episodes").Add(static_cast<std::uint64_t>(episodes_));
 }
 
@@ -89,23 +85,15 @@ void NatDevice::SetDeliverCallback(DeliverFn fn) {
   Rearm();
 }
 
+void NatDevice::CatchUp() { Touch(Horizon::kAt); }
+
 const DeviceStats& NatDevice::stats() {
-  Touch(Horizon::kAt);
+  CatchUp();
   return stats_;
 }
 
-const FifoQueue& NatDevice::lan_queue() {
-  Touch(Horizon::kAt);
-  return lan_q_;
-}
-
-const FifoQueue& NatDevice::wan_queue() {
-  Touch(Horizon::kAt);
-  return wan_q_;
-}
-
 std::size_t NatDevice::nat_table_size() {
-  Touch(Horizon::kAt);
+  CatchUp();
   return nat_table_.size();
 }
 
@@ -295,10 +283,12 @@ void NatDevice::Arrive(std::uint32_t row) {
     if (nat_table_.Insert(key, next_external_port_)) ++next_external_port_;
   }
 
-  if (!(from_lan ? lan_q_ : wan_q_).TryPush(row)) {
+  FifoQueue& queue = from_lan ? lan_q_ : wan_q_;
+  if (!queue.TryPush(row)) {
     Drop(row, arrival);
     return;
   }
+  stats_.RecordOccupancy(arrival, queue.size());
   TryBeginService(packet.at);
 }
 
@@ -354,7 +344,7 @@ void NatDevice::Complete() {
 void NatDevice::Drop(std::uint32_t row, Segment arrival_segment) {
   const double at = rows_[row].at;
   GT_CHECK_EQ(at, simulator_->Now()) << "NatDevice: drop processed away from its own instant";
-  stats_.CountDrop(arrival_segment, at);
+  stats_.CountDrop(arrival_segment);
   if (trace_ != nullptr) {
     trace_->Instant(arrival_segment == Segment::kClientsToNat ? "nat_drop_incoming"
                                                               : "nat_drop_outgoing",

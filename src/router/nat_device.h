@@ -25,6 +25,10 @@
 // (CsServer::InduceStall), which is what correlates the Figure 15 dropouts
 // with incoming loss.
 //
+// The device's counts live in DeviceStats fields; PublishCounts writes
+// them, and what derives from them, into a registry when the run harness
+// asks (DESIGN.md section 9, "Wiring").
+//
 // The device runs its own queueing in time order instead of scheduling a
 // simulator event per arrival and per service completion. Injected rows
 // wait in a pending-arrival buffer sorted by (arrival time, injection
@@ -102,15 +106,19 @@ class NatDevice {
   // the same instant arrive in injection order.
   [[nodiscard]] trace::CaptureSink& injector() noexcept { return injector_; }
 
+  // Brings the device up to the current simulation time: every event due
+  // before Now(), and those due at Now() up to the first one a callback
+  // observes (that one runs at its own armed event).
+  void CatchUp();
+
   // Reads bring the device up to the current simulation time first.
   [[nodiscard]] const DeviceStats& stats();
-  [[nodiscard]] const FifoQueue& lan_queue();
-  [[nodiscard]] const FifoQueue& wan_queue();
   [[nodiscard]] std::size_t nat_table_size();
   [[nodiscard]] int livelock_episodes() const noexcept { return episodes_; }
 
-  // Adds the episode count to `metrics` as nat.livelock_episodes; the
-  // segment and queue accounting lives in stats().metrics().
+  // Writes the device's counts into `metrics`: every "nat.*" name of
+  // DeviceStats::PublishCounts plus nat.livelock_episodes. Reads fields
+  // only, as they stand; CatchUp() first for counts at Now().
   void PublishCounts(obs::MetricsRegistry& metrics) const;
 
  private:

@@ -128,7 +128,7 @@ class CaptureSink {
   virtual void OnColumns(const net::PacketBatch& batch) = 0;
 
   // Record-at-a-time adapters for producers that hold one record (web
-  // traffic, NAT loss callbacks, pcap readers): OnPacket delivers a one-row
+  // traffic, pcap readers): OnPacket delivers a one-row
   // view, OnBatch one row per record. No library sink overrides them.
   virtual void OnPacket(const net::PacketRecord& record) {
     OnColumns(net::PacketRow(record).View());

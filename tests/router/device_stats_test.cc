@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/rng.h"
 
 namespace gametrace::router {
@@ -55,24 +56,73 @@ TEST(DeviceStats, LossRateZeroWhenEmpty) {
 
 TEST(DeviceStats, DropsTracked) {
   DeviceStats stats(1.0);
-  stats.CountDrop(Segment::kClientsToNat, 0.0);
-  stats.CountDrop(Segment::kClientsToNat, 0.1);
-  stats.CountDrop(Segment::kServerToNat, 0.2);
+  stats.CountDrop(Segment::kClientsToNat);
+  stats.CountDrop(Segment::kClientsToNat);
+  stats.CountDrop(Segment::kServerToNat);
   EXPECT_EQ(stats.drops(Segment::kClientsToNat), 2u);
   EXPECT_EQ(stats.drops(Segment::kServerToNat), 1u);
 }
 
-TEST(DeviceStats, AccessorsAreThinReadsOverTheRegistry) {
+TEST(DeviceStats, MetricsAgreeWithTheAccessors) {
   DeviceStats stats(1.0);
   stats.Count(Segment::kClientsToNat, 0.5);
   stats.Count(Segment::kClientsToNat, 0.6);
-  stats.CountDrop(Segment::kServerToNat, 0.7);
-  EXPECT_EQ(stats.metrics().counter_value("nat.clients_to_nat.packets"), 2u);
-  EXPECT_EQ(stats.metrics().counter_value("nat.server_to_nat.drops"), 1u);
+  stats.CountDrop(Segment::kServerToNat);
+  const obs::MetricsRegistry metrics = stats.metrics();
+  EXPECT_EQ(metrics.counter_value("nat.clients_to_nat.packets"), 2u);
+  EXPECT_EQ(metrics.counter_value("nat.server_to_nat.drops"), 1u);
   EXPECT_EQ(stats.packets(Segment::kClientsToNat),
-            stats.metrics().counter_value("nat.clients_to_nat.packets"));
-  EXPECT_EQ(stats.drops(Segment::kServerToNat),
-            stats.metrics().counter_value("nat.server_to_nat.drops"));
+            metrics.counter_value("nat.clients_to_nat.packets"));
+  EXPECT_EQ(stats.drops(Segment::kServerToNat), metrics.counter_value("nat.server_to_nat.drops"));
+}
+
+TEST(DeviceStats, HighWaterKeepsTheLargestOccupancy) {
+  DeviceStats stats(1.0);
+  for (std::size_t n = 1; n <= 7; ++n) stats.RecordOccupancy(Segment::kServerToNat, n);
+  for (std::size_t n = 1; n <= 3; ++n) stats.RecordOccupancy(Segment::kServerToNat, n);
+  stats.RecordOccupancy(Segment::kClientsToNat, 2);
+  EXPECT_EQ(stats.high_water(Segment::kServerToNat), 7u);
+  EXPECT_EQ(stats.high_water(Segment::kClientsToNat), 2u);
+}
+
+// Queue and device names are derived from the segment counts when they are
+// published, never counted a second time.
+TEST(DeviceStats, PublishCountsDerivesQueueAndDeviceNames) {
+  DeviceStats stats(1.0);
+  for (int i = 0; i < 10; ++i) stats.Count(Segment::kServerToNat, 0.0);
+  for (int i = 0; i < 7; ++i) stats.Count(Segment::kNatToClients, 0.0);
+  for (int i = 0; i < 3; ++i) stats.CountDrop(Segment::kServerToNat);
+  for (int i = 0; i < 20; ++i) stats.Count(Segment::kClientsToNat, 0.0);
+  for (int i = 0; i < 15; ++i) stats.Count(Segment::kNatToServer, 0.0);
+  for (int i = 0; i < 5; ++i) stats.CountDrop(Segment::kClientsToNat);
+  stats.RecordOccupancy(Segment::kServerToNat, 4);
+  stats.RecordOccupancy(Segment::kClientsToNat, 9);
+
+  obs::MetricsRegistry metrics;
+  stats.PublishCounts(metrics);
+  EXPECT_EQ(metrics.counter_count(), 14u);
+  EXPECT_EQ(metrics.gauge_count(), 2u);
+  EXPECT_EQ(metrics.counter_value("nat.lan_q.pushes"), 7u);
+  EXPECT_EQ(metrics.counter_value("nat.lan_q.drops"), 3u);
+  EXPECT_EQ(metrics.counter_value("nat.wan_q.pushes"), 15u);
+  EXPECT_EQ(metrics.counter_value("nat.wan_q.drops"), 5u);
+  EXPECT_EQ(metrics.counter_value("nat.device.packets"), 30u);
+  EXPECT_EQ(metrics.counter_value("nat.device.drops"), 8u);
+  EXPECT_DOUBLE_EQ(metrics.gauge_value("nat.lan_q.high_water"), 4.0);
+  EXPECT_DOUBLE_EQ(metrics.gauge_value("nat.wan_q.high_water"), 9.0);
+  EXPECT_EQ(metrics.ToJson(), stats.metrics().ToJson());
+
+  // Two devices published into one registry: counts add, high water is
+  // the larger of the two.
+  DeviceStats other(1.0);
+  other.Count(Segment::kServerToNat, 0.0);
+  other.RecordOccupancy(Segment::kServerToNat, 1);
+  other.RecordOccupancy(Segment::kClientsToNat, 12);
+  other.PublishCounts(metrics);
+  EXPECT_EQ(metrics.counter_value("nat.server_to_nat.packets"), 11u);
+  EXPECT_EQ(metrics.counter_value("nat.lan_q.pushes"), 8u);
+  EXPECT_DOUBLE_EQ(metrics.gauge_value("nat.lan_q.high_water"), 4.0);
+  EXPECT_DOUBLE_EQ(metrics.gauge_value("nat.wan_q.high_water"), 12.0);
 }
 
 TEST(DeviceStats, SegmentSlugs) {
@@ -80,29 +130,6 @@ TEST(DeviceStats, SegmentSlugs) {
   EXPECT_STREQ(SegmentSlug(Segment::kNatToClients), "nat_to_clients");
   EXPECT_STREQ(SegmentSlug(Segment::kClientsToNat), "clients_to_nat");
   EXPECT_STREQ(SegmentSlug(Segment::kNatToServer), "nat_to_server");
-}
-
-TEST(DeviceStats, CopyRebindsCachedCounters) {
-  DeviceStats original(1.0);
-  original.Count(Segment::kClientsToNat, 0.1);
-
-  // Copies (result structs return DeviceStats by value) must re-bind the
-  // cached counter pointers into their own registry: updating the copy may
-  // not bleed into the original, and vice versa.
-  DeviceStats copy(original);
-  EXPECT_EQ(copy.packets(Segment::kClientsToNat), 1u);
-  copy.Count(Segment::kClientsToNat, 0.2);
-  copy.Count(Segment::kNatToServer, 0.3);
-  EXPECT_EQ(copy.packets(Segment::kClientsToNat), 2u);
-  EXPECT_EQ(copy.packets(Segment::kNatToServer), 1u);
-  EXPECT_EQ(original.packets(Segment::kClientsToNat), 1u);
-  EXPECT_EQ(original.packets(Segment::kNatToServer), 0u);
-
-  DeviceStats assigned(5.0);
-  assigned = original;
-  assigned.CountDrop(Segment::kClientsToNat, 0.4);
-  EXPECT_EQ(assigned.drops(Segment::kClientsToNat), 1u);
-  EXPECT_EQ(original.drops(Segment::kClientsToNat), 0u);
 }
 
 TEST(DeviceStats, DelayStatistics) {

@@ -27,8 +27,6 @@ TEST(FifoQueue, DropTailWhenFull) {
   EXPECT_TRUE(q.TryPush(2));
   EXPECT_TRUE(q.full());
   EXPECT_FALSE(q.TryPush(3));
-  EXPECT_EQ(q.drops(), 1u);
-  EXPECT_EQ(q.pushes(), 3u);
   EXPECT_EQ(q.size(), 3u);
   // The survivors are the first three (drop-tail, not drop-head).
   EXPECT_EQ(q.Pop(), 0u);
@@ -40,22 +38,6 @@ TEST(FifoQueue, SpaceReopensAfterPop) {
   EXPECT_FALSE(q.TryPush(1));
   (void)q.Pop();
   EXPECT_TRUE(q.TryPush(2));
-}
-
-TEST(FifoQueue, MaxOccupancyTracked) {
-  FifoQueue q(10);
-  for (std::uint32_t i = 0; i < 7; ++i) (void)q.TryPush(i);
-  for (int i = 0; i < 7; ++i) (void)q.Pop();
-  for (std::uint32_t i = 0; i < 3; ++i) (void)q.TryPush(i);
-  EXPECT_EQ(q.max_occupancy(), 7u);
-}
-
-TEST(FifoQueue, OccupancyStatsAtPush) {
-  FifoQueue q(100);
-  for (std::uint32_t i = 0; i < 10; ++i) (void)q.TryPush(i);
-  // Occupancies seen at push: 0,1,...,9 -> mean 4.5.
-  EXPECT_DOUBLE_EQ(q.occupancy_at_push().mean(), 4.5);
-  EXPECT_EQ(q.occupancy_at_push().count(), 10u);
 }
 
 TEST(FifoQueue, RowIdsPreservedAcrossGrowthAndWrap) {

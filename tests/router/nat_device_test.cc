@@ -4,9 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "game/config.h"
+#include "game/cs_server.h"
 #include "net/packet_batch.h"
+#include "obs/metrics.h"
 
 namespace gametrace::router {
 namespace {
@@ -129,6 +134,70 @@ TEST(NatDevice, LanBufferOverflowDropsOutgoing) {
   EXPECT_EQ(nat.stats().drops(Segment::kServerToNat), 5u);
   EXPECT_EQ(nat.stats().packets(Segment::kNatToClients), 5u);
   EXPECT_NEAR(nat.stats().loss_rate_outgoing(), 0.5, 1e-9);
+  // The first packet went straight to service; four filled the queue and
+  // the rest were dropped at its tail.
+  const obs::MetricsRegistry metrics = nat.stats().metrics();
+  EXPECT_EQ(metrics.counter_value("nat.lan_q.pushes"), 5u);
+  EXPECT_EQ(metrics.counter_value("nat.lan_q.drops"), 5u);
+  EXPECT_EQ(nat.stats().high_water(Segment::kServerToNat), 4u);
+  EXPECT_EQ(nat.stats().high_water(Segment::kClientsToNat), 0u);
+}
+
+// One writer for every device name: after a short overloaded server run,
+// NatDevice::PublishCounts alone fills an empty registry with all 17
+// "nat.*" names, and the derived ones agree with the segment counts.
+TEST(NatDevice, PublishCountsWritesEveryDeviceName) {
+  game::GameConfig game = game::GameConfig::PaperDefaults();
+  game.trace_duration = 120.0;
+  game.maps.map_duration = 180.0;
+  game.sessions.initial_players = 20;
+  game.outages.times.clear();
+  const NatDevice::Config cfg;
+  sim::Simulator s;
+  NatDevice nat(s, cfg);
+  game::CsServer server(s, game, nat.injector());
+  nat.Start();
+  server.Start();
+  s.RunUntil(game.trace_duration);
+  nat.CatchUp();
+
+  obs::MetricsRegistry metrics;
+  nat.PublishCounts(metrics);
+  std::vector<std::string> names;
+  metrics.ForEachCounter([&](std::string_view name, const obs::Counter&) {
+    names.emplace_back(name);
+  });
+  metrics.ForEachGauge([&](std::string_view name, const obs::Gauge&) {
+    names.emplace_back(name);
+  });
+  const std::vector<std::string> expected = {
+      "nat.clients_to_nat.drops", "nat.clients_to_nat.packets", "nat.device.drops",
+      "nat.device.packets",       "nat.lan_q.drops",            "nat.lan_q.pushes",
+      "nat.livelock_episodes",    "nat.nat_to_clients.drops",   "nat.nat_to_clients.packets",
+      "nat.nat_to_server.drops",  "nat.nat_to_server.packets",  "nat.server_to_nat.drops",
+      "nat.server_to_nat.packets", "nat.wan_q.drops",           "nat.wan_q.pushes",
+      "nat.lan_q.high_water",     "nat.wan_q.high_water"};
+  EXPECT_EQ(names, expected);
+
+  const auto count = [&metrics](const std::string& name) { return metrics.counter_value(name); };
+  EXPECT_GT(count("nat.lan_q.drops"), 0u);
+  EXPECT_GT(count("nat.wan_q.drops"), 0u);
+  EXPECT_EQ(count("nat.lan_q.pushes") + count("nat.lan_q.drops"),
+            count("nat.server_to_nat.packets"));
+  EXPECT_EQ(count("nat.wan_q.pushes") + count("nat.wan_q.drops"),
+            count("nat.clients_to_nat.packets"));
+  EXPECT_EQ(count("nat.device.packets"),
+            count("nat.server_to_nat.packets") + count("nat.clients_to_nat.packets"));
+  std::uint64_t drops = 0;
+  for (int i = 0; i < kSegmentCount; ++i) {
+    drops += count(std::string("nat.") + SegmentSlug(static_cast<Segment>(i)) + ".drops");
+  }
+  EXPECT_EQ(count("nat.device.drops"), drops);
+  EXPECT_EQ(count("nat.livelock_episodes"), static_cast<std::uint64_t>(nat.livelock_episodes()));
+  EXPECT_GT(metrics.gauge_value("nat.lan_q.high_water"), 0.0);
+  EXPECT_LE(metrics.gauge_value("nat.lan_q.high_water"), static_cast<double>(cfg.lan_buffer));
+  EXPECT_GT(metrics.gauge_value("nat.wan_q.high_water"), 0.0);
+  EXPECT_LE(metrics.gauge_value("nat.wan_q.high_water"), static_cast<double>(cfg.wan_buffer));
 }
 
 TEST(NatDevice, LanBurstStarvesWanRing) {

@@ -335,6 +335,44 @@ class RuleTests(unittest.TestCase):
         self.assertNotIn("raw-mutex", rules_of(kept))
 
 
+    def test_mirrored_count_fires_on_cached_instrument_members(self):
+        for member in ("obs::Counter* drops_ = nullptr;",
+                       "obs::Counter* packets_[kSegments] = {};",
+                       "gametrace::obs::Gauge& high_water_;"):
+            self.check_fires(
+                "src/router/queue.h",
+                f"""
+                #include "obs/metrics.h"
+                class Queue {{
+                 public:
+                  void Bind(obs::MetricsRegistry& registry);
+                 private:
+                  {member}
+                }};
+                """,
+                "mirrored-count",
+                clean_variant="""
+                #include "obs/metrics.h"
+                class Queue {
+                 public:
+                  void Publish(obs::MetricsRegistry& registry) const {
+                    obs::Counter* drops = &registry.counter("q.drops");
+                    drops->Add(drops_);
+                  }
+                  obs::Counter& counter(std::string_view name);
+                 private:
+                  std::uint64_t drops_ = 0;
+                };
+                """)
+
+    def test_mirrored_count_exempts_src_obs(self):
+        rel = self.tree.write(
+            "src/obs/watch.h",
+            "struct Watch {\n  obs::Counter* fired_ = nullptr;\n};\n")
+        kept, _ = self.tree.lint(rel)
+        self.assertNotIn("mirrored-count", rules_of(kept))
+
+
 class OrphanModuleTests(unittest.TestCase):
     """A src/ header only tests include is dead code."""
 

@@ -40,6 +40,12 @@ determinism and locking contracts stay compile-time artifacts:
                     orphan module - a module that only tests reach is
                     dead code. The finding sits on the header's
                     `#pragma once` line.
+  mirrored-count    No obs::Counter* / obs::Gauge* (or reference) data
+                    member in src/ outside src/obs/. A component counts in
+                    its own fields and a run harness publishes them into a
+                    registry (DESIGN.md section 9, "Wiring"); a cached
+                    instrument pointer is a second, mirrored copy of a
+                    fact the component already holds.
 
 The rules run on comment/string-stripped source (a built-in lexer), so
 the tool needs nothing beyond Python and runs everywhere.
@@ -66,7 +72,7 @@ from dataclasses import dataclass, field
 # ---------------------------------------------------------------------------
 
 RULES = ("nondet-call", "nondet-iteration", "sink-tier", "raw-contract", "raw-mutex",
-         "orphan-module")
+         "orphan-module", "mirrored-count")
 
 # Directories whose merge/emit paths must be deterministic.
 DETERMINISM_DIRS = ("src/core", "src/stats", "src/trace", "src/obs")
@@ -112,6 +118,15 @@ RAW_SYNC_EXEMPT_FILES = ("src/core/thread_annotations.h",)
 PRODUCTION_DIRS = ("src", "bench", "examples", "perfbench")
 CXX_SUFFIXES = (".h", ".cc", ".cpp")
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+
+# mirrored-count: an instrument pointer or reference declared as a data
+# member (a declaration ending in `;`, optionally an array or with an
+# initializer), outside function bodies. src/obs/ owns the instruments.
+MIRRORED_MEMBER_RE = re.compile(
+    r"(?<![\w:])(?:::\s*)?(?:gametrace\s*::\s*)?obs\s*::\s*(Counter|Gauge)\s*[*&]"
+    r"\s*(?:const\s+)?[A-Za-z_]\w*\s*(?:\[[^\];]*\]\s*)?(?:=?\s*\{[^;}]*\}\s*|=[^;{]*)?;"
+)
+MIRRORED_EXEMPT_DIR = "src/obs/"
 
 SUPPRESS_RE = re.compile(r"gt-lint:\s*allow\(([\w,\- ]+)\)\s*(\S.*)?")
 
@@ -489,6 +504,7 @@ class LexEngine:
         findings += self._rule_raw_contract(relpath, raw, clean)
         findings += self._rule_raw_mutex(relpath, raw, clean)
         findings += self._rule_orphan_module(relpath, raw)
+        findings += self._rule_mirrored_count(relpath, raw, clean, spans)
         return findings
 
     def _emit_spans(self, spans: list[FunctionSpan]) -> list[FunctionSpan]:
@@ -644,6 +660,21 @@ class LexEngine:
                     "use core::Mutex / core::MutexLock / core::CondVar from "
                     "core/thread_annotations.h",
                     normalize_anchor(line_text(raw, m.start()))))
+        return findings
+
+    def _rule_mirrored_count(self, relpath, raw, clean, spans) -> list[Finding]:
+        if not relpath.startswith("src/") or relpath.startswith(MIRRORED_EXEMPT_DIR):
+            return []
+        findings = []
+        for m in MIRRORED_MEMBER_RE.finditer(clean):
+            if enclosing_function(spans, m.start()) is not None:
+                continue  # a local, not a member
+            findings.append(Finding(
+                "mirrored-count", relpath, line_of(clean, m.start()),
+                f"cached obs::{m.group(1)} data member - count in a plain field "
+                "and publish it into a registry from the run harness; a "
+                "mirrored instrument counts the same fact twice",
+                normalize_anchor(line_text(raw, m.start()))))
         return findings
 
     def _orphan_headers(self) -> set[str]:
