@@ -27,7 +27,9 @@ struct Outcome {
 
 Outcome RunMix(double web_flow_rate, bool qoe_enabled, double duration) {
   using namespace gametrace;
-  bench::SweepPoint point;
+  const obs::ObsContext ambient = obs::Current();
+  obs::ShardScope point(ambient, /*shard_id=*/0);
+  const auto bind = point.Bind();
   sim::Simulator simulator;
 
   router::NatDevice::Config device;
@@ -78,12 +80,10 @@ Outcome RunMix(double web_flow_rate, bool qoe_enabled, double duration) {
   nat.Start();
   server.Start();
   simulator.RunUntil(duration);
-  if (obs::MetricsRegistry* metrics = point.metrics(); metrics != nullptr) {
-    nat.CatchUp();
-    server.PublishCounts(*metrics);
-    nat.PublishCounts(*metrics);
-  }
-  point.Fold(duration + game_cfg.tick_interval);
+  nat.CatchUp();
+  server.PublishCounts(point.metrics());
+  nat.PublishCounts(point.metrics());
+  point.metrics().AdvanceRingsTo(duration + game_cfg.tick_interval);
 
   Outcome out;
   const auto in_offered = nat.stats().packets(router::Segment::kClientsToNat);
@@ -100,6 +100,7 @@ Outcome RunMix(double web_flow_rate, bool qoe_enabled, double duration) {
   out.final_players = server.player_series().values().empty()
                           ? 0.0
                           : server.player_series().values().back();
+  std::move(point).MergeInto(ambient);
   return out;
 }
 

@@ -24,7 +24,9 @@ struct Outcome {
 
 Outcome RunChain(int hops, double capacity_pps, std::size_t buffers, double duration) {
   using namespace gametrace;
-  bench::SweepPoint point;
+  const obs::ObsContext ambient = obs::Current();
+  obs::ShardScope point(ambient, /*shard_id=*/0);
+  const auto bind = point.Bind();
   sim::Simulator simulator;
   router::DeviceChain::Config cfg;
   for (int i = 0; i < hops; ++i) {
@@ -42,20 +44,19 @@ Outcome RunChain(int hops, double capacity_pps, std::size_t buffers, double dura
   chain.Start();
   server.Start();
   simulator.RunUntil(duration);
-  if (obs::MetricsRegistry* metrics = point.metrics(); metrics != nullptr) {
-    server.PublishCounts(*metrics);
-    for (std::size_t i = 0; i < chain.hop_count(); ++i) {
-      chain.hop(i).CatchUp();
-      chain.hop(i).PublishCounts(*metrics);
-    }
+  server.PublishCounts(point.metrics());
+  for (std::size_t i = 0; i < chain.hop_count(); ++i) {
+    chain.hop(i).CatchUp();
+    chain.hop(i).PublishCounts(point.metrics());
   }
-  point.Fold(duration + game.tick_interval);
+  point.metrics().AdvanceRingsTo(duration + game.tick_interval);
 
   Outcome out;
   out.loss_out = chain.end_to_end().loss_rate_out();
   out.loss_in = chain.end_to_end().loss_rate_in();
   out.mean_delay_ms = chain.end_to_end().delay_out.mean() * 1e3;
   out.max_delay_ms = chain.end_to_end().delay_out.max() * 1e3;
+  std::move(point).MergeInto(ambient);
   return out;
 }
 

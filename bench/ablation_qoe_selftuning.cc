@@ -26,7 +26,12 @@ gametrace::core::NatExperimentResult RunVariant(bool qoe, double duration) {
   cfg.device.mean_capacity_pps = 780.0;  // below the ~850 pps offered
   cfg.device.episode_mean_interval = 0.0;
   cfg.enable_qoe = qoe;
-  return core::RunNatExperiment(cfg);
+  const obs::ObsContext ambient = obs::Current();
+  obs::ShardScope point(ambient, /*shard_id=*/0);
+  const auto bind = point.Bind();
+  auto result = core::RunNatExperiment(cfg);
+  std::move(point).MergeInto(ambient);
+  return result;
 }
 
 }  // namespace

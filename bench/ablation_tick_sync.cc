@@ -30,6 +30,9 @@ Outcome RunVariant(const Variant& variant, double duration) {
   cfg.broadcast_spread = variant.spread;
   if (!variant.rotate_maps) cfg.maps.map_duration = duration + 120.0;
 
+  const obs::ObsContext ambient = obs::Current();
+  obs::ShardScope point(ambient, /*shard_id=*/0);
+  const auto bind = point.Bind();
   core::CharacterizationOptions options;
   options.vt_window = duration;
   core::Characterizer characterizer(options);
@@ -58,6 +61,7 @@ Outcome RunVariant(const Variant& variant, double duration) {
     }
   }
   out.burst_ratio = (off > 0.0 && on_n > 0) ? (on / on_n) / (off / off_n) : 0.0;
+  std::move(point).MergeInto(ambient);
   return out;
 }
 

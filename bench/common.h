@@ -22,7 +22,6 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -31,8 +30,7 @@
 #include "core/report.h"
 #include "game/config.h"
 #include "obs/exporter.h"
-#include "obs/metrics.h"
-#include "obs/obs.h"
+#include "obs/shard_scope.h"
 
 namespace gametrace::bench {
 
@@ -67,40 +65,6 @@ inline void PrintSeries(std::ostream& out, const stats::TimeSeries& series,
 // at destruction. Without outputs it binds nothing, so the bench runs
 // exactly as before.
 using ObsSession = obs::ExportSession;
-
-// One point of a parameter sweep, run the way RunFleet runs a shard: under
-// a registry of its own, which the point's components bind to at
-// construction and publish into after the run. Fold() then advances its
-// rings to the end-of-run grid and merges it into the ambient registry, so
-// no two points share a ring's timeline. Binds nothing when no registry is
-// bound. Construct it before the point's components.
-class SweepPoint {
- public:
-  SweepPoint() : ambient_(obs::Current().metrics) {
-    if (ambient_ == nullptr) return;
-    obs::ObsContext context = obs::Current();
-    context.metrics = &metrics_;
-    binding_.emplace(context);
-  }
-
-  // The point's registry; null when no registry is bound.
-  [[nodiscard]] obs::MetricsRegistry* metrics() noexcept {
-    return ambient_ != nullptr ? &metrics_ : nullptr;
-  }
-
-  // `end` is the run harness's end-of-run grid position: the run's
-  // duration plus one server tick.
-  void Fold(double end) {
-    if (ambient_ == nullptr) return;
-    metrics_.AdvanceRingsTo(end);
-    ambient_->Merge(metrics_);
-  }
-
- private:
-  obs::MetricsRegistry* ambient_;
-  obs::MetricsRegistry metrics_;
-  std::optional<obs::ScopedObsBinding> binding_;
-};
 
 struct CharacterizedRun {
   double duration;

@@ -13,6 +13,7 @@
 #include "game/client.h"
 #include "obs/obs.h"
 #include "obs/ledger.h"
+#include "obs/shard_scope.h"
 #include "obs/watchdog.h"
 #include "sim/rng.h"
 #include "trace/capture.h"
@@ -25,12 +26,10 @@ namespace {
 // Everything one shard produces, parked until the merge cursor reaches it.
 struct ServerResult {
   std::uint64_t seed = 0;
-  game::CsServer::Stats stats;
+  game::CsServer::Stats stats{};
   stats::TimeSeries players{0.0, 60.0};
-  std::optional<Characterizer> partial;
-  obs::MetricsRegistry metrics;
-  std::optional<obs::TraceLog> trace;
-  std::optional<obs::FlightRecorder> recorder;
+  std::optional<Characterizer> partial{};
+  obs::ShardScope scope;
 };
 
 // A contiguous run of shards executed as one schedulable task. Per-server
@@ -114,10 +113,11 @@ void RunWorkers(int workers, FunctionRef<void(int)> body) {
 // by m_.
 class StreamingReduction {
  public:
-  StreamingReduction(int servers, int window_units)
+  StreamingReduction(int servers, int window_units, const obs::ObsContext& ambient)
       : window_units_(window_units),
         parked_(static_cast<std::size_t>(window_units)),
-        shard_outcomes_(static_cast<std::size_t>(servers)) {}
+        shard_outcomes_(static_cast<std::size_t>(servers)),
+        merged_(ambient, /*shard_id=*/0) {}
 
   // Admission: holds the *claimed* unit until it fits the live window.
   // Waiting here (not before claiming) is what bounds memory - the unit's
@@ -184,25 +184,19 @@ class StreamingReduction {
     std::optional<stats::TimeSeries> total_players;
     std::vector<ShardOutcome> shard_outcomes;
     std::uint64_t total_packets = 0;
-    obs::MetricsRegistry metrics;
-    obs::TraceLog trace;
-    obs::FlightRecorder recorder;
+    obs::ShardScope merged;
     std::uint64_t merged_units = 0;
     int peak_live_units = 0;
   };
   [[nodiscard]] Harvest TakeResults() GT_EXCLUDES(m_) {
     const core::MutexLock lock(m_);
-    Harvest h;
-    h.master = std::move(master_);
-    h.total_players = std::move(total_players_);
-    h.shard_outcomes = std::move(shard_outcomes_);
-    h.total_packets = total_packets_;
-    h.metrics = std::move(merged_metrics_);
-    h.trace = std::move(merged_trace_);
-    h.recorder = std::move(merged_recorder_);
-    h.merged_units = merged_units_;
-    h.peak_live_units = peak_live_units_;
-    return h;
+    return Harvest{.master = std::move(master_),
+                   .total_players = std::move(total_players_),
+                   .shard_outcomes = std::move(shard_outcomes_),
+                   .total_packets = total_packets_,
+                   .merged = std::move(merged_),
+                   .merged_units = merged_units_,
+                   .peak_live_units = peak_live_units_};
   }
 
  private:
@@ -221,9 +215,7 @@ class StreamingReduction {
       shard_outcomes_[static_cast<std::size_t>(server)] =
           ShardOutcome{server, r.seed, r.stats};
       total_packets_ += r.stats.packets_emitted;
-      merged_metrics_.Merge(r.metrics);
-      merged_trace_.Merge(std::move(*r.trace));
-      if (r.recorder.has_value()) merged_recorder_.Merge(*r.recorder);
+      std::move(r.scope).MergeInto(merged_.context());
       ++server;
     }
   }
@@ -243,9 +235,7 @@ class StreamingReduction {
   std::optional<stats::TimeSeries> total_players_ GT_GUARDED_BY(m_);
   std::vector<ShardOutcome> shard_outcomes_ GT_GUARDED_BY(m_);
   std::uint64_t total_packets_ GT_GUARDED_BY(m_) = 0;
-  obs::MetricsRegistry merged_metrics_ GT_GUARDED_BY(m_);
-  obs::TraceLog merged_trace_ GT_GUARDED_BY(m_);
-  obs::FlightRecorder merged_recorder_ GT_GUARDED_BY(m_);
+  obs::ShardScope merged_ GT_GUARDED_BY(m_);
 };
 
 }  // namespace
@@ -302,9 +292,6 @@ FleetResult RunFleet(const FleetConfig& config) {
   const int workers = ResolveWorkerCount(units, config.threads);
   const int window_units = 2 * workers;
 
-  // Category defaults of the ambient trace log (when one is bound) carry
-  // over to the shard logs, so e.g. enabling "tick" upstream enables it in
-  // every shard.
   const obs::ObsContext ambient = obs::Current();
 
   // ---- Scheduler state ---------------------------------------------------
@@ -312,7 +299,7 @@ FleetResult RunFleet(const FleetConfig& config) {
   // claimed in ascending order (relaxed: it only hands out indices; the
   // results are published through the reduction's mutex).
   std::atomic<int> next_unit{0};
-  StreamingReduction reduction(servers, window_units);
+  StreamingReduction reduction(servers, window_units, ambient);
   std::vector<WorkerTelemetry> telemetry(static_cast<std::size_t>(workers));
 
   // ---- Scheduler timeline (diagnostic channel) ---------------------------
@@ -335,7 +322,7 @@ FleetResult RunFleet(const FleetConfig& config) {
 
   // ---- One shard, exactly as a standalone run would execute it -----------
   auto run_server = [&](int server) {
-    ServerResult r;
+    ServerResult r{.scope = obs::ShardScope(ambient, server, config.trace_max_events)};
     game::GameConfig server_config = config.server;
     server_config.seed =
         sim::SubstreamSeed(config.base_seed, static_cast<std::uint64_t>(server));
@@ -350,24 +337,7 @@ FleetResult RunFleet(const FleetConfig& config) {
         game::ShardIpShift(static_cast<std::uint32_t>(server), population);
     r.seed = server_config.seed;
     r.partial.emplace(config.analysis);
-    r.trace.emplace(/*pid=*/server, config.trace_max_events);
-    if (ambient.trace != nullptr) {
-      r.trace->SetCategoryEnabled("tick", ambient.trace->CategoryEnabled("tick"));
-    }
-    // An ambient flight recorder sets the sampling grid; every shard then
-    // records its own snapshot stream on that grid. Shards never run a
-    // watchdog or flush Prometheus - alerting and exposition happen once,
-    // against the merged stream.
-    if (ambient.recorder != nullptr) r.recorder.emplace(ambient.recorder->options());
-    // Each shard observes its own registry and log (folded below in shard
-    // order); only shard 0 may keep the operator heartbeat, so an N-way
-    // run does not interleave N pulses on stderr.
-    const obs::ScopedObsBinding bind(
-        {.metrics = &r.metrics,
-         .trace = &*r.trace,
-         .recorder = r.recorder.has_value() ? &*r.recorder : nullptr,
-         .shard_id = server,
-         .heartbeat = ambient.heartbeat && server == 0});
+    const auto bind = r.scope.Bind();
     auto run = RunServerTrace(server_config, *r.partial);
     r.stats = run.stats;
     r.players = std::move(run.players);
@@ -455,20 +425,29 @@ FleetResult RunFleet(const FleetConfig& config) {
   GT_CHECK_EQ(harvest.merged_units, static_cast<std::uint64_t>(units))
       << "RunFleet: scheduler lost work units (internal bug)";
 
+  obs::ShardScope& merged = harvest.merged;
+  // Bounded-buffer trace loss would otherwise be invisible in the merged
+  // registry: the per-shard drop counts only live inside the TraceLog.
+  merged.metrics().counter("obs.trace.dropped_events").Add(merged.trace().dropped());
+  // A copy folds into the caller's ambient context; alert once over it.
+  if (ambient.metrics != nullptr || ambient.trace != nullptr || ambient.recorder != nullptr) {
+    obs::ShardScope(merged).MergeInto(ambient);
+  }
+  if (ambient.recorder != nullptr && ambient.watchdog != nullptr) {
+    ambient.watchdog->CatchUp(*ambient.recorder);
+  }
+
   FleetResult result{.report = harvest.master->Finish(config.server.trace_duration),
                      .shards = std::move(harvest.shard_outcomes),
                      .total_players = std::move(*harvest.total_players),
                      .total_packets = harvest.total_packets,
                      .threads_used = workers,
-                     .metrics = std::move(harvest.metrics),
-                     .trace_log = std::move(harvest.trace),
-                     .recorder = std::move(harvest.recorder),
+                     .metrics = std::move(merged.metrics()),
+                     .trace_log = std::move(merged.trace()),
+                     .recorder = std::move(merged.recorder()).value_or(obs::FlightRecorder()),
                      .scheduler_metrics = {},
                      .sched_report = {},
                      .sched_trace = obs::TraceLog()};
-  // Bounded-buffer trace loss would otherwise be invisible in the merged
-  // registry: the per-shard drop counts only live inside the TraceLog.
-  result.metrics.counter("obs.trace.dropped_events").Add(result.trace_log.dropped());
 
   // Scheduler telemetry is worker-count-dependent by construction, so it
   // goes in its own registry - result.metrics, the flight stream and the
@@ -524,19 +503,6 @@ FleetResult RunFleet(const FleetConfig& config) {
     for (obs::TraceLog& track : sched_tracks) {
       result.sched_trace.Merge(std::move(track));
     }
-  }
-
-  // Flow into the caller's ambient context too, so a bound --metrics-out /
-  // --trace-out export sees the fleet without extra plumbing.
-  if (ambient.metrics != nullptr) ambient.metrics->Merge(result.metrics);
-  if (ambient.trace != nullptr) {
-    obs::TraceLog copy = result.trace_log;
-    ambient.trace->Merge(std::move(copy));
-  }
-  if (ambient.recorder != nullptr) {
-    ambient.recorder->Merge(result.recorder);
-    // Alert once, over the merged deterministic stream.
-    if (ambient.watchdog != nullptr) ambient.watchdog->CatchUp(*ambient.recorder);
   }
   return result;
 }

@@ -98,16 +98,12 @@ struct FleetResult {
   stats::TimeSeries total_players{0.0, 60.0};
   std::uint64_t total_packets = 0;
   int threads_used = 0;
-  // Per-shard observability, reduced in shard order: the merged registry is
-  // bit-identical for any worker-thread count, and the trace log keeps each
-  // event's originating shard as its pid. Both also flow into the caller's
-  // ambient obs context, when one is bound.
+  // Every shard's obs::ShardScope folded in shard order; a copy also folds
+  // into the caller's ambient context. Byte-identical at any worker count.
+  // The log keeps each event's shard as its pid; the recorder is empty
+  // unless the ambient context binds one.
   obs::MetricsRegistry metrics;
   obs::TraceLog trace_log;
-  // Shard flight recorders merged snapshot-by-snapshot in shard order;
-  // empty unless the ambient context binds a recorder (which sets the
-  // sampling grid every shard follows). Byte-identical JSONL at any worker
-  // count, like `metrics`.
   obs::FlightRecorder recorder;
   // Scheduler telemetry: fleet.worker.<i>.{work_ns,admission_stall_ns,
   // merge_ns,span_ns,idle_ns,shards_run,units_run} counters,

@@ -114,7 +114,6 @@ ExportSession::ExportSession(ExportOptions options) : options_(std::move(options
       .recorder = &recorder_,
       .watchdog = &watchdog_,
       .prom_path = options_.prom_path.empty() ? nullptr : options_.prom_path.c_str(),
-      .shard_id = 0,
       .heartbeat = true,
   });
 }

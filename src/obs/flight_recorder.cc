@@ -23,6 +23,8 @@ FlightRecorder::FlightRecorder(Options options) : options_(options) {
 }
 
 void FlightRecorder::Sample(double t_seconds, MetricsRegistry metrics) {
+  GT_CHECK(snapshots_.empty() || t_seconds > snapshots_.back().t_seconds)
+      << "FlightRecorder::Sample: t = " << t_seconds << " s is not after the last sample";
   snapshots_.push_back(Snapshot{t_seconds, std::move(metrics)});
   ++total_samples_;
   while (snapshots_.size() > options_.max_snapshots) snapshots_.pop_front();

@@ -63,9 +63,9 @@ class FlightRecorder {
 
   // Records `metrics` (a copy the caller built, taken by value so merged
   // views can be moved in) as the sample at sim-time `t_seconds`, evicting
-  // the oldest snapshot once the ring is full. Timestamps normally arrive
-  // in increasing order but are not required to - a front-end replaying
-  // several runs into one recorder restarts the clock.
+  // the oldest snapshot once the ring is full. Timestamps strictly increase
+  // (GT_CHECK enforced); runs that each start at t = 0 sample recorders of
+  // their own and fold them with Merge (obs::ShardScope).
   void Sample(double t_seconds, MetricsRegistry metrics);
 
   // Snapshots currently held (<= max_snapshots).

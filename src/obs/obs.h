@@ -9,14 +9,12 @@
 // no component outside src/obs caches a counter or gauge (gt_lint
 // mirrored-count).
 // The binding is thread-local so that fleet shards - one worker thread per
-// shard slot at any moment - each observe their own registry and trace
-// log, and the per-shard results reduce deterministically afterwards.
+// shard slot at any moment - each observe an obs::ShardScope of their own,
+// as sweep points do, and the scopes fold deterministically afterwards:
 //
-//   obs::MetricsRegistry metrics;
-//   obs::TraceLog trace(/*pid=*/shard_id);
-//   obs::ScopedObsBinding bind({.metrics = &metrics, .trace = &trace,
-//                               .shard_id = shard_id, .heartbeat = false});
-//   ... core::RunServerTrace(config, sink); publishes into `metrics` ...
+//   obs::ShardScope scope(obs::Current(), shard_id);
+//   { const auto bind = scope.Bind(); core::RunServerTrace(config, sink); }
+//   std::move(scope).MergeInto(obs::Current());  // folds into the ambient
 //
 // A default-constructed context (all null) is always valid: components
 // fall back to registering into nothing, which costs a null check at
@@ -36,17 +34,16 @@ struct ObsContext {
   // Live telemetry (see obs/flight_recorder.h, obs/watchdog.h): when a
   // recorder is bound, runs sample `metrics` into it on a sim-time period;
   // when a watchdog is also bound, SLO rules are evaluated against each new
-  // snapshot as it lands. Fleet shards get their own recorder and no
+  // snapshot as it lands. A ShardScope binds its own recorder and no
   // watchdog - alerts are evaluated once, on the merged stream.
   FlightRecorder* recorder = nullptr;
   WatchdogEngine* watchdog = nullptr;
   // Destination for the heartbeat's periodic Prometheus text flush (null =
   // no flush). Borrowed; the binder keeps the string alive.
   const char* prom_path = nullptr;
-  int shard_id = 0;
   // Whether long runs started under this context may print wall-clock
-  // heartbeats to stderr. The fleet runner turns this off for shards > 0
-  // so an 8-way run does not print eight interleaved heartbeats.
+  // heartbeats to stderr. A ShardScope turns this off for shards > 0 so
+  // an 8-way fleet does not print eight interleaved heartbeats.
   bool heartbeat = true;
 };
 

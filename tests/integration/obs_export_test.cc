@@ -34,7 +34,7 @@ ObservedRun RunObserved(double duration, bool tick_spans = false) {
   ObservedRun run;
   if (tick_spans) run.trace.SetCategoryEnabled("tick", true);
   const obs::ScopedObsBinding bind(
-      {.metrics = &run.metrics, .trace = &run.trace, .shard_id = 0, .heartbeat = false});
+      {.metrics = &run.metrics, .trace = &run.trace, .heartbeat = false});
   const auto config = game::GameConfig::ScaledDefaults(duration);
   trace::CountingSink sink;
   run.result = core::RunServerTrace(config, sink);

@@ -76,6 +76,24 @@ TEST(FlightRecorder, OptionsAreValidated) {
       ContractViolation);
 }
 
+// One recorder follows one clock. A sample at or before the last one is a
+// run that restarted its clock in a shared recorder; such runs sample
+// recorders of their own and fold them with Merge.
+TEST(FlightRecorder, SampleRejectsRepeatedOrEarlierTimestamps) {
+  FlightRecorder recorder(
+      FlightRecorder::Options{.sample_period_seconds = 60.0, .max_snapshots = 1});
+  recorder.Sample(60.0, MakeRegistry(1, 1));
+  recorder.Sample(120.0, MakeRegistry(2, 1));  // evicts t = 60
+  EXPECT_THROW(recorder.Sample(120.0, MakeRegistry(3, 1)), ContractViolation);
+  EXPECT_THROW(recorder.Sample(90.0, MakeRegistry(3, 1)), ContractViolation);
+  EXPECT_THROW(recorder.Sample(60.0, MakeRegistry(3, 1)), ContractViolation);
+  // The rejected samples left the ring as it was.
+  EXPECT_EQ(recorder.total_samples(), 2u);
+  EXPECT_EQ(recorder.latest().t_seconds, 120.0);
+  recorder.Sample(180.0, MakeRegistry(3, 1));
+  EXPECT_EQ(recorder.latest().t_seconds, 180.0);
+}
+
 TEST(FlightRecorder, MergeReducesSnapshotwise) {
   FlightRecorder a;
   FlightRecorder b;

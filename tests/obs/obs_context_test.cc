@@ -14,7 +14,6 @@ TEST(ObsContext, DefaultContextIsAllNull) {
   const ObsContext& ctx = Current();
   EXPECT_EQ(ctx.metrics, nullptr);
   EXPECT_EQ(ctx.trace, nullptr);
-  EXPECT_EQ(ctx.shard_id, 0);
   EXPECT_TRUE(ctx.heartbeat);
 }
 
@@ -22,11 +21,9 @@ TEST(ObsContext, BindingInstallsAndRestores) {
   MetricsRegistry metrics;
   TraceLog trace(/*pid=*/5);
   {
-    const ScopedObsBinding bind(
-        {.metrics = &metrics, .trace = &trace, .shard_id = 5, .heartbeat = false});
+    const ScopedObsBinding bind({.metrics = &metrics, .trace = &trace, .heartbeat = false});
     EXPECT_EQ(Current().metrics, &metrics);
     EXPECT_EQ(Current().trace, &trace);
-    EXPECT_EQ(Current().shard_id, 5);
     EXPECT_FALSE(Current().heartbeat);
   }
   EXPECT_EQ(Current().metrics, nullptr);
@@ -36,19 +33,19 @@ TEST(ObsContext, BindingInstallsAndRestores) {
 TEST(ObsContext, BindingsNest) {
   MetricsRegistry outer_metrics;
   MetricsRegistry inner_metrics;
-  const ScopedObsBinding outer({.metrics = &outer_metrics, .shard_id = 1});
+  const ScopedObsBinding outer({.metrics = &outer_metrics, .heartbeat = true});
   {
-    const ScopedObsBinding inner({.metrics = &inner_metrics, .shard_id = 2});
+    const ScopedObsBinding inner({.metrics = &inner_metrics, .heartbeat = false});
     EXPECT_EQ(Current().metrics, &inner_metrics);
-    EXPECT_EQ(Current().shard_id, 2);
+    EXPECT_FALSE(Current().heartbeat);
   }
   EXPECT_EQ(Current().metrics, &outer_metrics);
-  EXPECT_EQ(Current().shard_id, 1);
+  EXPECT_TRUE(Current().heartbeat);
 }
 
 TEST(ObsContext, BindingIsThreadLocal) {
   MetricsRegistry metrics;
-  const ScopedObsBinding bind({.metrics = &metrics, .shard_id = 9});
+  const ScopedObsBinding bind({.metrics = &metrics});
   MetricsRegistry* seen = &metrics;
   std::thread worker([&seen] { seen = Current().metrics; });
   worker.join();

@@ -372,6 +372,33 @@ class RuleTests(unittest.TestCase):
         kept, _ = self.tree.lint(rel)
         self.assertNotIn("mirrored-count", rules_of(kept))
 
+    def test_raw_binding_fires_outside_src_obs(self):
+        for use in ("const obs::ScopedObsBinding bind({.metrics = &metrics});",
+                    "std::optional<gametrace::obs::ScopedObsBinding> binding;"):
+            self.check_fires(
+                "src/core/fleet.cc",
+                f"""
+                #include "obs/obs.h"
+                void RunShard(obs::MetricsRegistry& metrics) {{
+                  {use}
+                }}
+                """,
+                "raw-binding",
+                clean_variant="""
+                #include "obs/shard_scope.h"
+                // A comment may name obs::ScopedObsBinding.
+                void RunShard(obs::ShardScope& scope) {
+                  const auto bind = scope.Bind();
+                }
+                """)
+
+    def test_raw_binding_exempts_src_obs_and_other_trees(self):
+        for relpath in ("src/obs/exporter.h", "bench/common.h", "tests/obs/obs_test.cc"):
+            rel = self.tree.write(
+                relpath, "struct S {\n  std::optional<ScopedObsBinding> binding_;\n};\n")
+            kept, _ = self.tree.lint(rel)
+            self.assertNotIn("raw-binding", rules_of(kept), relpath)
+
 
 class OrphanModuleTests(unittest.TestCase):
     """A src/ header only tests include is dead code."""

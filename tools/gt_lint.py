@@ -46,6 +46,12 @@ determinism and locking contracts stay compile-time artifacts:
                     registry (DESIGN.md section 9, "Wiring"); a cached
                     instrument pointer is a second, mirrored copy of a
                     fact the component already holds.
+  raw-binding       obs::ScopedObsBinding is named in src/ only under
+                    src/obs/. A run beside other runs (a fleet shard, a
+                    sweep point) binds an obs::ShardScope and folds it
+                    with ShardScope::MergeInto; a hand-made binding is a
+                    second copy of that job (DESIGN.md section 9,
+                    "Wiring").
 
 The rules run on comment/string-stripped source (a built-in lexer), so
 the tool needs nothing beyond Python and runs everywhere.
@@ -72,7 +78,7 @@ from dataclasses import dataclass, field
 # ---------------------------------------------------------------------------
 
 RULES = ("nondet-call", "nondet-iteration", "sink-tier", "raw-contract", "raw-mutex",
-         "orphan-module", "mirrored-count")
+         "orphan-module", "mirrored-count", "raw-binding")
 
 # Directories whose merge/emit paths must be deterministic.
 DETERMINISM_DIRS = ("src/core", "src/stats", "src/trace", "src/obs")
@@ -126,7 +132,12 @@ MIRRORED_MEMBER_RE = re.compile(
     r"(?<![\w:])(?:::\s*)?(?:gametrace\s*::\s*)?obs\s*::\s*(Counter|Gauge)\s*[*&]"
     r"\s*(?:const\s+)?[A-Za-z_]\w*\s*(?:\[[^\];]*\]\s*)?(?:=?\s*\{[^;}]*\}\s*|=[^;{]*)?;"
 )
-MIRRORED_EXEMPT_DIR = "src/obs/"
+# src/obs/ owns the instruments and the binding guard: exempt from
+# mirrored-count and raw-binding.
+OBS_DIR = "src/obs/"
+
+# raw-binding: the binding guard, named anywhere in src/ outside src/obs/.
+RAW_BINDING_RE = re.compile(r"\bScopedObsBinding\b")
 
 SUPPRESS_RE = re.compile(r"gt-lint:\s*allow\(([\w,\- ]+)\)\s*(\S.*)?")
 
@@ -505,6 +516,7 @@ class LexEngine:
         findings += self._rule_raw_mutex(relpath, raw, clean)
         findings += self._rule_orphan_module(relpath, raw)
         findings += self._rule_mirrored_count(relpath, raw, clean, spans)
+        findings += self._rule_raw_binding(relpath, raw, clean)
         return findings
 
     def _emit_spans(self, spans: list[FunctionSpan]) -> list[FunctionSpan]:
@@ -663,7 +675,7 @@ class LexEngine:
         return findings
 
     def _rule_mirrored_count(self, relpath, raw, clean, spans) -> list[Finding]:
-        if not relpath.startswith("src/") or relpath.startswith(MIRRORED_EXEMPT_DIR):
+        if not relpath.startswith("src/") or relpath.startswith(OBS_DIR):
             return []
         findings = []
         for m in MIRRORED_MEMBER_RE.finditer(clean):
@@ -676,6 +688,18 @@ class LexEngine:
                 "mirrored instrument counts the same fact twice",
                 normalize_anchor(line_text(raw, m.start()))))
         return findings
+
+    def _rule_raw_binding(self, relpath, raw, clean) -> list[Finding]:
+        if not relpath.startswith("src/") or relpath.startswith(OBS_DIR):
+            return []
+        return [
+            Finding(
+                "raw-binding", relpath, line_of(clean, m.start()),
+                "obs::ScopedObsBinding outside src/obs - bind an obs::ShardScope "
+                "and fold it with ShardScope::MergeInto",
+                normalize_anchor(line_text(raw, m.start())))
+            for m in RAW_BINDING_RE.finditer(clean)
+        ]
 
     def _orphan_headers(self) -> set[str]:
         """src/ headers no live production file includes. An include from an
