@@ -79,11 +79,8 @@ Outcome RunMix(double web_flow_rate, bool qoe_enabled, double duration) {
 
   nat.Start();
   server.Start();
-  simulator.RunUntil(duration);
-  nat.CatchUp();
-  server.PublishCounts(point.metrics());
-  nat.PublishCounts(point.metrics());
-  point.metrics().AdvanceRingsTo(duration + game_cfg.tick_interval);
+  router::NatDevice* const devices[] = {&nat};
+  core::RunHarnessed(simulator, server, devices, "background_traffic");
 
   Outcome out;
   const auto in_offered = nat.stats().packets(router::Segment::kClientsToNat);

@@ -10,6 +10,8 @@
 // delay at *every* hop.
 #include "common.h"
 
+#include <vector>
+
 #include "router/topology.h"
 #include "sim/simulator.h"
 
@@ -43,13 +45,9 @@ Outcome RunChain(int hops, double capacity_pps, std::size_t buffers, double dura
   game::CsServer server(simulator, game, chain.injector());
   chain.Start();
   server.Start();
-  simulator.RunUntil(duration);
-  server.PublishCounts(point.metrics());
-  for (std::size_t i = 0; i < chain.hop_count(); ++i) {
-    chain.hop(i).CatchUp();
-    chain.hop(i).PublishCounts(point.metrics());
-  }
-  point.metrics().AdvanceRingsTo(duration + game.tick_interval);
+  std::vector<router::NatDevice*> devices;
+  for (std::size_t i = 0; i < chain.hop_count(); ++i) devices.push_back(&chain.hop(i));
+  core::RunHarnessed(simulator, server, devices, "multihop");
 
   Outcome out;
   out.loss_out = chain.end_to_end().loss_rate_out();

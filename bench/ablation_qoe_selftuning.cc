@@ -20,7 +20,6 @@ namespace {
 gametrace::core::NatExperimentResult RunVariant(bool qoe, double duration) {
   using namespace gametrace;
   auto cfg = core::NatExperimentConfig::Defaults();
-  cfg.duration = duration;
   cfg.game.trace_duration = duration;
   cfg.game.maps.map_duration = duration + 60.0;
   cfg.device.mean_capacity_pps = 780.0;  // below the ~850 pps offered

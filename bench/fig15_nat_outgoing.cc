@@ -12,15 +12,14 @@ int main(int argc, char** argv) {
   using namespace gametrace;
   gametrace::bench::ObsSession obs_session(argc, argv);
   auto config = core::NatExperimentConfig::Defaults();
-  const auto scale = core::ExperimentScale::FromEnv(config.duration);
-  if (scale.duration != config.duration && !scale.full) {
-    config.duration = scale.duration;
+  const auto scale = core::ExperimentScale::FromEnv(config.game.trace_duration);
+  if (scale.duration != config.game.trace_duration && !scale.full) {
     config.game.trace_duration = scale.duration;
     config.game.maps.map_duration = scale.duration + 60.0;
   }
   const auto result = core::RunNatExperiment(config);
-  bench::PrintScaleBanner("Figure 15 - NAT outgoing packet load", config.duration,
-                          /*full=*/true);
+  bench::PrintScaleBanner("Figure 15 - NAT outgoing packet load",
+                          config.game.trace_duration, /*full=*/true);
 
   const auto& offered = result.device.load_series(router::Segment::kServerToNat);
   const auto& delivered = result.device.load_series(router::Segment::kNatToClients);

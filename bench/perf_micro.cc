@@ -675,7 +675,6 @@ BENCHMARK(BM_RouteCacheAccess)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 void BM_NatExperiment(benchmark::State& state) {
   for (auto _ : state) {
     auto cfg = core::NatExperimentConfig::Defaults();
-    cfg.duration = 60.0;
     cfg.game.trace_duration = 60.0;
     cfg.game.maps.map_duration = 120.0;
     const auto result = core::RunNatExperiment(cfg);

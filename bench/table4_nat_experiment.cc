@@ -14,14 +14,13 @@ int main(int argc, char** argv) {
   using namespace gametrace;
   gametrace::bench::ObsSession obs_session(argc, argv);
   auto config = core::NatExperimentConfig::Defaults();
-  const auto scale = core::ExperimentScale::FromEnv(config.duration);
-  if (scale.duration != config.duration && !scale.full) {
-    config.duration = scale.duration;
+  const auto scale = core::ExperimentScale::FromEnv(config.game.trace_duration);
+  if (scale.duration != config.game.trace_duration && !scale.full) {
     config.game.trace_duration = scale.duration;
     config.game.maps.map_duration = scale.duration + 60.0;
   }
-  bench::PrintScaleBanner("Table IV - NAT experiment (one 30-min map)", config.duration,
-                          /*full=*/true);
+  bench::PrintScaleBanner("Table IV - NAT experiment (one 30-min map)",
+                          config.game.trace_duration, /*full=*/true);
 
   // Independent cross-check: estimate the loss purely from the netchannel
   // sequence gaps in the *delivered* stream of this same run (what a

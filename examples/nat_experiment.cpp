@@ -14,16 +14,15 @@ int main(int argc, char** argv) {
 
   core::NatExperimentConfig config = core::NatExperimentConfig::Defaults();
   if (argc > 1) {
-    config.duration = std::stod(argv[1]);
-    config.game.trace_duration = config.duration;
-    config.game.maps.map_duration = config.duration + 60.0;
+    config.game.trace_duration = std::stod(argv[1]);
+    config.game.maps.map_duration = config.game.trace_duration + 60.0;
   }
   if (argc > 2) config.device.mean_capacity_pps = std::stod(argv[2]);
 
   const core::NatExperimentResult result = core::RunNatExperiment(config);
   const auto& d = result.device;
 
-  core::TableReport table("NAT experiment: " + core::FormatDuration(config.duration) +
+  core::TableReport table("NAT experiment: " + core::FormatDuration(config.game.trace_duration) +
                           " behind a " + core::FormatDouble(config.device.mean_capacity_pps, 0) +
                           " pps device");
   table.AddRow("-- Outgoing traffic --", "");

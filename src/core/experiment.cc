@@ -42,24 +42,24 @@ void FlushPrometheus(const char* prom_path, const obs::MetricsRegistry& metrics)
   if (out) obs::WritePrometheusText(metrics, out);
 }
 
-// The components of one run: the server and, in the NAT experiment, the
-// device in front of it. Their counts live in their own fields; the
-// harness copies them into a registry only when one is read.
+// The components of one run: the server and the NAT devices in front of
+// it. Their counts live in their own fields; the harness copies them into
+// a registry only when one is read.
 struct RunParts {
   game::CsServer* server;
-  router::NatDevice* nat;  // null outside the NAT experiment
+  std::span<router::NatDevice* const> devices;  // empty for a bare server
 
   // Reads fields only, so the wall-clock heartbeat may call it without
-  // moving the device's lazy clock.
+  // moving a device's lazy clock. Several devices sum their nat.* counts.
   void PublishCounts(obs::MetricsRegistry& metrics) const {
     server->PublishCounts(metrics);
-    if (nat != nullptr) nat->PublishCounts(metrics);
+    for (const router::NatDevice* device : devices) device->PublishCounts(metrics);
   }
 
-  // Brings the device's counts up to the current instant, so a flight
+  // Brings the devices' counts up to the current instant, so a flight
   // sample or the end of a run publishes them at Now().
   void CatchUp() const {
-    if (nat != nullptr) nat->CatchUp();
+    for (router::NatDevice* device : devices) device->CatchUp();
   }
 };
 
@@ -122,22 +122,21 @@ void InstallFlightSampling(sim::Simulator& simulator, const obs::ObsContext& ctx
                   });
 }
 
-// The run harness of RunServerTrace and RunNatExperiment. Schedules the
-// heartbeat and the flight sampling, starts the server and runs the
-// simulator to `duration` under one "run" span. Afterwards the parts'
-// counts (at the end instant) and the simulator's own accounting go into
-// the ambient registry.
-void RunHarnessed(sim::Simulator& simulator, RunParts parts, const char* span_name,
-                  double duration, double tick_interval) {
+}  // namespace
+
+void RunHarnessed(sim::Simulator& simulator, game::CsServer& server,
+                  std::span<router::NatDevice* const> devices, const char* span_name) {
+  const RunParts parts{.server = &server, .devices = devices};
+  const double duration = server.config().trace_duration;
   const obs::ObsContext& ctx = obs::Current();
   if (ctx.heartbeat) {
     const double interval = ResolveHeartbeatInterval(duration);
     if (interval > 0.0) InstallHeartbeat(simulator, parts, duration, interval);
   }
   InstallFlightSampling(simulator, ctx, parts);
-  // A no-op when the caller has started the server already: the NAT
-  // experiment starts its parts before the pulses are scheduled.
-  parts.server->Start();
+  // A no-op when the caller has started the server already: the NAT runs
+  // start their parts before the pulses are scheduled.
+  server.Start();
   const double t0 = simulator.Now();
   simulator.RunUntil(duration);
   if (ctx.trace != nullptr) ctx.trace->Complete(span_name, "run", t0, simulator.Now());
@@ -153,10 +152,8 @@ void RunHarnessed(sim::Simulator& simulator, RunParts parts, const char* span_na
   // at exactly `duration` and may stamp packets up to one tick later, so
   // advance one tick past the end. Identical across shards, which is what
   // the fleet's registry merge requires.
-  metrics.AdvanceRingsTo(duration + tick_interval);
+  metrics.AdvanceRingsTo(duration + server.config().tick_interval);
 }
-
-}  // namespace
 
 ExperimentScale ExperimentScale::FromEnv(double default_duration) {
   ExperimentScale scale;
@@ -181,8 +178,7 @@ ExperimentScale ExperimentScale::FromEnv(double default_duration) {
 ServerTraceResult RunServerTrace(const game::GameConfig& config, trace::CaptureSink& sink) {
   sim::Simulator simulator;
   game::CsServer server(simulator, config, sink);
-  RunHarnessed(simulator, {.server = &server, .nat = nullptr}, "server_trace",
-               config.trace_duration, config.tick_interval);
+  RunHarnessed(simulator, server, {}, "server_trace");
 
   ServerTraceResult result;
   result.stats = server.stats();
@@ -200,10 +196,10 @@ ServerTraceResult RunServerTrace(const game::GameConfig& config,
 NatExperimentConfig NatExperimentConfig::Defaults() {
   NatExperimentConfig cfg;
   cfg.game = game::GameConfig::PaperDefaults();
-  cfg.game.trace_duration = cfg.duration;
+  cfg.game.trace_duration = 1800.0;  // "we traced a single, 30 min map"
   // One uninterrupted 30-min map, packed server (the experiment was run on
   // the same very popular community server).
-  cfg.game.maps.map_duration = cfg.duration + 60.0;
+  cfg.game.maps.map_duration = cfg.game.trace_duration + 60.0;
   cfg.game.sessions.initial_players = 20;
   cfg.game.outages.times.clear();
   return cfg;
@@ -256,8 +252,8 @@ NatExperimentResult RunNatExperiment(const NatExperimentConfig& config,
   nat.Start();
   server.Start();
   if (qoe) qoe->Start();
-  RunHarnessed(simulator, {.server = &server, .nat = &nat}, "nat_experiment", config.duration,
-               config.game.tick_interval);
+  router::NatDevice* const devices[] = {&nat};
+  RunHarnessed(simulator, server, devices, "nat_experiment");
 
   NatExperimentResult result{.device = nat.stats(),
                              .server = server.stats(),

@@ -33,6 +33,15 @@ struct ServerTraceResult {
   stats::TimeSeries players{0.0, 60.0};
 };
 
+// The one run harness: every simulated run goes through it. Schedules the
+// heartbeat and the flight sampling, starts `server` (a no-op if already
+// started) and runs `simulator` to server.config().trace_duration under one
+// "run" span named `span_name`. Then the counts of the server and of the
+// NAT `devices` (summed), and the simulator's own accounting, go into the
+// ambient registry, whose rings advance one server tick past the end.
+void RunHarnessed(sim::Simulator& simulator, game::CsServer& server,
+                  std::span<router::NatDevice* const> devices, const char* span_name);
+
 // Runs a full CsServer capture of config.trace_duration seconds, streaming
 // every packet into `sink`.
 ServerTraceResult RunServerTrace(const game::GameConfig& config, trace::CaptureSink& sink);
@@ -48,8 +57,7 @@ ServerTraceResult RunServerTrace(const game::GameConfig& config,
 // ---------------------------------------------------------------------------
 
 struct NatExperimentConfig {
-  double duration = 1800.0;  // "we traced a single, 30 min map"
-  game::GameConfig game;
+  game::GameConfig game;  // the run lasts game.trace_duration
   router::NatDevice::Config device;
 
   // Feedback: if `freeze_threshold` inbound packets are lost within

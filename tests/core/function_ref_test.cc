@@ -58,7 +58,11 @@ TEST(FunctionRef, MutableLambdaStateAdvancesAcrossCalls) {
 TEST(FunctionRef, LambdaCallingMemberFunction) {
   struct Accumulator {
     std::string log;
-    void Append(int unit) { log += "u" + std::to_string(unit) + ";"; }
+    void Append(int unit) {
+      log += 'u';
+      log += std::to_string(unit);
+      log += ';';
+    }
   };
   Accumulator acc;
   auto record = [&acc](int unit) { acc.Append(unit); };

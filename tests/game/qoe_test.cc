@@ -126,7 +126,6 @@ TEST(QoeMonitor, PerEndpointIsolation) {
 // sheds load until loss sits near the tolerable 1-2%.
 TEST(QoeMonitor, SelfTuningShedsLoadBehindOverloadedDevice) {
   auto cfg = core::NatExperimentConfig::Defaults();
-  cfg.duration = 600.0;
   cfg.game.trace_duration = 600.0;
   cfg.game.maps.map_duration = 700.0;
   // A purely capacity-limited device (no livelock): offered ~850 pps

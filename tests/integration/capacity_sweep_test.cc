@@ -11,7 +11,6 @@ namespace {
 
 core::NatExperimentResult RunAtCapacity(double capacity_pps, std::size_t buffers) {
   auto cfg = core::NatExperimentConfig::Defaults();
-  cfg.duration = 180.0;
   cfg.game.trace_duration = 180.0;
   cfg.game.maps.map_duration = 240.0;
   cfg.device.mean_capacity_pps = capacity_pps;

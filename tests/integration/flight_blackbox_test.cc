@@ -111,7 +111,6 @@ TEST(FlightBlackbox, NatOverloadRaisesTheMeltdownAlertOnSchedule) {
   // The paper's Table-IV setup offers ~920 pps into the device - beyond
   // the ~850 pps meltdown threshold from the first minute on.
   auto config = core::NatExperimentConfig::Defaults();
-  config.duration = 120.0;
   config.game.trace_duration = 120.0;
   config.game.maps.map_duration = 180.0;  // one uninterrupted map
   (void)core::RunNatExperiment(config);

@@ -229,9 +229,8 @@ TEST(GoldenDigest, FleetMergedReportAndMetrics) {
 
 TEST(GoldenDigest, NatExperimentResult) {
   core::NatExperimentConfig config = core::NatExperimentConfig::Defaults();
-  config.duration = 300.0;
-  config.game.trace_duration = config.duration;
-  config.game.maps.map_duration = config.duration + 60.0;
+  config.game.trace_duration = 300.0;
+  config.game.maps.map_duration = config.game.trace_duration + 60.0;
   config.game.seed = 4;
   const core::NatExperimentResult r = core::RunNatExperiment(config);
   Canon canon;
@@ -268,7 +267,6 @@ TEST(GoldenDigest, NatObservabilitySurfaces) {
                                       .watchdog = &watchdog,
                                       .heartbeat = false});
     auto config = core::NatExperimentConfig::Defaults();
-    config.duration = 120.0;
     config.game.trace_duration = 120.0;
     config.game.maps.map_duration = 180.0;
     (void)core::RunNatExperiment(config);

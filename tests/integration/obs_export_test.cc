@@ -66,9 +66,8 @@ TEST(ObsExport, BareComponentsUnderABindingCountNothing) {
   obs::MetricsRegistry metrics;
   const obs::ScopedObsBinding bind({.metrics = &metrics, .heartbeat = false});
   auto config = core::NatExperimentConfig::Defaults();
-  config.duration = 120.0;
-  config.game.trace_duration = config.duration;
-  config.game.maps.map_duration = config.duration + 60.0;
+  config.game.trace_duration = 120.0;
+  config.game.maps.map_duration = config.game.trace_duration + 60.0;
   const core::NatExperimentResult result = core::RunNatExperiment(config);
   ASSERT_GT(result.livelock_episodes, 0);
   {
@@ -77,7 +76,7 @@ TEST(ObsExport, BareComponentsUnderABindingCountNothing) {
     game::CsServer server(simulator, config.game, nat.injector());
     nat.Start();
     server.Start();
-    simulator.RunUntil(config.duration);
+    simulator.RunUntil(config.game.trace_duration);
   }
   EXPECT_EQ(metrics.counter_value("server.packets_emitted"), result.server.packets_emitted);
   EXPECT_EQ(metrics.counter_value("nat.livelock_episodes"),

@@ -26,7 +26,11 @@ TEST(MetricsRegistry, InstrumentReferencesAreStable) {
   MetricsRegistry registry;
   Counter& a = registry.counter("a");
   // Registering many more instruments must not move the first one.
-  for (int i = 0; i < 100; ++i) registry.counter("c" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) {
+    std::string name = "c";
+    name += std::to_string(i);
+    registry.counter(name);
+  }
   EXPECT_EQ(&a, &registry.counter("a"));
 }
 

@@ -399,6 +399,33 @@ class RuleTests(unittest.TestCase):
             kept, _ = self.tree.lint(rel)
             self.assertNotIn("raw-binding", rules_of(kept), relpath)
 
+    def test_run_harness_fires_in_bench_and_examples(self):
+        for relpath in ("bench/ablation_sweep.cc", "examples/chain.cpp"):
+            for call in ("simulator.RunUntil(duration);",
+                         "point.metrics().AdvanceRingsTo(duration + 0.05);",
+                         "nat.PublishCounts(point.metrics());"):
+                self.check_fires(
+                    relpath,
+                    f"""
+                    void RunPoint(double duration) {{
+                      {call}
+                    }}
+                    """,
+                    "run-harness",
+                    clean_variant="""
+                    // A comment may name simulator.RunUntil(duration).
+                    void RunPoint(sim::Simulator& simulator, game::CsServer& server) {
+                      core::RunHarnessed(simulator, server, {}, "point");
+                    }
+                    """)
+
+    def test_run_harness_exempts_src_and_tests(self):
+        for relpath in ("src/core/experiment.cc", "tests/core/experiment_test.cc"):
+            rel = self.tree.write(
+                relpath, "void Run(sim::Simulator& s) {\n  s.RunUntil(60.0);\n}\n")
+            kept, _ = self.tree.lint(rel)
+            self.assertNotIn("run-harness", rules_of(kept), relpath)
+
 
 class OrphanModuleTests(unittest.TestCase):
     """A src/ header only tests include is dead code."""

@@ -9,7 +9,11 @@ session. Each run must fold into the session through a scope of its own
     (a run that restarted its clock in an already advanced ring drops its
     bins as late);
   - the --flight-out stream's `t` strictly increases (a run that sampled
-    into the shared recorder restarted the clock at the first period).
+    into the shared recorder restarted the clock at the first period);
+  - each run goes through the run harness (core::RunHarnessed): the
+    --flight-out stream is not empty and --metrics-out counts
+    `sim.events_executed` (a run that drives its own simulator samples
+    nothing and counts no events).
 
 Usage: sweep_exports_test.py <bench-dir> <out-dir>
 
@@ -47,7 +51,10 @@ def check_bench(bench_dir, out_dir, name):
 
     problems = []
     with open(metrics_path, encoding="utf-8") as fh:
-        rings = json.load(fh).get("rings", {})
+        metrics = json.load(fh)
+    if "sim.events_executed" not in metrics.get("counters", {}):
+        problems.append("no sim.events_executed counter: a run skipped the run harness")
+    rings = metrics.get("rings", {})
     for ring, body in sorted(rings.items()):
         if body["dropped_late"] != 0:
             problems.append(f"ring {ring} dropped_late = {body['dropped_late']}")
@@ -59,6 +66,8 @@ def check_bench(bench_dir, out_dir, name):
             if previous is not None and not t > previous:
                 problems.append(f"flight line {line_no}: t = {t} after t = {previous}")
             previous = t
+    if previous is None:
+        problems.append("flight stream is empty: a run skipped the run harness")
     return problems
 
 

@@ -79,7 +79,6 @@ TEST(SeqGapLossEstimator, UnsequencedIgnored) {
 // *delivered* packet stream alone and match the device's own counters.
 TEST(SeqGapLossEstimator, MatchesNatDeviceGroundTruth) {
   auto cfg = core::NatExperimentConfig::Defaults();
-  cfg.duration = 300.0;
   cfg.game.trace_duration = 300.0;
   cfg.game.maps.map_duration = 400.0;
 
@@ -92,7 +91,7 @@ TEST(SeqGapLossEstimator, MatchesNatDeviceGroundTruth) {
   });
   nat.Start();
   server.Start();
-  simulator.RunUntil(cfg.duration);
+  simulator.RunUntil(cfg.game.trace_duration);
 
   const double truth_in = nat.stats().loss_rate_incoming();
   const double est_in = est.Estimate(net::Direction::kClientToServer).loss_rate();

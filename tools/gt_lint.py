@@ -52,9 +52,17 @@ determinism and locking contracts stay compile-time artifacts:
                     with ShardScope::MergeInto; a hand-made binding is a
                     second copy of that job (DESIGN.md section 9,
                     "Wiring").
+  run-harness       No call to RunUntil, AdvanceRingsTo or PublishCounts in
+                    bench/ or examples/. Every simulated run goes through
+                    the one run harness, core::RunHarnessed, which runs the
+                    simulator, samples the flight grid and publishes the
+                    counts; a hand-driven run is a second copy of that job
+                    that samples nothing (DESIGN.md section 9, "Wiring").
 
-The rules run on comment/string-stripped source (a built-in lexer), so
-the tool needs nothing beyond Python and runs everywhere.
+The tree walk covers src/, bench/ and examples/; every rule but
+run-harness looks at src/ only. The rules run on comment/string-stripped
+source (a built-in lexer), so the tool needs nothing beyond Python and
+runs everywhere.
 
 Findings diff against a committed baseline (tools/gt_lint_baseline.txt):
 new findings fail, and entries that no longer fire also fail until the
@@ -78,7 +86,7 @@ from dataclasses import dataclass, field
 # ---------------------------------------------------------------------------
 
 RULES = ("nondet-call", "nondet-iteration", "sink-tier", "raw-contract", "raw-mutex",
-         "orphan-module", "mirrored-count", "raw-binding")
+         "orphan-module", "mirrored-count", "raw-binding", "run-harness")
 
 # Directories whose merge/emit paths must be deterministic.
 DETERMINISM_DIRS = ("src/core", "src/stats", "src/trace", "src/obs")
@@ -138,6 +146,11 @@ OBS_DIR = "src/obs/"
 
 # raw-binding: the binding guard, named anywhere in src/ outside src/obs/.
 RAW_BINDING_RE = re.compile(r"\bScopedObsBinding\b")
+
+# run-harness: calls that drive or close a run by hand, in the trees whose
+# runs go through core::RunHarnessed.
+RUN_HARNESS_DIRS = ("bench/", "examples/")
+RUN_HARNESS_RE = re.compile(r"\b(RunUntil|AdvanceRingsTo|PublishCounts)\s*\(")
 
 SUPPRESS_RE = re.compile(r"gt-lint:\s*allow\(([\w,\- ]+)\)\s*(\S.*)?")
 
@@ -501,6 +514,8 @@ class LexEngine:
         if got is None:
             return []
         raw, clean = got
+        if not relpath.startswith("src/"):
+            return self._rule_run_harness(relpath, raw, clean)
         findings: list[Finding] = []
         in_det_dir = any(
             relpath.startswith(d + "/") or os.path.dirname(relpath) == d
@@ -701,6 +716,18 @@ class LexEngine:
             for m in RAW_BINDING_RE.finditer(clean)
         ]
 
+    def _rule_run_harness(self, relpath, raw, clean) -> list[Finding]:
+        if not relpath.startswith(RUN_HARNESS_DIRS):
+            return []
+        return [
+            Finding(
+                "run-harness", relpath, line_of(clean, m.start()),
+                f"{m.group(1)} drives a run by hand - go through "
+                "core::RunHarnessed, which runs, samples and publishes every run",
+                normalize_anchor(line_text(raw, m.start())))
+            for m in RUN_HARNESS_RE.finditer(clean)
+        ]
+
     def _orphan_headers(self) -> set[str]:
         """src/ headers no live production file includes. An include from an
         orphan module (its header or .cc) does not count either, so a chain
@@ -739,12 +766,13 @@ class LexEngine:
 
 def discover_files(root: str) -> list[str]:
     files = []
-    for dirpath, dirnames, filenames in os.walk(os.path.join(root, "src")):
-        dirnames.sort()
-        for name in sorted(filenames):
-            if name.endswith((".h", ".cc")):
-                rel = os.path.relpath(os.path.join(dirpath, name), root)
-                files.append(rel.replace(os.sep, "/"))
+    for top in ("src", "bench", "examples"):
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames.sort()
+            for name in sorted(filenames):
+                if name.endswith(CXX_SUFFIXES):
+                    rel = os.path.relpath(os.path.join(dirpath, name), root)
+                    files.append(rel.replace(os.sep, "/"))
     return files
 
 
@@ -852,7 +880,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite the baseline with the current findings")
     parser.add_argument("paths", nargs="*",
-                        help="repo-relative files to lint (default: src/**)")
+                        help="repo-relative files to lint "
+                             "(default: src/**, bench/**, examples/**)")
     args = parser.parse_args(argv)
 
     baseline = args.baseline or os.path.join(args.root, "tools", "gt_lint_baseline.txt")
