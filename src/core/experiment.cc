@@ -222,12 +222,11 @@ NatExperimentResult RunNatExperiment(const NatExperimentConfig& config,
           server.DisconnectByEndpoint(ip, port, /*orderly=*/true);
         });
   }
-  if (qoe || delivered != nullptr) {
-    nat.SetDeliverCallback([&](const net::PacketRecord& record, router::Segment) {
-      if (qoe) qoe->OnDelivered(record);
-      if (delivered != nullptr) delivered->OnColumns(net::PacketRow(record).View());
-    });
+  if (qoe) {
+    nat.SetDeliverCallback(
+        [&qoe](const net::PacketRecord& record, router::Segment) { qoe->OnDelivered(record); });
   }
+  if (delivered != nullptr) nat.SetDeliveredSink(*delivered);
 
   // Game-freeze feedback: a burst of lost inbound updates freezes the
   // server's world state, and with it the outbound broadcast.

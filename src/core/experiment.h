@@ -87,8 +87,10 @@ struct NatExperimentResult {
 };
 
 // Runs the experiment. A non-null `delivered` sees every packet the device
-// forwards, in both directions, at its delivery instant: the stream a
-// capture on the far side of the device would record.
+// forwards, in both directions, in delivery order: the stream a capture on
+// the far side of the device would record. It is a passive sink
+// (NatDevice::SetDeliveredSink): it gets the deliveries in batches as the
+// device commits, each of the run's by the time this returns.
 [[nodiscard]] NatExperimentResult RunNatExperiment(const NatExperimentConfig& config,
                                                    trace::CaptureSink* delivered = nullptr);
 

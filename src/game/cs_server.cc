@@ -103,11 +103,6 @@ void CsServer::Start() {
   }
 }
 
-void CsServer::Run() {
-  Start();
-  simulator_->RunUntil(config_.trace_duration);
-}
-
 void CsServer::OnTick(double t) {
   const obs::LayerScope scope(obs::Layer::kGameGenerate);
   if (obs_.trace != nullptr) {

@@ -62,11 +62,9 @@ class CsServer {
   CsServer(const CsServer&) = delete;
   CsServer& operator=(const CsServer&) = delete;
 
-  // Schedules all activity starting at the current simulation time.
+  // Schedules all activity starting at the current simulation time. A run
+  // goes through core::RunHarnessed, or a test drives the simulator itself.
   void Start();
-
-  // Convenience: Start() then run the simulator to config().trace_duration.
-  void Run();
 
   [[nodiscard]] const GameConfig& config() const noexcept { return config_; }
   [[nodiscard]] int active_players() const noexcept { return static_cast<int>(clients_.size()); }

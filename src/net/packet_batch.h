@@ -105,6 +105,16 @@ struct PacketRow {
         direction(static_cast<std::uint8_t>(r.direction)),
         kind(static_cast<std::uint8_t>(r.kind)) {}
 
+  // Row i of `batch`, copied column-wise.
+  PacketRow(const PacketBatch& batch, std::size_t i) noexcept
+      : timestamp(batch.timestamps[i]),
+        client_ip(batch.client_ips[i]),
+        seq(batch.seqs[i]),
+        client_port(batch.client_ports[i]),
+        app_bytes(batch.app_bytes[i]),
+        direction(batch.directions[i]),
+        kind(batch.kinds[i]) {}
+
   // Valid while this row is alive.
   [[nodiscard]] PacketBatch View() const noexcept {
     return PacketBatch{.count = 1,

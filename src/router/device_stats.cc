@@ -1,5 +1,8 @@
 #include "router/device_stats.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -37,19 +40,38 @@ DeviceStats::DeviceStats(double interval)
     : series_{stats::TimeSeries(0.0, interval), stats::TimeSeries(0.0, interval),
               stats::TimeSeries(0.0, interval), stats::TimeSeries(0.0, interval)} {}
 
-void DeviceStats::Count(Segment segment, double t) {
-  const auto i = static_cast<int>(segment);
-  ++packets_[i];
-  series_[i].Add(t, 1.0);
+namespace {
+
+// The smallest time whose bin in `series` is `bin` or later. BinIndex is
+// monotone in t, so the left edge computed from the geometry is walked to
+// the exact one an ulp at a time (rounding puts it a few ulps off at most).
+double FirstTimeOfBin(const stats::TimeSeries& series, std::size_t bin) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double t = std::max(series.bin_time(bin), series.start_time());
+  while (t > series.start_time()) {
+    const double before = std::nextafter(t, -kInf);
+    if (series.BinIndex(before) < bin) break;
+    t = before;
+  }
+  while (series.BinIndex(t) < bin) t = std::nextafter(t, kInf);
+  return t;
+}
+
+}  // namespace
+
+void DeviceStats::CountOffCursor(int segment, double t) {
+  stats::TimeSeries& series = series_[segment];
+  series.Add(t, 1.0);
+  // A time before the start is dropped there; the cursor stays.
+  if (!(t >= series.start_time())) return;
+  const std::size_t bin = series.BinIndex(t);
+  cursors_[segment] = BinCursor{.first = FirstTimeOfBin(series, bin),
+                                .next = FirstTimeOfBin(series, bin + 1),
+                                .bin = bin};
 }
 
 void DeviceStats::CountDrop(Segment arrival_segment) noexcept {
   ++drops_[static_cast<int>(arrival_segment)];
-}
-
-void DeviceStats::RecordDelay(double seconds) {
-  delay_.Add(seconds);
-  delay_quantiles_.Add(seconds);
 }
 
 std::uint64_t DeviceStats::packets(Segment s) const noexcept {

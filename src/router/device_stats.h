@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "stats/quantile_sketch.h"
@@ -40,7 +41,20 @@ class DeviceStats {
   // plots per-second loads in Figs 14-15).
   explicit DeviceStats(double interval = 1.0);
 
-  void Count(Segment segment, double t);
+  // Counts a packet on `segment` at time t, into its load series too. A
+  // segment's times arrive in order, so the series bin of the last one is
+  // kept with its exact edges: a time within them adds to that bin without
+  // the divide. Bit-identical to TimeSeries::Add for any time order.
+  void Count(Segment segment, double t) {
+    const auto i = static_cast<int>(segment);
+    ++packets_[i];
+    const BinCursor& cursor = cursors_[i];
+    if (t >= cursor.first && t < cursor.next) {
+      series_[i].AddAtBin(cursor.bin, 1.0);
+      return;
+    }
+    CountOffCursor(i, t);
+  }
   void CountDrop(Segment arrival_segment) noexcept;
   // A packet joined the queue of `entry_segment`, which now holds
   // `occupancy` packets.
@@ -48,7 +62,10 @@ class DeviceStats {
     std::size_t& high_water = high_water_[static_cast<int>(entry_segment)];
     if (occupancy > high_water) high_water = occupancy;
   }
-  void RecordDelay(double seconds);
+  void RecordDelay(double seconds) {
+    delay_.Add(seconds);
+    delay_quantiles_.Add(seconds);
+  }
 
   [[nodiscard]] std::uint64_t packets(Segment s) const noexcept;
   [[nodiscard]] std::uint64_t drops(Segment arrival_segment) const noexcept;
@@ -77,11 +94,22 @@ class DeviceStats {
   [[nodiscard]] obs::MetricsRegistry metrics() const;
 
  private:
+  // The times [first, next) whose TimeSeries::BinIndex is `bin`; empty
+  // until a segment's first in-range count.
+  struct BinCursor {
+    double first = std::numeric_limits<double>::infinity();
+    double next = std::numeric_limits<double>::infinity();
+    std::size_t bin = 0;
+  };
+
+  void CountOffCursor(int segment, double t);
+
   std::uint64_t packets_[kSegmentCount] = {};
   std::uint64_t drops_[kSegmentCount] = {};
   // Indexed by segment; only the two entry segments have a queue.
   std::size_t high_water_[kSegmentCount] = {};
   stats::TimeSeries series_[kSegmentCount];
+  BinCursor cursors_[kSegmentCount];
   stats::RunningStats delay_;
   stats::QuantileSketch delay_quantiles_;
 };

@@ -15,9 +15,15 @@ LookupEngine::LookupEngine(double mean_capacity_pps, double jitter_fraction, sim
       << "LookupEngine: jitter must be in [0, 1)";
 }
 
-double LookupEngine::DrawServiceTime() {
-  const double factor = 1.0 + jitter_ * (2.0 * rng_.NextDouble() - 1.0);
-  return factor / capacity_pps_;
+void LookupEngine::Refill() {
+  // The draws first, then the arithmetic: a loop free of generator calls
+  // vectorizes its divides.
+  for (double& service_time : drawn_) service_time = rng_.NextDouble();
+  for (double& service_time : drawn_) {
+    const double factor = 1.0 + jitter_ * (2.0 * service_time - 1.0);
+    service_time = factor / capacity_pps_;
+  }
+  next_ = 0;
 }
 
 }  // namespace gametrace::router

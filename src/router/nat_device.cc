@@ -19,15 +19,19 @@ bool Earlier(double t, std::uint64_t stamp, double u, std::uint64_t other) noexc
   return t < u || (t == u && stamp < other);
 }
 
-bool FromLan(const net::PacketRecord& record) noexcept {
-  return record.direction == net::Direction::kServerToClient;
+bool FromLan(const net::PacketRow& packet) noexcept {
+  return packet.direction == static_cast<std::uint8_t>(net::Direction::kServerToClient);
+}
+
+net::PacketRecord RecordOf(const net::PacketRow& packet) noexcept {
+  return packet.View().RecordAt(0);
 }
 
 }  // namespace
 
 // ---- NAT table ---------------------------------------------------------
 
-bool NatDevice::NatTable::Insert(std::uint64_t endpoint, std::uint16_t port) {
+inline bool NatDevice::NatTable::Insert(std::uint64_t endpoint, std::uint16_t port) {
   if ((size_ + 1) * 10 >= keys_.size() * 7) Rehash(std::max<std::size_t>(64, keys_.size() * 2));
   const std::size_t mask = keys_.size() - 1;
   // Fibonacci hashing: the top bits of key * 2^64/phi, masked to capacity.
@@ -126,7 +130,9 @@ void NatDevice::OnArrival(const net::PacketRecord& record) {
   const obs::LayerScope scope(obs::Layer::kRouterNat);
   const double now = simulator_->Now();
   AdvanceTo(now, Horizon::kBefore);
-  Arrive(AcquireRow(now, record));
+  const std::uint32_t row = AcquireRow();
+  rows_[row] = Row{.at = now, .packet = net::PacketRow(record)};
+  Arrive(row);
   Rearm();
 }
 
@@ -137,18 +143,19 @@ void NatDevice::Inject(const net::PacketBatch& batch) {
   pending_.erase(pending_.begin(),
                  pending_.begin() + static_cast<std::ptrdiff_t>(pending_head_));
   pending_head_ = 0;
+  const std::size_t base = pending_.size();
+  pending_.resize(base + batch.count);
   for (std::size_t i = 0; i < batch.count; ++i) {
-    const net::PacketRecord record = batch.RecordAt(i);
-    const double at = std::max(now, record.timestamp);
-    const Pending entry{.at = at,
-                        .stamp = next_stamp_++,
-                        .row = AcquireRow(at, record),
-                        .lan = FromLan(record)};
+    const double at = std::max(now, batch.timestamps[i]);
+    const std::uint32_t row = AcquireRow();
+    rows_[row] = Row{.at = at, .stamp = next_stamp_++, .packet = net::PacketRow(batch, i)};
+    const bool lan = FromLan(rows_[row].packet);
+    pending_lan_ += lan ? 1 : 0;
+    const Pending entry{.at = at, .row = row, .lan = lan};
     // Insertion into the sorted buffer: a tick batch is nearly sorted
     // already (the burst is, client sends interleave), and a row due at
     // the same instant as an earlier one stays behind it.
-    std::size_t j = pending_.size();
-    pending_.push_back(entry);
+    std::size_t j = base + i;
     while (j > 0 && pending_[j - 1].at > at) {
       pending_[j] = pending_[j - 1];
       --j;
@@ -171,54 +178,61 @@ void NatDevice::AdvanceTo(double t, Horizon horizon) {
     bool* flag;
     ~Reset() { *flag = false; }
   } reset{&committing_};
+  Replay(t, horizon);
+  if (!delivered_.empty()) {
+    delivered_sink_->OnColumns(delivered_.View());
+    delivered_.Clear();
+  }
+}
 
-  enum class Kind : std::uint8_t { kArrival, kCompletion, kWake };
+void NatDevice::Replay(double t, Horizon horizon) {
+  // The device's own next event: the service completion (kNever while
+  // idle) or the stall wake-up, whichever is due first. An arrival at a
+  // busy device only joins a queue or drops, so the own event stands until
+  // it runs or an arrival finds the device idle.
+  bool own_stale = true;
+  bool wake = false;
+  double own_at = kNever;
+  std::uint64_t own_stamp = 0;
   for (;;) {
-    Kind kind = Kind::kArrival;
-    double at = kNever;
-    std::uint64_t stamp = 0;
+    if (own_stale) {
+      wake = Earlier(wake_at_, wake_stamp_, completion_at_, completion_stamp_);
+      own_at = wake ? wake_at_ : completion_at_;
+      own_stamp = wake ? wake_stamp_ : completion_stamp_;
+      own_stale = false;
+    }
     if (pending_head_ < pending_.size()) {
-      at = pending_[pending_head_].at;
-      stamp = pending_[pending_head_].stamp;
-    }
-    if (busy_ && Earlier(completion_at_, completion_stamp_, at, stamp)) {
-      kind = Kind::kCompletion;
-      at = completion_at_;
-      stamp = completion_stamp_;
-    }
-    if (Earlier(wake_at_, wake_stamp_, at, stamp)) {
-      kind = Kind::kWake;
-      at = wake_at_;
-    }
-    if (at > t || at == kNever) break;
-    if (at == t && horizon == Horizon::kBefore) break;
-    if (at == t && horizon == Horizon::kAt) {
-      // A drop or a delivery callback is observable: leave it to the
-      // armed event at this instant.
-      const bool observable =
-          kind == Kind::kArrival
-              ? (pending_[pending_head_].lan ? lan_q_ : wan_q_).full()
-              : kind == Kind::kCompletion && deliver_ != nullptr;
-      if (observable) break;
-    }
-    switch (kind) {
-      case Kind::kArrival: {
-        const std::uint32_t row = pending_[pending_head_].row;
+      const Pending next = pending_[pending_head_];
+      if (next.at < own_at || (next.at == own_at && rows_[next.row].stamp < own_stamp)) {
+        if (!(next.at < t)) {
+          if (next.at > t || next.at == kNever || horizon == Horizon::kBefore) return;
+          // A drop is observable: leave it to the armed event at this
+          // instant.
+          if (horizon == Horizon::kAt && (next.lan ? lan_q_ : wan_q_).full()) return;
+        }
         if (++pending_head_ == pending_.size()) {
           pending_.clear();
           pending_head_ = 0;
         }
-        Arrive(row);
-        break;
+        pending_lan_ -= next.lan ? 1 : 0;
+        own_stale = !busy_;
+        Arrive(next.row);
+        continue;
       }
-      case Kind::kCompletion:
-        Complete();
-        break;
-      case Kind::kWake:
-        wake_at_ = kNever;
-        TryBeginService(at);
-        break;
     }
+    if (!(own_at < t)) {
+      if (own_at > t || own_at == kNever || horizon == Horizon::kBefore) return;
+      // A delivery callback is observable: leave it to the armed event at
+      // this instant.
+      if (horizon == Horizon::kAt && !wake && deliver_ != nullptr) return;
+    }
+    if (wake) {
+      wake_at_ = kNever;
+      TryBeginService(own_at);
+    } else {
+      Complete();
+    }
+    own_stale = true;
   }
 }
 
@@ -227,17 +241,22 @@ void NatDevice::Rearm() {
   // The earliest pending arrival that might be dropped. Occupancy only
   // falls between arrivals, so an arrival whose queue holds fewer than
   // capacity packets even if every earlier pending arrival to it is
-  // accepted and none is served is sure to be accepted.
+  // accepted and none is served is sure to be accepted. So the buffer
+  // needs a scan only when a queue's pending rows exceed its free room.
   double target = kNever;
-  std::size_t occupancy[2] = {wan_q_.size(), lan_q_.size()};
-  const std::size_t capacity[2] = {wan_q_.capacity(), lan_q_.capacity()};
-  for (std::size_t i = pending_head_; i < pending_.size(); ++i) {
-    const int q = pending_[i].lan ? 1 : 0;
-    if (occupancy[q] >= capacity[q]) {
-      target = pending_[i].at;
-      break;
+  const std::size_t pending_wan = pending_.size() - pending_head_ - pending_lan_;
+  if (lan_q_.size() + pending_lan_ > lan_q_.capacity() ||
+      wan_q_.size() + pending_wan > wan_q_.capacity()) {
+    std::size_t occupancy[2] = {wan_q_.size(), lan_q_.size()};
+    const std::size_t capacity[2] = {wan_q_.capacity(), lan_q_.capacity()};
+    for (std::size_t i = pending_head_; i < pending_.size(); ++i) {
+      const int q = pending_[i].lan ? 1 : 0;
+      if (occupancy[q] >= capacity[q]) {
+        target = pending_[i].at;
+        break;
+      }
+      ++occupancy[q];
     }
-    ++occupancy[q];
   }
   // A delivery callback observes every completion; the next one is known
   // once service starts, which happens at the next arrival or wake-up.
@@ -259,27 +278,28 @@ void NatDevice::Rearm() {
   });
 }
 
-std::uint32_t NatDevice::AcquireRow(double at, const net::PacketRecord& record) {
+std::uint32_t NatDevice::AcquireRow() {
   if (free_rows_.empty()) {
-    rows_.push_back(Row{.at = at, .record = record});
+    rows_.emplace_back();
     return static_cast<std::uint32_t>(rows_.size() - 1);
   }
   const std::uint32_t row = free_rows_.back();
   free_rows_.pop_back();
-  rows_[row] = Row{.at = at, .record = record};
   return row;
 }
 
-void NatDevice::Arrive(std::uint32_t row) {
+// Arrive, TryBeginService, Complete and NatTable::Insert are the commit
+// loop's per-event steps; `inline` lets the compiler fold them into it.
+inline void NatDevice::Arrive(std::uint32_t row) {
   const Row& packet = rows_[row];
-  const bool from_lan = FromLan(packet.record);
+  const bool from_lan = FromLan(packet.packet);
   const Segment arrival = from_lan ? Segment::kServerToNat : Segment::kClientsToNat;
   stats_.Count(arrival, packet.at);
 
   if (!from_lan) {
     // NAT translation state for the client endpoint.
     const std::uint64_t key =
-        (std::uint64_t{packet.record.client_ip.value()} << 16) | packet.record.client_port;
+        (std::uint64_t{packet.packet.client_ip} << 16) | packet.packet.client_port;
     if (nat_table_.Insert(key, next_external_port_)) ++next_external_port_;
   }
 
@@ -292,7 +312,7 @@ void NatDevice::Arrive(std::uint32_t row) {
   TryBeginService(packet.at);
 }
 
-void NatDevice::TryBeginService(double now) {
+inline void NatDevice::TryBeginService(double now) {
   if (busy_) return;
 
   // Total livelock: the CPU does nothing until the stall ends.
@@ -324,19 +344,22 @@ void NatDevice::TryBeginService(double now) {
   completion_stamp_ = next_stamp_++;
 }
 
-void NatDevice::Complete() {
+inline void NatDevice::Complete() {
   const double now = completion_at_;
   const std::uint32_t row = in_service_;
   busy_ = false;
   completion_at_ = kNever;
-  stats_.RecordDelay(now - rows_[row].at);
-  const net::PacketRecord record = rows_[row].record;
-  const Segment out = FromLan(record) ? Segment::kNatToClients : Segment::kNatToServer;
+  const Row& packet = rows_[row];
+  stats_.RecordDelay(now - packet.at);
+  const Segment out = FromLan(packet.packet) ? Segment::kNatToClients : Segment::kNatToServer;
   stats_.Count(out, now);
+  if (delivered_sink_ != nullptr) delivered_.Push(packet.packet);
   free_rows_.push_back(row);
   if (deliver_) {
     GT_DCHECK_EQ(now, simulator_->Now()) << "NatDevice: delivery away from its own instant";
-    deliver_(record, out);
+    // The record is copied out before the callback runs: it may inject,
+    // which can reuse or move the row.
+    deliver_(RecordOf(packet.packet), out);
   }
   TryBeginService(now);
 }
@@ -350,9 +373,8 @@ void NatDevice::Drop(std::uint32_t row, Segment arrival_segment) {
                                                               : "nat_drop_outgoing",
                     "nat", at);
   }
-  const net::PacketRecord record = rows_[row].record;
   free_rows_.push_back(row);
-  if (on_loss_) on_loss_(record, arrival_segment);
+  if (on_loss_) on_loss_(RecordOf(rows_[row].packet), arrival_segment);
 }
 
 }  // namespace gametrace::router

@@ -38,7 +38,9 @@
 // only where an observable can happen: at the earliest pending arrival
 // that might be dropped, and - with a deliver callback - at the next
 // completion or wake-up. So every loss and delivery callback still runs at
-// its own instant. DESIGN.md section "NAT device" has the event rule.
+// its own instant. A delivered sink is passive: the commit step hands it
+// its completions as columns and arms nothing for it. DESIGN.md section
+// "NAT device" has the event rule.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +49,7 @@
 #include <vector>
 
 #include "net/packet.h"
+#include "net/packet_batch.h"
 #include "obs/metrics.h"
 #include "obs/trace_log.h"
 #include "router/device_stats.h"
@@ -89,6 +92,11 @@ class NatDevice {
   // Each delivery calls `fn` at its completion instant (Now() equals the
   // completion time), which costs one simulator event per delivery.
   void SetDeliverCallback(DeliverFn fn);
+  // Every delivery, both directions, in completion order, as columns. The
+  // sink needs no instant: each commit step hands it the completions it
+  // replayed, so by the time a read such as stats() returns, the sink has
+  // seen every completion up to it. The sink must not touch the device.
+  void SetDeliveredSink(trace::CaptureSink& sink) { delivered_sink_ = &sink; }
   // Each drop calls `fn` at the dropped packet's arrival instant.
   void SetLossCallback(LossFn fn) { on_loss_ = std::move(fn); }
 
@@ -151,16 +159,18 @@ class NatDevice {
   };
 
   // A packet inside the device, from arrival to departure or drop.
+  // `stamp` orders an injected row's arrival against other device events
+  // due at the same instant; only such a tie reads it.
   struct Row {
     double at = 0.0;  // arrival time
-    net::PacketRecord record;
+    std::uint64_t stamp = 0;
+    net::PacketRow packet;
   };
 
-  // An injected row that has not arrived yet. `stamp` orders it against
-  // other device events due at the same instant.
+  // An injected row that has not arrived yet: 16 bytes, so the insertion
+  // into the sorted buffer moves little.
   struct Pending {
     double at = 0.0;
-    std::uint64_t stamp = 0;
     std::uint32_t row = 0;
     bool lan = false;
   };
@@ -184,9 +194,12 @@ class NatDevice {
   // Every other touch commits, changes the device, then re-arms.
   void Touch(Horizon horizon);
   void AdvanceTo(double t, Horizon horizon);
+  // AdvanceTo's replay loop, run under its re-entry guard.
+  void Replay(double t, Horizon horizon);
   void Rearm();
 
-  std::uint32_t AcquireRow(double at, const net::PacketRecord& record);
+  // A free row id; the caller writes the row.
+  std::uint32_t AcquireRow();
   void Arrive(std::uint32_t row);
   void TryBeginService(double now);
   void Complete();
@@ -203,6 +216,9 @@ class NatDevice {
   InjectorSink injector_;
   DeliverFn deliver_;
   LossFn on_loss_;
+  trace::CaptureSink* delivered_sink_ = nullptr;
+  // Completions of the commit in progress, for delivered_sink_.
+  net::ColumnarBatch delivered_;
   NatTable nat_table_;
   std::uint16_t next_external_port_ = 1024;
   bool started_ = false;
@@ -216,6 +232,8 @@ class NatDevice {
   // Sorted by (at, stamp); entries before pending_head_ have arrived.
   std::vector<Pending> pending_;
   std::size_t pending_head_ = 0;
+  // How many of the entries from pending_head_ on are LAN rows.
+  std::size_t pending_lan_ = 0;
   std::uint64_t next_stamp_ = 0;
 
   // The service in progress.

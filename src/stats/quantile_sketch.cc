@@ -1,6 +1,7 @@
 #include "stats/quantile_sketch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "core/check.h"
@@ -9,11 +10,60 @@ namespace gametrace::stats {
 
 namespace {
 
-// Values below this are not worth a geometric bucket (a kbps or pps of
-// 1e-9 is indistinguishable from idle); they share the zero bucket.
-constexpr double kMinIndexable = 1e-9;
+double LogGamma(double alpha) { return std::log((1.0 + alpha) / (1.0 - alpha)); }
+
+// Built on first use, once per process, and shared by every default sketch.
+const SketchKeyTable& DefaultKeyTable() {
+  static const SketchKeyTable table(LogGamma(QuantileSketch::kDefaultAlpha));
+  return table;
+}
 
 }  // namespace
+
+SketchKeyTable::SketchKeyTable(double log_gamma) {
+  constexpr std::uint64_t kSubBins = std::uint64_t{kMaxExponent - kMinExponent + 1}
+                                     << kSubBits;
+  const auto first_x = [](std::uint64_t sub) {
+    return std::bit_cast<double>((kFirstSubBin + sub) << (52 - kSubBits));
+  };
+  // One key of slack on each side for the candidate checks below.
+  min_key_ = QuantileSketch::LibmKey(first_x(0), log_gamma) - 2;
+  const std::int32_t max_key = QuantileSketch::LibmKey(first_x(kSubBins), log_gamma) + 2;
+  powers_.resize(static_cast<std::size_t>(max_key - min_key_ + 1));
+  for (std::int32_t k = min_key_; k <= max_key; ++k) {
+    powers_[static_cast<std::size_t>(k - min_key_)] =
+        std::exp(static_cast<double>(k) * log_gamma);
+  }
+  // The guard band around gamma^k, as Find() computes it.
+  struct Band {
+    double below;
+    double above;
+  };
+  const auto band = [this](std::int32_t k) {
+    const double power = powers_[static_cast<std::size_t>(k - min_key_)];
+    return Band{.below = power * (1.0 - kGuard), .above = power * (1.0 + kGuard)};
+  };
+
+  octave_keys_.resize(kSubBins >> kSubBits);
+  offsets_.resize(kSubBins);
+  for (std::uint64_t sub = 0; sub < kSubBins; ++sub) {
+    const double lo = first_x(sub);
+    const double hi = first_x(sub + 1);
+    // The libm key of the sub-bin's first value, one lower when that value
+    // sits in the guard band of the key below.
+    std::int32_t c = QuantileSketch::LibmKey(lo, log_gamma);
+    if (lo <= band(c - 1).above) --c;
+    // Every x in [lo, hi) below gamma^c's band is past gamma^(c-1)'s band,
+    // and every x above it is short of gamma^(c+1)'s: the key is c or c + 1.
+    GT_CHECK(lo > band(c - 1).above && hi <= band(c + 1).below)
+        << "SketchKeyTable: a sub-bin spans more than one key edge";
+    std::int32_t& octave_key = octave_keys_[sub >> kSubBits];
+    if (sub % (std::uint64_t{1} << kSubBits) == 0) octave_key = c;
+    GT_CHECK(c - octave_key >= 0 && c - octave_key <= 255)
+        << "SketchKeyTable: an octave spans more than 255 keys";
+    offsets_[sub] = static_cast<std::uint8_t>(c - octave_key);
+  }
+}
 
 QuantileSketch::QuantileSketch(double alpha, std::size_t max_buckets)
     : alpha_(alpha), max_buckets_(max_buckets) {
@@ -21,29 +71,12 @@ QuantileSketch::QuantileSketch(double alpha, std::size_t max_buckets)
   GT_CHECK_GE(max_buckets, 2u) << "QuantileSketch: need at least two buckets";
   gamma_ = (1.0 + alpha_) / (1.0 - alpha_);
   log_gamma_ = std::log(gamma_);
+  key_table_ = alpha == kDefaultAlpha ? &DefaultKeyTable() : nullptr;
 }
 
-std::int32_t QuantileSketch::KeyFor(double x) const noexcept {
-  return static_cast<std::int32_t>(std::ceil(std::log(x) / log_gamma_));
-}
-
-void QuantileSketch::Add(double x, std::uint64_t weight) {
+void QuantileSketch::RejectSample(double x) {
   GT_CHECK(std::isfinite(x) && x >= 0.0) << "QuantileSketch::Add: sample must be finite and >= 0";
-  if (weight == 0) return;
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  count_ += weight;
-  sum_ += x * static_cast<double>(weight);
-  if (x < kMinIndexable) {
-    zero_count_ += weight;
-    return;
-  }
-  AddKey(KeyFor(x), weight);
+  GT_UNREACHABLE();
 }
 
 void QuantileSketch::AddKey(std::int32_t key, std::uint64_t weight) {

@@ -20,7 +20,8 @@ TEST(CsServer, EmitsTraffic) {
   sim::Simulator s;
   trace::CountingSink sink;
   CsServer server(s, ShortConfig(), sink);
-  server.Run();
+  server.Start();
+  s.RunUntil(server.config().trace_duration);
   EXPECT_GT(sink.packets(), 100000u);
   EXPECT_GT(sink.packets_in(), sink.packets_out());  // paper Table II
   EXPECT_EQ(sink.packets(), server.stats().packets_emitted);
@@ -31,7 +32,8 @@ TEST(CsServer, DeterministicForSameSeed) {
     sim::Simulator s;
     trace::CountingSink sink;
     CsServer server(s, ShortConfig(seed), sink);
-    server.Run();
+    server.Start();
+    s.RunUntil(server.config().trace_duration);
     return std::tuple(sink.packets(), sink.app_bytes(), server.stats().established);
   };
   EXPECT_EQ(run(7), run(7));
@@ -57,7 +59,8 @@ TEST(CsServer, OutboundBandwidthExceedsInboundDespiteFewerPackets) {
   sim::Simulator s;
   trace::TraceSummary summary;
   CsServer server(s, ShortConfig(), summary);
-  server.Run();
+  server.Start();
+  s.RunUntil(server.config().trace_duration);
   EXPECT_GT(summary.packets_in(), summary.packets_out());
   EXPECT_GT(summary.wire_bytes_out(), summary.wire_bytes_in());
   EXPECT_GT(summary.mean_packet_size_out(), 3.0 * summary.mean_packet_size_in());
@@ -109,7 +112,8 @@ TEST(CsServer, PlayerSeriesTracksOccupancy) {
   sim::Simulator s;
   trace::CountingSink sink;
   CsServer server(s, ShortConfig(), sink);
-  server.Run();
+  server.Start();
+  s.RunUntil(server.config().trace_duration);
   const auto& players = server.player_series();
   ASSERT_GT(players.size(), 5u);
   EXPECT_GT(players.Mean(), 10.0);
@@ -126,7 +130,8 @@ TEST(CsServer, MapChangeCausesTrafficDip) {
   cfg.downloads.join_probability = 0.0;  // keep the stall window clean
   cfg.downloads.map_change_probability = 0.0;
   CsServer server(s, cfg, agg);
-  server.Run();
+  server.Start();
+  s.RunUntil(server.config().trace_duration);
   const auto total = agg.packets_total();
   // Live seconds carry hundreds of packets; the stall seconds carry ~none.
   EXPECT_GT(total[60], 300.0);
@@ -177,7 +182,8 @@ TEST(CsServer, HandshakeAccountingConsistent) {
   sim::Simulator s;
   trace::TraceSummary summary;
   CsServer server(s, ShortConfig(), summary);
-  server.Run();
+  server.Start();
+  s.RunUntil(server.config().trace_duration);
   const auto stats = server.stats();
   // Ground truth and trace-derived handshake counts must agree exactly.
   EXPECT_EQ(summary.attempted_connections(), stats.attempts);
@@ -193,7 +199,8 @@ TEST(CsServer, DownloadsHappen) {
   sim::Simulator s;
   trace::CountingSink sink;
   CsServer server(s, ShortConfig(), sink);
-  server.Run();
+  server.Start();
+  s.RunUntil(server.config().trace_duration);
   EXPECT_GT(server.stats().downloads_started, 0u);
 }
 
@@ -202,7 +209,8 @@ TEST(CsServer, MeanRatesNearPaperCalibration) {
   trace::TraceSummary summary;
   GameConfig cfg = GameConfig::ScaledDefaults(1800.0);
   CsServer server(s, cfg, summary);
-  server.Run();
+  server.Start();
+  s.RunUntil(server.config().trace_duration);
   summary.set_duration_override(1800.0);
   // Loose bands: a 30 min window has real variance. Paper: 437/361 pps,
   // 39.7/129.5 B.

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -155,6 +158,59 @@ TEST(DeviceStats, DelayStatistics) {
   };
   EXPECT_NEAR(meltdown.delay_p50(), exact(0.50), 0.01 * exact(0.50));
   EXPECT_NEAR(meltdown.delay_p99(), exact(0.99), 0.01 * exact(0.99));
+}
+
+// Count's bin cursor against per-sample TimeSeries::Add: the same bins, bit
+// for bit, and the same dropped_before_start, for in-order, out-of-order,
+// before-start and bin-edge times, with reads and copies mid-stream.
+TEST(DeviceStats, BinCursorMatchesPerSampleAdd) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double interval : {1.0, 0.3}) {
+    std::vector<double> times;
+    for (int k = 0; k < 40; ++k) {
+      const double edge = static_cast<double>(k) * interval;
+      double below = edge;
+      double above = edge;
+      for (int u = 0; u < 3; ++u) {
+        below = std::nextafter(below, -kInf);
+        above = std::nextafter(above, kInf);
+        times.push_back(below);
+        times.push_back(above);
+      }
+      times.push_back(edge);
+      times.push_back(edge + 0.37 * interval);
+    }
+    sim::Rng rng(11);
+    for (int i = 0; i < 2000; ++i) times.push_back(12.0 * rng.NextDouble() - 0.5);
+    times.push_back(-1.0);
+    times.push_back(3.0);
+    times.push_back(0.25);  // back in time
+
+    DeviceStats stats(interval);
+    stats::TimeSeries reference(0.0, interval);
+    std::vector<std::pair<DeviceStats, stats::TimeSeries>> copies;
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      stats.Count(Segment::kNatToServer, times[i]);
+      reference.Add(times[i], 1.0);
+      if (i % 500 == 0) {
+        // A read and a copy mid-stream.
+        ASSERT_EQ(stats.load_series(Segment::kNatToServer).values(), reference.values());
+        copies.emplace_back(stats, reference);
+      }
+    }
+    const stats::TimeSeries& series = stats.load_series(Segment::kNatToServer);
+    EXPECT_EQ(series.values(), reference.values()) << "interval " << interval;
+    EXPECT_EQ(series.dropped_before_start(), reference.dropped_before_start());
+    EXPECT_GT(series.dropped_before_start(), 0u);
+    // Each copy keeps counting as its own series would.
+    for (auto& [copy, copy_reference] : copies) {
+      for (const double t : {5.5, 5.5, 0.1, 20.0 * interval}) {
+        copy.Count(Segment::kNatToServer, t);
+        copy_reference.Add(t, 1.0);
+      }
+      EXPECT_EQ(copy.load_series(Segment::kNatToServer).values(), copy_reference.values());
+    }
+  }
 }
 
 }  // namespace

@@ -48,5 +48,15 @@ TEST(LookupEngine, SmcBarricadeRange) {
   EXPECT_GT(drain, 0.25 * 0.050);
 }
 
+TEST(LookupEngine, PreDrawnTimesFollowTheGeneratorInOrder) {
+  // Times drawn ahead in batches are the per-draw expression's, in order.
+  LookupEngine engine(1250.0, 0.25, sim::Rng(6));
+  sim::Rng rng(6);
+  for (int i = 0; i < 1000; ++i) {
+    const double expected = (1.0 + 0.25 * (2.0 * rng.NextDouble() - 1.0)) / 1250.0;
+    ASSERT_EQ(engine.DrawServiceTime(), expected) << "draw " << i;
+  }
+}
+
 }  // namespace
 }  // namespace gametrace::router

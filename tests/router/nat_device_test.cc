@@ -6,6 +6,7 @@
 #include <cmath>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "game/config.h"
@@ -348,6 +349,68 @@ TEST(NatDevice, InjectedStreamKeepsTheEventQueueShort) {
             0u);
   EXPECT_LE(max_pending, 2u);  // the feeder itself, at most one armed event
   EXPECT_LE(s.events_executed(), 50u);
+}
+
+TEST(NatDevice, DeliveredSinkSeesTheCallbackStreamWithoutEvents) {
+  // The same overloaded traffic (LAN bursts past the buffer, WAN sends
+  // spread over each tick, livelock episodes) through two devices: one
+  // delivers through a callback, one hands its deliveries to a passive
+  // sink. The streams match record for record, in order; only the
+  // callback costs simulator events.
+  NatDevice::Config cfg;
+  cfg.episode_mean_interval = 1.0;
+  struct Run {
+    std::vector<net::PacketRecord> delivered;
+    std::uint64_t drops = 0;
+    std::uint64_t events = 0;
+  };
+  const auto run = [&cfg](bool passive) {
+    sim::Simulator s;
+    NatDevice nat(s, cfg);
+    trace::VectorSink sink;
+    Run out;
+    if (passive) {
+      nat.SetDeliveredSink(sink);
+    } else {
+      nat.SetDeliverCallback(
+          [&out](const net::PacketRecord& record, Segment) { out.delivered.push_back(record); });
+    }
+    nat.Start();
+    std::uint32_t seq = 0;
+    s.Every(0.0, 0.05, [&](double t) {
+      std::vector<net::PacketRecord> batch;
+      for (int i = 0; i < 30; ++i) {
+        batch.push_back(MakeRecord(t + i * 1e-5, net::Direction::kServerToClient, 120,
+                                   0x0A000001 + static_cast<std::uint32_t>(i), 27005));
+      }
+      for (int i = 0; i < 15; ++i) {
+        batch.push_back(MakeRecord(t + 0.0031 * ((i * 7) % 15), net::Direction::kClientToServer,
+                                   40, 0x0A000001 + static_cast<std::uint32_t>(i), 27005));
+      }
+      for (net::PacketRecord& record : batch) record.seq = seq++;
+      InjectBatch(nat, batch);
+    });
+    s.RunUntil(5.0);
+    nat.CatchUp();
+    if (passive) out.delivered = sink.TakeRecords();
+    out.drops = nat.stats().drops(Segment::kServerToNat) + nat.stats().drops(Segment::kClientsToNat);
+    out.events = s.events_executed();
+    return out;
+  };
+  const Run callback = run(false);
+  const Run passive = run(true);
+  const auto fields = [](const net::PacketRecord& r) {
+    return std::tuple(r.timestamp, r.client_ip.value(), r.client_port, r.seq, r.app_bytes,
+                      r.direction, r.kind);
+  };
+  ASSERT_EQ(passive.delivered.size(), callback.delivered.size());
+  for (std::size_t i = 0; i < callback.delivered.size(); ++i) {
+    ASSERT_EQ(fields(passive.delivered[i]), fields(callback.delivered[i])) << "delivery " << i;
+  }
+  EXPECT_GT(callback.delivered.size(), 3000u);
+  EXPECT_GT(passive.drops, 0u);
+  EXPECT_EQ(passive.drops, callback.drops);
+  EXPECT_LT(2 * passive.events, callback.events);
 }
 
 // ---- Tie order and the wake latch --------------------------------------

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sim/rng.h"
@@ -155,6 +158,181 @@ TEST(QuantileSketch, MemoryIsBoundedByTheStoreCap) {
   for (int i = 0; i < 100000; ++i) sketch.Add(std::exp(10.0 * rng.NextDouble()));
   EXPECT_LE(sketch.MemoryBytes(), after_1k + 128 * sizeof(std::uint64_t));
   EXPECT_LE(sketch.bucket_count(), 128u);
+}
+
+// ---- SketchKey: the default geometry's key table against libm ----------
+
+// Bucket counts keyed by the libm expression, the definition the table
+// must reproduce: a dense store for keys in [-kHalf, kHalf).
+class LibmKeyedReference {
+ public:
+  explicit LibmKeyedReference(double alpha)
+      : log_gamma_(std::log((1.0 + alpha) / (1.0 - alpha))), counts_(2 * kHalf, 0) {}
+
+  void Add(double x) {
+    if (x < QuantileSketch::kMinIndexable) {
+      ++zero_;
+      return;
+    }
+    const std::int32_t key = QuantileSketch::LibmKey(x, log_gamma_);
+    ASSERT_TRUE(key >= -kHalf && key < kHalf) << "key " << key << " of " << x;
+    ++counts_[static_cast<std::size_t>(key + kHalf)];
+  }
+
+  // Buckets (the zero bucket included) whose counts differ from `sketch`,
+  // which must hold every key uncollapsed.
+  [[nodiscard]] std::uint64_t Mismatches(const QuantileSketch& sketch) const {
+    std::uint64_t mismatches = sketch.zero_count() != zero_ ? 1 : 0;
+    for (std::int32_t key = -kHalf; key < kHalf; ++key) {
+      const std::int64_t i = std::int64_t{key} - sketch.min_key();
+      const std::uint64_t got = i >= 0 && static_cast<std::uint64_t>(i) < sketch.bucket_count()
+                                    ? sketch.bucket(static_cast<std::size_t>(i))
+                                    : 0;
+      mismatches += got != counts_[static_cast<std::size_t>(key + kHalf)] ? 1 : 0;
+    }
+    return mismatches;
+  }
+
+ private:
+  static constexpr std::int32_t kHalf = 2048;
+  double log_gamma_;
+  std::vector<std::uint64_t> counts_;
+  std::uint64_t zero_ = 0;
+};
+
+double DefaultLogGamma() {
+  const double alpha = QuantileSketch::kDefaultAlpha;
+  return std::log((1.0 + alpha) / (1.0 - alpha));
+}
+
+// Room for every key a double in the table's range can have: no collapse.
+constexpr std::size_t kUncollapsed = 4096;
+
+// The table's verdict on x against libm's, tallied.
+struct KeyTally {
+  std::uint64_t checks = 0;
+  std::uint64_t mismatches = 0;
+  std::uint64_t fallbacks = 0;
+
+  void Check(const SketchKeyTable& table, double x, double log_gamma) {
+    ++checks;
+    std::int32_t key = 0;
+    if (!table.Find(x, key)) {
+      ++fallbacks;
+      return;
+    }
+    mismatches += key != QuantileSketch::LibmKey(x, log_gamma) ? 1 : 0;
+  }
+};
+
+// x moved by `ulps` representable doubles (x positive and normal).
+double StepUlps(double x, std::int64_t ulps) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) + static_cast<std::uint64_t>(ulps));
+}
+
+TEST(SketchKey, EveryEdgeOfTheTableRangeAtSixtyFourUlps) {
+  // Every bucket edge gamma^k and every sub-bin edge (exponent and top
+  // eight mantissa bits) over the table's range and one octave past each
+  // end, each at -64..+64 ulps.
+  const double log_gamma = DefaultLogGamma();
+  const SketchKeyTable table(log_gamma);
+  QuantileSketch sketch(QuantileSketch::kDefaultAlpha, kUncollapsed);
+  LibmKeyedReference reference(QuantileSketch::kDefaultAlpha);
+  KeyTally tally;
+  const auto around = [&](double edge) {
+    for (std::int64_t d = -64; d <= 64; ++d) {
+      const double x = StepUlps(edge, d);
+      tally.Check(table, x, log_gamma);
+      sketch.Add(x);
+      reference.Add(x);
+    }
+  };
+  const double lo = std::ldexp(1.0, SketchKeyTable::kMinExponent - 1);
+  const double hi = std::ldexp(1.0, SketchKeyTable::kMaxExponent + 2);
+  for (std::int32_t k = QuantileSketch::LibmKey(lo, log_gamma);
+       k <= QuantileSketch::LibmKey(hi, log_gamma); ++k) {
+    around(std::exp(static_cast<double>(k) * log_gamma));
+  }
+  for (double octave = lo; octave < hi; octave *= 2.0) {
+    for (int j = 0; j < (1 << SketchKeyTable::kSubBits); ++j) {
+      around(octave * (1.0 + std::ldexp(j, -SketchKeyTable::kSubBits)));
+    }
+  }
+  EXPECT_GT(tally.checks, 2'000'000u);
+  EXPECT_EQ(tally.mismatches, 0u);
+  EXPECT_LT(tally.fallbacks, tally.checks);
+  EXPECT_EQ(reference.Mismatches(sketch), 0u);
+}
+
+TEST(SketchKey, TenMillionLogUniformValuesAndTheFallbackRate) {
+  // Log-uniform over [1e-9, e^25]: past the table's top end, so values
+  // above it take libm through the same Add.
+  const double log_gamma = DefaultLogGamma();
+  const SketchKeyTable table(log_gamma);
+  QuantileSketch sketch(QuantileSketch::kDefaultAlpha, kUncollapsed);
+  LibmKeyedReference reference(QuantileSketch::kDefaultAlpha);
+  KeyTally tally;
+  const double lo = std::log(1e-9);
+  const double span = 25.0 - lo;
+  sim::Rng rng(29);
+  for (int i = 0; i < 10'000'000; ++i) {
+    const double x = std::exp(lo + span * rng.NextDouble());
+    tally.Check(table, x, log_gamma);
+    sketch.Add(x);
+    reference.Add(x);
+  }
+  EXPECT_EQ(tally.mismatches, 0u);
+  EXPECT_EQ(reference.Mismatches(sketch), 0u);
+  // Out-of-range values (about 1 in 11 here) fall back by design; the
+  // guard band alone is a relative 2e-11 of each 0.02-wide key.
+  std::uint64_t in_range = 0;
+  std::uint64_t band = 0;
+  sim::Rng again(29);
+  for (int i = 0; i < 10'000'000; ++i) {
+    const double x = std::exp(lo + span * again.NextDouble());
+    if (x >= std::ldexp(1.0, SketchKeyTable::kMaxExponent + 1)) continue;
+    ++in_range;
+    std::int32_t key = 0;
+    band += table.Find(x, key) ? 0 : 1;
+  }
+  EXPECT_LT(static_cast<double>(band) / static_cast<double>(in_range), 1e-6);
+}
+
+TEST(SketchKey, ZeroSubnormalFloorAndNonFiniteThroughAdd) {
+  QuantileSketch sketch;
+  LibmKeyedReference reference(QuantileSketch::kDefaultAlpha);
+  for (const double x : {0.0, std::numeric_limits<double>::denorm_min(),
+                         std::numeric_limits<double>::min(), 0.999e-9, 1e-9}) {
+    sketch.Add(x);
+    reference.Add(x);
+  }
+  EXPECT_EQ(sketch.zero_count(), 4u);
+  EXPECT_EQ(sketch.bucket_count(), 1u);
+  EXPECT_EQ(sketch.min_key(), QuantileSketch::LibmKey(1e-9, DefaultLogGamma()));
+  EXPECT_EQ(reference.Mismatches(sketch), 0u);
+  const std::string before = StateFingerprint(sketch);
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), -1.0, -1e-300}) {
+    EXPECT_THROW(sketch.Add(bad), ContractViolation) << bad;
+  }
+  EXPECT_EQ(StateFingerprint(sketch), before);
+}
+
+TEST(SketchKey, NonDefaultAlphaTakesTheLibmKey) {
+  QuantileSketch sketch(0.02, kUncollapsed);
+  LibmKeyedReference reference(0.02);
+  sim::Rng rng(5);
+  for (int i = 0; i < 200'000; ++i) {
+    const double x = std::exp(-20.0 + 40.0 * rng.NextDouble());
+    sketch.Add(x);
+    reference.Add(x);
+  }
+  EXPECT_EQ(reference.Mismatches(sketch), 0u);
+}
+
+TEST(SketchKey, TableRefusesSubBinsWiderThanOneKey) {
+  // At alpha = 0.001 a sub-bin spans about 1.95 keys.
+  EXPECT_THROW(SketchKeyTable(std::log(1.001 / 0.999)), ContractViolation);
 }
 
 }  // namespace

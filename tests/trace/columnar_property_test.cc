@@ -362,7 +362,8 @@ const LiveCapture& SharedLiveCapture() {
     BatchRecorder recorder(c);
     sim::Simulator simulator;
     game::CsServer server(simulator, game::GameConfig::ScaledDefaults(300.0), recorder);
-    server.Run();
+    server.Start();
+    simulator.RunUntil(server.config().trace_duration);
     return c;
   }();
   return capture;
@@ -453,7 +454,8 @@ TEST(BatchProperty, LiveServerBatchesMatchScalarReplay) {
   tee.Attach(capture);
   tee.Attach(live);
   game::CsServer server(simulator, cfg, tee);
-  server.Run();
+  server.Start();
+  simulator.RunUntil(server.config().trace_duration);
 
   core::Characterizer replayed(options);
   FeedRows(capture.records(), replayed);

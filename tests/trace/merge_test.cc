@@ -201,7 +201,8 @@ std::vector<net::PacketRecord> CaptureServer(std::uint32_t shift) {
   sim::Simulator simulator;
   VectorSink capture;
   game::CsServer server(simulator, config, capture);
-  server.Run();
+  server.Start();
+  simulator.RunUntil(server.config().trace_duration);
   return capture.TakeRecords();
 }
 
